@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .errors import ArgumentError, DataError, FormatError
@@ -47,7 +46,6 @@ class AcousticStreams:
     mgc: np.ndarray  # (n, mgc_dim)
     bap: np.ndarray  # (n, bap_dim)
     lf0: np.ndarray  # (n,), UNVOICED_LF0 at unvoiced frames
-    frame_shift: float = FRAME_SHIFT
 
     def __post_init__(self):
         n = self.mgc.shape[0]
@@ -55,8 +53,6 @@ class AcousticStreams:
             raise ArgumentError(
                 f"stream lengths differ: mgc={n} bap={self.bap.shape[0]} lf0={self.lf0.shape[0]}"
             )
-        if not self.frame_shift > 0:
-            raise ArgumentError(f"frame_shift must be > 0, got {self.frame_shift}")
 
     @property
     def n_frames(self) -> int:
@@ -240,27 +236,32 @@ def load_stats(path: Path) -> NormalizationStats:
     return NormalizationStats(kind=kind, a=floats[:n].copy(), b=floats[n:].copy())
 
 
-def _window_matrix(n: int, window: tuple[float, float, float]) -> sparse.csr_matrix:
-    """(n, n) operator applying a 3-tap window with boundary replication."""
+def _window_normal_terms(
+    window: tuple[float, float, float], obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """W'W in solveh_banded's upper form (3, n), and W' obs, for a 3-tap window.
+
+    Row t of the (n, n) operator W applies the window to frames t-1, t, t+1
+    with boundary replication, so the tap that falls outside the utterance
+    folds into the edge frame's own weight. W then has ``w_prev`` below the
+    diagonal, ``w_next`` above it, and ``w_cur`` on it plus the folded taps.
+    """
     w_prev, w_cur, w_next = window
-    rows, cols, vals = [], [], []
-    for t in range(n):
-        for offset, w in ((-1, w_prev), (0, w_cur), (1, w_next)):
-            if w == 0.0:
-                continue
-            rows.append(t)
-            cols.append(min(max(t + offset, 0), n - 1))
-            vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _band_upper(gram: sparse.spmatrix, n: int) -> np.ndarray:
-    """Symmetric banded matrix in solveh_banded's upper form (3, n)."""
-    ab = np.zeros((3, n))
-    ab[2] = gram.diagonal(0)
-    ab[1, 1:] = gram.diagonal(1)
-    ab[0, 2:] = gram.diagonal(2)
-    return ab
+    n = obs.shape[0]
+    diag = np.full(n, w_cur)
+    diag[0] += w_prev
+    diag[-1] += w_next
+    gram = np.zeros((3, n))
+    gram[2] = diag * diag
+    gram[2, 1:] += w_next * w_next
+    gram[2, :-1] += w_prev * w_prev
+    gram[1, 1:] = diag[:-1] * w_next + w_prev * diag[1:]
+    gram[0, 2:] = w_prev * w_next
+    # column i of W has entries in rows i-1, i, i+1; sum them in ascending row order
+    projected = diag[:, None] * obs
+    projected[1:] += w_next * obs[:-1]
+    projected[:-1] += w_prev * obs[1:]
+    return gram, projected
 
 
 def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -283,17 +284,13 @@ def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
         raise ArgumentError("variances must be positive and finite")
     width = total // 3
 
-    w_delta = _window_matrix(n, DELTA_WINDOW)
-    w_delta2 = _window_matrix(n, DELTA_DELTA_WINDOW)
-    gram_delta = _band_upper((w_delta.T @ w_delta).tocsr(), n)
-    gram_delta2 = _band_upper((w_delta2.T @ w_delta2).tocsr(), n)
+    gram_delta, rhs_delta = _window_normal_terms(DELTA_WINDOW, means[:, width : 2 * width])
+    gram_delta2, rhs_delta2 = _window_normal_terms(DELTA_DELTA_WINDOW, means[:, 2 * width :])
     gram_static = np.zeros((3, n))
     gram_static[2] = 1.0
 
     inv_var = 1.0 / variances
     mu_static = means[:, :width]
-    rhs_delta = w_delta.T @ means[:, width : 2 * width]
-    rhs_delta2 = w_delta2.T @ means[:, 2 * width :]
 
     out = np.empty((n, width))
     for d in range(width):

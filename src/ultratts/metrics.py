@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .acoustic import AcousticStreams
+from .acoustic import UNVOICED_LF0, AcousticStreams
 from .errors import ArgumentError, DataError
 
 _LOG_SCALE = 10.0 / math.log(10.0)
@@ -34,12 +34,14 @@ CONVENTION_NOTES = (
 
 def mcd(ref_mgc: np.ndarray, pred_mgc: np.ndarray) -> float:
     """Mel-cepstral distortion in dB, averaged over frames."""
-    return float(np.mean(_mcd_frames(ref_mgc, pred_mgc)))
+    ref, pred = _check_pair(ref_mgc, pred_mgc)
+    return _score_alone(_alone(ref.shape[0], mgc=ref), _alone(pred.shape[0], mgc=pred)).mcd_db
 
 
 def bap_distortion(ref_bap: np.ndarray, pred_bap: np.ndarray) -> float:
     """Band-aperiodicity distortion in dB, averaged over frames."""
-    return float(np.mean(_bap_frames(ref_bap, pred_bap)))
+    ref, pred = _check_pair(ref_bap, pred_bap)
+    return _score_alone(_alone(ref.shape[0], bap=ref), _alone(pred.shape[0], bap=pred)).bap_db
 
 
 def _mcd_frames(ref: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -74,43 +76,45 @@ def f0_metrics(
     is also NaN when either Hz series has zero variance.
     """
     ref_lf0, pred_lf0 = np.ravel(ref_lf0), np.ravel(pred_lf0)
-    ref_vuv, pred_vuv = np.ravel(ref_vuv), np.ravel(pred_vuv)
-    if not (ref_lf0.size == pred_lf0.size == ref_vuv.size == pred_vuv.size):
-        raise ArgumentError("f0 streams must share length")
-    n = ref_vuv.size
-    if n == 0:
-        raise DataError("empty f0 streams")
-    vuv_error = 100.0 * float(np.count_nonzero((ref_vuv > 0.5) != (pred_vuv > 0.5))) / n
+    report = _score_alone(
+        _alone(ref_lf0.size, lf0=ref_lf0, vuv=ref_vuv),
+        _alone(pred_lf0.size, lf0=pred_lf0, vuv=pred_vuv),
+    )
+    return report.f0_rmse_hz, report.f0_corr, report.vuv_error_pct
 
-    both = (ref_vuv > 0.5) & (pred_vuv > 0.5)
-    if not np.any(both):
-        return math.nan, math.nan, vuv_error
-    hz_ref = np.exp(ref_lf0[both])
-    hz_pred = np.exp(pred_lf0[both])
-    rmse = float(np.sqrt(np.mean((hz_ref - hz_pred) ** 2)))
-    dr = hz_ref - hz_ref.mean()
-    dp = hz_pred - hz_pred.mean()
-    denom = math.sqrt(float(np.sum(dr * dr)) * float(np.sum(dp * dp)))
-    corr = float(np.sum(dr * dp)) / denom if denom > 0.0 else math.nan
-    return rmse, corr, vuv_error
+
+def _alone(n: int, mgc=None, bap=None, lf0=None, vuv=None) -> tuple[AcousticStreams, np.ndarray]:
+    """One side of a single-stream comparison: absent streams are empty or unvoiced."""
+    streams = AcousticStreams(
+        mgc=np.zeros((n, 0)) if mgc is None else mgc,
+        bap=np.zeros((n, 0)) if bap is None else bap,
+        lf0=np.full(n, UNVOICED_LF0) if lf0 is None else lf0,
+    )
+    return streams, np.zeros(n) if vuv is None else np.ravel(vuv)
+
+
+def _score_alone(
+    ref: tuple[AcousticStreams, np.ndarray], pred: tuple[AcousticStreams, np.ndarray]
+) -> EvaluationReport:
+    return aggregate([evaluate_utterance("", *ref, *pred)])
 
 
 @dataclass(frozen=True)
 class UtteranceEval:
-    """Per-utterance error sums; holds enough to pool exactly across utterances."""
+    """Per-utterance error sums and commonly voiced F0 pairs; enough to pool
+    exactly across utterances."""
 
     utt_id: str
     n_frames: int
     mcd_sum: float
     bap_sum: float
     vuv_mismatches: int
-    n_voiced_both: int
-    sq_err_sum: float  # sum of squared Hz errors over commonly voiced frames
-    sum_r: float
-    sum_p: float
-    sum_rr: float
-    sum_pp: float
-    sum_rp: float
+    hz_ref: np.ndarray  # reference F0 in Hz at frames voiced in both streams
+    hz_pred: np.ndarray  # predicted F0 in Hz at the same frames
+
+    @property
+    def n_voiced_both(self) -> int:
+        return self.hz_ref.size
 
 
 def evaluate_utterance(
@@ -129,21 +133,14 @@ def evaluate_utterance(
     if pred.n_frames != n or ref_vuv.size != n or pred_vuv.size != n:
         raise ArgumentError(f"frame count mismatch for {utt_id}")
     both = (ref_vuv > 0.5) & (pred_vuv > 0.5)
-    hz_ref = np.exp(ref.lf0[both])
-    hz_pred = np.exp(pred.lf0[both])
     return UtteranceEval(
         utt_id=utt_id,
         n_frames=n,
         mcd_sum=float(mcd_frames.sum()),
         bap_sum=float(bap_frames.sum()),
         vuv_mismatches=int(np.count_nonzero((ref_vuv > 0.5) != (pred_vuv > 0.5))),
-        n_voiced_both=int(np.count_nonzero(both)),
-        sq_err_sum=float(np.sum((hz_ref - hz_pred) ** 2)),
-        sum_r=float(hz_ref.sum()),
-        sum_p=float(hz_pred.sum()),
-        sum_rr=float(np.sum(hz_ref * hz_ref)),
-        sum_pp=float(np.sum(hz_pred * hz_pred)),
-        sum_rp=float(np.sum(hz_ref * hz_pred)),
+        hz_ref=np.exp(ref.lf0[both]),
+        hz_pred=np.exp(pred.lf0[both]),
     )
 
 
@@ -169,22 +166,25 @@ def aggregate(
     split: str = "",
     variant: str = "",
 ) -> EvaluationReport:
-    """Pool utterance error sums into one report (frame-weighted means)."""
+    """Pool utterances into one report: frame-weighted means, and F0 measures
+    over the commonly voiced frames of all utterances together."""
     if not utterances:
         raise DataError("no utterance evaluations to aggregate")
     n = sum(u.n_frames for u in utterances)
+    if n == 0:
+        raise DataError("no frames to aggregate")
     nv = sum(u.n_voiced_both for u in utterances)
     mcd_db = sum(u.mcd_sum for u in utterances) / n
     bap_db = sum(u.bap_sum for u in utterances) / n
     vuv = 100.0 * sum(u.vuv_mismatches for u in utterances) / n
     if nv > 0:
-        rmse = math.sqrt(sum(u.sq_err_sum for u in utterances) / nv)
-        sum_r = sum(u.sum_r for u in utterances)
-        sum_p = sum(u.sum_p for u in utterances)
-        var_r = sum(u.sum_rr for u in utterances) - sum_r * sum_r / nv
-        var_p = sum(u.sum_pp for u in utterances) - sum_p * sum_p / nv
-        cov = sum(u.sum_rp for u in utterances) - sum_r * sum_p / nv
-        corr = cov / math.sqrt(var_r * var_p) if var_r > 0.0 and var_p > 0.0 else math.nan
+        rmse = math.sqrt(
+            sum(float(np.sum((u.hz_ref - u.hz_pred) ** 2)) for u in utterances) / nv
+        )
+        corr = _pearson(
+            np.concatenate([u.hz_ref for u in utterances]),
+            np.concatenate([u.hz_pred for u in utterances]),
+        )
     else:
         rmse = corr = math.nan
     return EvaluationReport(
@@ -200,6 +200,15 @@ def aggregate(
         n_frames=n,
         n_voiced_both=nv,
     )
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-pass Pearson correlation; NaN when either series is constant."""
+    if x.min() == x.max() or y.min() == y.max():
+        return math.nan
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float(np.sum(dx * dy)) / math.sqrt(float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
 
 
 def write_report_csv(reports: Iterable[EvaluationReport], path: Path) -> None:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, DataError
+from .mlp import mse
 from .ultra import UltrasoundSequence
 
 NEUTRAL_RGB = (128, 128, 128)
@@ -33,16 +34,6 @@ def mean_image(seq: UltrasoundSequence) -> np.ndarray:
     return seq.frames.astype(np.float64).mean(axis=0)
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference over pixels (grayscale^2 units)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ArgumentError(f"image shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.mean(diff * diff))
-
-
 @dataclass(frozen=True)
 class MisalignmentMatrix:
     values: np.ndarray  # (n, n), exactly symmetric, NaN diagonal
@@ -54,19 +45,15 @@ class MisalignmentMatrix:
 
 
 def build_matrix(
-    session: Sequence[UltrasoundSequence | np.ndarray],
+    session: Sequence[np.ndarray],
     utterance_ids: Sequence[str] | None = None,
 ) -> MisalignmentMatrix:
-    """Pairwise mean-image MSE for a session, in recording order.
+    """Pairwise MSE of a session's per-utterance mean images, in recording order.
 
-    Accepts raw sequences (averaged here) or precomputed mean images. Each
-    unordered pair is computed once and mirrored, so the matrix is exactly
-    symmetric.
+    Each unordered pair is computed once and mirrored, so the matrix is
+    exactly symmetric.
     """
-    images = [
-        mean_image(item) if isinstance(item, UltrasoundSequence) else np.asarray(item, np.float64)
-        for item in session
-    ]
+    images = [np.asarray(img, dtype=np.float64) for img in session]
     n = len(images)
     if n < 2:
         raise DataError(f"need at least 2 utterances, got {n}")
@@ -124,13 +111,14 @@ def block_summary(matrix: MisalignmentMatrix, n_train: int, n_dev: int, n_test: 
     )
 
 
-def _ramp_color(t: float) -> tuple[int, int, int]:
-    lo, mid, hi = _RAMP
-    if t <= 0.5:
-        a, b, u = lo, mid, t * 2.0
-    else:
-        a, b, u = mid, hi, (t - 0.5) * 2.0
-    return tuple(int(round(a[c] + (b[c] - a[c]) * u)) for c in range(3))
+def _ramp_color(t: np.ndarray) -> np.ndarray:
+    """RGB bytes for ramp positions ``t`` in [0, 1], shape ``t.shape + (3,)``."""
+    lo, mid, hi = (np.array(c, dtype=np.float64) for c in _RAMP)
+    upper = t > 0.5
+    u = np.where(upper, (t - 0.5) * 2.0, t * 2.0)[..., None]
+    a = np.where(upper[..., None], mid, lo)
+    b = np.where(upper[..., None], hi, mid)
+    return np.rint(a + (b - a) * u).astype(np.uint8)
 
 
 def render_heatmap(matrix: MisalignmentMatrix, cell_pixels: int = 16) -> bytes:
@@ -142,22 +130,14 @@ def render_heatmap(matrix: MisalignmentMatrix, cell_pixels: int = 16) -> bytes:
     if cell_pixels < 1:
         raise ArgumentError("cell_pixels must be >= 1")
     values = matrix.values
-    finite = values[np.isfinite(values)]
-    vmin = float(finite.min()) if finite.size else 0.0
-    vmax = float(finite.max()) if finite.size else 0.0
+    finite = np.isfinite(values)
+    vmin = float(values[finite].min()) if finite.any() else 0.0
+    vmax = float(values[finite].max()) if finite.any() else 0.0
     span = vmax - vmin
-    n = matrix.n
-    cells = np.zeros((n, n, 3), dtype=np.uint8)
-    for i in range(n):
-        for j in range(n):
-            v = values[i, j]
-            if not np.isfinite(v):
-                cells[i, j] = NEUTRAL_RGB
-            else:
-                t = (v - vmin) / span if span > 0.0 else 0.0
-                cells[i, j] = _ramp_color(t)
+    t = np.where(finite, (values - vmin) / span, 0.0) if span > 0.0 else np.zeros(values.shape)
+    cells = np.where(finite[..., None], _ramp_color(t), np.array(NEUTRAL_RGB, dtype=np.uint8))
     pixels = np.repeat(np.repeat(cells, cell_pixels, axis=0), cell_pixels, axis=1)
-    side = n * cell_pixels
+    side = matrix.n * cell_pixels
     return f"P6\n{side} {side}\n255\n".encode("ascii") + pixels.tobytes()
 
 

@@ -103,22 +103,30 @@ def init_model(
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Affine + tanh through the hidden layers, linear output."""
-    h = _check_batch(model, batch)
+    return _forward(model, _check_batch(model, batch), keep_activations=False)[0]
+
+
+def _forward(
+    model: MlpModel, batch: np.ndarray, keep_activations: bool
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Output, plus the input and every hidden activation when asked for."""
+    activations = [batch] if keep_activations else []
+    h = batch
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = np.tanh(h @ w + b)
-    return h @ model.weights[-1] + model.biases[-1]
-
-
-def loss(pred: np.ndarray, targets: np.ndarray) -> float:
-    """Half of the batch-mean squared error (summed over output dimensions)."""
-    diff = pred - targets
-    return float(0.5 * np.sum(diff * diff) / diff.shape[0])
+        if keep_activations:
+            activations.append(h)
+    return h @ model.weights[-1] + model.biases[-1], activations
 
 
 def backward(
     model: MlpModel, batch: np.ndarray, targets: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Gradients of the half-MSE loss for every weight and bias, plus the loss."""
+    """Gradients of the half-MSE loss for every weight and bias, plus the loss.
+
+    The loss is half of the batch-mean squared error, summed over output
+    dimensions; it is the quantity SGD minimises.
+    """
     batch = _check_batch(model, batch)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if targets.shape != (batch.shape[0], model.output_dim):
@@ -128,13 +136,7 @@ def backward(
     # overflow here only happens on a diverging model; the caller detects the
     # resulting non-finite loss, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        activations = [batch]
-        h = batch
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            h = np.tanh(h @ w + b)
-            activations.append(h)
-        pred = h @ model.weights[-1] + model.biases[-1]
-
+        pred, activations = _forward(model, batch, keep_activations=True)
         diff = pred - targets
         batch_loss = float(0.5 * np.sum(diff * diff) / diff.shape[0])
         delta = diff / diff.shape[0]  # d loss / d pred, mean over the batch
@@ -204,8 +206,13 @@ def train(
     return best, history
 
 
-def mse(pred: np.ndarray, targets: np.ndarray) -> float:
-    diff = np.asarray(pred) - np.asarray(targets)
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference over all elements of two equal-shape arrays."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
+    diff = a - b
     return float(np.mean(diff * diff))
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic
+from .ultra import UltrasoundMetadata, serialize_metadata
 
 VOICED_PHONES = ("a", "e", "i", "o", "u", "m", "n", "l")
 UNVOICED_PHONES = ("sil", "s", "t", "k")
@@ -86,6 +87,7 @@ def generate_corpus(
     mode_image -= mode_image.mean()
     mode_image /= np.sqrt(np.mean(mode_image**2))
 
+    meta = UltrasoundMetadata(num_vectors, pix_per_vector, frame_rate, 0.0)
     drift_start = n_utterances - int(np.ceil(drift_fraction * n_utterances))
     for u in range(n_utterances):
         utt_id = f"utt{u:04d}"
@@ -138,12 +140,7 @@ def generate_corpus(
         )
         frames = np.clip(np.floor(frames + 0.5), 0, 255).astype(np.uint8)
         (layout.ultrasound_dir / f"{utt_id}.ult").write_bytes(frames.tobytes())
-        (layout.ultrasound_dir / f"{utt_id}.param").write_text(
-            f"NumVectors={num_vectors}\n"
-            f"PixPerVector={pix_per_vector}\n"
-            f"FramesPerSec={frame_rate!r}\n"
-            "TimeInSecsOfFirstFrame=0.0\n"
-        )
+        (layout.ultrasound_dir / f"{utt_id}.param").write_text(serialize_metadata(meta))
 
     layout.question_file.write_text(_render_questions())
     return layout

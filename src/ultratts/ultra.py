@@ -110,11 +110,6 @@ def load_sequence(data: bytes, meta: UltrasoundMetadata) -> UltrasoundSequence:
     return UltrasoundSequence(metadata=meta, frames=frames)
 
 
-def serialize_sequence(seq: UltrasoundSequence) -> bytes:
-    """Inverse of load_sequence; byte-identical round trip."""
-    return np.ascontiguousarray(seq.frames, dtype=np.uint8).tobytes()
-
-
 def read_utterance(ult_path: Path) -> UltrasoundSequence:
     """Load ``<id>.ult`` together with its ``<id>.param`` sidecar."""
     ult_path = Path(ult_path)

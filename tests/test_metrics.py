@@ -134,6 +134,13 @@ def evaluate_pair(rng, utt_id, n):
     return ev, (ref, ref_vuv, pred, pred_vuv)
 
 
+def voiced_track(hz):
+    """Streams and voicing flag of an utterance voiced throughout at ``hz``."""
+    n = len(hz)
+    lf0 = np.log(np.asarray(hz, dtype=float))
+    return AcousticStreams(mgc=np.zeros((n, 60)), bap=np.zeros((n, 5)), lf0=lf0), np.ones(n)
+
+
 class TestAggregate:
     def test_single_utterance_unchanged(self):
         rng = np.random.default_rng(4)
@@ -180,6 +187,36 @@ class TestAggregate:
         assert report.f0_rmse_hz == pytest.approx(pooled[0], rel=1e-9)
         assert report.f0_corr == pytest.approx(pooled[1], abs=1e-9)
         assert report.vuv_error_pct == pytest.approx(pooled[2], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ref_hz, pred_hz",
+        [
+            ([100.0, 100.0, 100.0], [90.0, 95.0, 100.0]),
+            ([100.0] * 3, [120.0] * 3),
+            ([100.0] * 154, [120.0] * 154),
+        ],
+    )
+    def test_constant_track_gives_nan_corr(self, ref_hz, pred_hz):
+        ev = metrics.evaluate_utterance("u", *voiced_track(ref_hz), *voiced_track(pred_hz))
+        report = metrics.aggregate([ev])
+        assert math.isnan(report.f0_corr)
+        assert report.f0_rmse_hz > 0.0
+
+    def test_pooled_corr_matches_two_pass_oracle(self):
+        # a high mean over a small spread is where one-pass sums cancel
+        rng = np.random.default_rng(9)
+        evals, ref_hz, pred_hz = [], [], []
+        for i, n in enumerate((40, 75, 23, 58)):
+            ref, pred = 200.0 + rng.normal(0.0, 0.3, (2, n))
+            noisy = pred + 0.2 * (ref - 200.0)
+            ev = metrics.evaluate_utterance(f"u{i}", *voiced_track(ref), *voiced_track(noisy))
+            evals.append(ev)
+            ref_hz.append(np.exp(np.log(ref)))
+            pred_hz.append(np.exp(np.log(noisy)))
+        x, y = np.concatenate(ref_hz), np.concatenate(pred_hz)
+        dx, dy = x - x.mean(), y - y.mean()
+        oracle = np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))
+        assert metrics.aggregate(evals).f0_corr == pytest.approx(oracle, rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)

@@ -19,6 +19,10 @@ def constant_seq(value, n_frames=3, shape=(4, 6)):
     return make_seq(np.full((n_frames, *shape), value))
 
 
+def mean_images(session):
+    return [misalign.mean_image(seq) for seq in session]
+
+
 class TestMeanImage:
     def test_single_frame_is_itself(self):
         seq = make_seq(np.arange(24, dtype=np.uint8).reshape(1, 4, 6))
@@ -64,14 +68,14 @@ class TestMse:
 
 class TestBuildMatrix:
     def test_two_identical_utterances(self):
-        m = misalign.build_matrix([constant_seq(30), constant_seq(30)], ["a", "b"])
+        m = misalign.build_matrix(mean_images([constant_seq(30), constant_seq(30)]), ["a", "b"])
         assert m.values.shape == (2, 2)
         assert m.values[0, 1] == 0.0
         assert np.isnan(m.values[0, 0]) and np.isnan(m.values[1, 1])
 
     def test_three_constant_sessions(self):
         m = misalign.build_matrix(
-            [constant_seq(0), constant_seq(10), constant_seq(20)], ["a", "b", "c"]
+            mean_images([constant_seq(0), constant_seq(10), constant_seq(20)]), ["a", "b", "c"]
         )
         assert m.values[0, 1] == 100.0
         assert m.values[0, 2] == 400.0
@@ -82,7 +86,7 @@ class TestBuildMatrix:
         session = [
             make_seq(rng.integers(0, 256, size=(4, 5, 7), dtype=np.uint8)) for _ in range(6)
         ]
-        m = misalign.build_matrix(session)
+        m = misalign.build_matrix(mean_images(session))
         assert m.values.shape == (6, 6)
         off = ~np.eye(6, dtype=bool)
         assert np.array_equal(m.values[off], m.values.T[off])
@@ -93,23 +97,23 @@ class TestBuildMatrix:
         rng = np.random.default_rng(4)
         frames = rng.integers(0, 256, size=(3, 4, 6), dtype=np.uint8)
         session = [make_seq(frames), constant_seq(99), make_seq(frames)]
-        m = misalign.build_matrix(session)
+        m = misalign.build_matrix(mean_images(session))
         assert m.values[0, 2] == 0.0
 
     def test_inconsistent_dimensions_name_the_utterance(self):
         session = [constant_seq(1), constant_seq(2, shape=(5, 6))]
         with pytest.raises(DataError, match="utt0001"):
-            misalign.build_matrix(session)
+            misalign.build_matrix(mean_images(session))
 
     def test_single_utterance_rejected(self):
         with pytest.raises(DataError):
-            misalign.build_matrix([constant_seq(1)])
+            misalign.build_matrix(mean_images([constant_seq(1)]))
 
 
 class TestBlockSummary:
     def test_homogeneous_session_scores_one(self):
         session = [constant_seq(42) for _ in range(8)]
-        m = misalign.build_matrix(session)
+        m = misalign.build_matrix(mean_images(session))
         summary = misalign.block_summary(m, 6, 1, 1)
         assert summary.within_train_mse == 0.0
         assert summary.train_vs_heldout_mse == 0.0
@@ -123,7 +127,7 @@ class TestBlockSummary:
             if i >= 17:  # last 15% of the session shifted
                 value += 40
             session.append(constant_seq(value))
-        m = misalign.build_matrix(session)
+        m = misalign.build_matrix(mean_images(session))
         summary = misalign.block_summary(m, 17, 2, 1)
         assert summary.train_vs_heldout_mse > summary.within_train_mse
         assert summary.score > 1.0
@@ -138,7 +142,7 @@ class TestBlockSummary:
         assert s1.score == pytest.approx(s2.score, rel=1e-12)
 
     def test_bad_partition_rejected(self):
-        m = misalign.build_matrix([constant_seq(i) for i in range(5)])
+        m = misalign.build_matrix(mean_images([constant_seq(i) for i in range(5)]))
         with pytest.raises(ArgumentError):
             misalign.block_summary(m, 3, 1, 2)
         with pytest.raises(DataError):
@@ -163,13 +167,15 @@ def fixture_matrix():
 
 class TestHeatmap:
     def test_dimensions_scale_with_cells(self):
-        m = misalign.build_matrix([constant_seq(0), constant_seq(10)])
+        m = misalign.build_matrix(mean_images([constant_seq(0), constant_seq(10)]))
         data = misalign.render_heatmap(m, cell_pixels=5)
         assert data.startswith(b"P6\n10 10\n255\n")
         assert len(data) == len(b"P6\n10 10\n255\n") + 10 * 10 * 3
 
     def test_equal_offdiagonals_render_uniformly(self):
-        m = misalign.build_matrix([constant_seq(0), constant_seq(10), constant_seq(20)])
+        m = misalign.build_matrix(
+            mean_images([constant_seq(0), constant_seq(10), constant_seq(20)])
+        )
         m.values[0, 2] = m.values[2, 0] = 100.0  # make all off-diagonals equal
         data = misalign.render_heatmap(m, cell_pixels=1)
         pixels = np.frombuffer(data.split(b"\n", 3)[3], np.uint8).reshape(3, 3, 3)

@@ -16,9 +16,9 @@ def finite_difference_check(model, x, y, eps=1e-5):
                 i = it.multi_index
                 orig = arr[i]
                 arr[i] = orig + eps
-                plus = mlp.loss(mlp.forward(model, x), y)
+                plus = mlp.backward(model, x, y)[2]
                 arr[i] = orig - eps
-                minus = mlp.loss(mlp.forward(model, x), y)
+                minus = mlp.backward(model, x, y)[2]
                 arr[i] = orig
                 fd = (plus - minus) / (2.0 * eps)
                 rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-4)

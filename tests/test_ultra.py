@@ -63,10 +63,7 @@ class TestLoadSequence:
         rng = np.random.default_rng(0)
         meta = small_meta()
         data = rng.integers(0, 256, size=3 * meta.frame_size, dtype=np.uint8).tobytes()
-        seq = ultra.load_sequence(data, meta)
-        assert ultra.serialize_sequence(seq) == data
-        again = ultra.load_sequence(ultra.serialize_sequence(seq), meta)
-        assert np.array_equal(again.frames, seq.frames)
+        assert ultra.load_sequence(data, meta).frames.tobytes() == data
 
 
 def reference_resize(img, out_rows, out_cols):
