@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import ArgumentError, DataError, FormatError
 
@@ -50,6 +51,12 @@ def fit_pca(
     use the unbiased (n-1) covariance normalization. Each basis row is
     sign-flipped so its largest-magnitude entry is positive, which makes the
     fit deterministic.
+
+    The fit is an exact eigendecomposition of the smaller Gram matrix of the
+    centred n x d frame matrix C: CCᵀ (n x n) when there are fewer frames than
+    pixels, as in the eigenfaces "snapshot" method, and CᵀC (d x d) otherwise.
+    Only the top min(k_max, n, d) eigenpairs are computed; the total variance
+    is the exact trace ‖C‖²_F / (n-1), so it covers the discarded axes too.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -61,18 +68,30 @@ def fit_pca(
         raise ArgumentError(f"variance_target must be in (0, 1], got {variance_target}")
     mean = frames.mean(axis=0)
     centered = frames - mean
-    # Thin SVD; singular values relate to covariance eigenvalues by s^2/(n-1).
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    eigenvalues = (s * s) / (n - 1)
-    total = float(eigenvalues.sum())
+    total = float(np.vdot(centered, centered)) / (n - 1)
     if total <= 0.0:
         raise DataError("zero total variance: all frames are identical")
+    snapshot = n < d
+    gram = centered @ centered.T if snapshot else centered.T @ centered
+    m = gram.shape[0]
+    top = m if k_max is None else min(k_max, m)
+    # ascending order from LAPACK; reverse to non-increasing
+    w, vectors = eigh(gram, subset_by_index=[m - top, m - 1])
+    w, vectors = w[::-1], vectors[:, ::-1]
+    eigenvalues = np.maximum(w, 0.0) / (n - 1)
     cumulative = np.cumsum(eigenvalues) / total
     k = int(np.searchsorted(cumulative, variance_target - 1e-12) + 1)
     k = min(k, eigenvalues.shape[0])
     if k_max is not None:
         k = min(k, k_max)
-    basis = vt[:k].copy()
+    if snapshot:
+        # Cᵀuᵢ is pixel-space axis i scaled by √wᵢ. Dividing by its computed
+        # norm rather than √wᵢ keeps the row a unit vector when wᵢ is near the
+        # rounding floor of CCᵀ, where wᵢ has lost its relative accuracy.
+        basis = vectors[:, :k].T @ centered
+        basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    else:
+        basis = np.ascontiguousarray(vectors[:, :k].T)
     flip = np.sign(basis[np.arange(k), np.argmax(np.abs(basis), axis=1)])
     basis *= flip[:, None]
     return EigenTonguesModel(

@@ -178,18 +178,19 @@ def train(
     for epoch in range(1, schedule.max_epochs + 1):
         lr = schedule.learning_rate(epoch)
         order = rng.permutation(train_x.shape[0])
-        batch_losses = []
+        loss_sum = 0.0
         for start in range(0, order.size, schedule.batch_size):
             idx = order[start : start + schedule.batch_size]
             grads_w, grads_b, batch_loss = backward(model, train_x[idx], train_y[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            batch_losses.append(batch_loss)
+            loss_sum += batch_loss * idx.size
             for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
                 w -= lr * gw
                 b -= lr * gb
-        # per-element MSE, comparable with the validation column
-        train_mse = 2.0 * float(np.mean(batch_losses)) / model.output_dim
+        # per-element MSE over all training rows, comparable with the
+        # validation column; each batch loss is a mean over its own rows
+        train_mse = 2.0 * loss_sum / (order.size * model.output_dim)
         valid_mse = mse(forward(model, valid_x), valid_y)
         if not np.isfinite(valid_mse):
             raise TrainingDiverged(f"non-finite validation MSE at epoch {epoch}")

@@ -331,13 +331,17 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
 def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.EvaluationReport]:
     """Score generated dev/test utterances against the corpus references."""
     split = load_split(run)
+    # each reference and its V/UV serve every variant, so read them once
+    references = {}
+    for utt_id in (*split.dev, *split.test):
+        ref = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
+        references[utt_id] = ref, acoustic.interpolate_lf0(ref.lf0)[1]
     reports = []
     for variant in VARIANTS:
         for split_name in ("dev", "test"):
             evals = []
             for utt_id in split.ids_of(split_name):
-                ref = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-                _, ref_vuv = acoustic.interpolate_lf0(ref.lf0)
+                ref, ref_vuv = references[utt_id]
                 pred = acoustic.read_streams(
                     run.stage_dir("generate") / variant, utt_id, cfg.mgc_dim, cfg.bap_dim
                 )

@@ -14,6 +14,20 @@ def gaussian_in_10d(n=200, seed=0):
     return latent @ directions.T + 0.01 * rng.normal(size=(n, 10)) + rng.normal(size=10)
 
 
+def wide_decaying(n=40, d=300, seed=0):
+    """Fewer samples than dimensions, with a known geometrically decaying spectrum."""
+    rng = np.random.default_rng(seed)
+    directions = np.linalg.qr(rng.normal(size=(d, n)))[0]
+    latent = rng.normal(size=(n, n)) * (5.0 * 0.9 ** np.arange(n))
+    return latent @ directions.T + rng.normal(size=d)
+
+
+def with_repeated_rows(distinct=30, n=75, d=200, scale=1.0, offset=0.0, seed=0):
+    """Quantised rows, each repeated 2-3 times in order as frame-clock resampling does."""
+    rows = offset + scale * np.random.default_rng(seed).integers(0, 256, size=(distinct, d))
+    return rows[np.arange(n) * distinct // n]
+
+
 class TestFit:
     def test_single_axis_variance(self):
         data = np.tile(np.arange(10.0), (5, 1))
@@ -38,6 +52,44 @@ class TestFit:
         oracle_basis = evecs[:, np.argsort(evals)[::-1][: model.n_components]]
         angles = subspace_angles(model.basis.T, oracle_basis)
         assert np.max(angles) < 1e-6
+
+    def test_fewer_samples_than_dimensions_match_dense_oracle(self):
+        data = wide_decaying()
+        evals, evecs = np.linalg.eigh(np.cov(data, rowvar=False))
+        order = np.argsort(evals)[::-1]
+        full = et.fit_pca(data, 1.0, k_max=None)
+        assert np.allclose(full.eigenvalues, evals[order][: full.n_components], rtol=1e-6)
+        model = et.fit_pca(data, 0.9)
+        assert 1 < model.n_components < full.n_components
+        angles = subspace_angles(model.basis.T, evecs[:, order[: model.n_components]])
+        assert np.max(angles) < 1e-6
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            dict(d=200),
+            dict(d=20),
+            # centring rounding leaves an axis at ~1e-11 of the top variance
+            dict(distinct=9, n=14, d=109, scale=1e-6, offset=1e6),
+        ],
+        ids=["n<d", "n>d", "n<d-rounding-floor"],
+    )
+    def test_repeated_rows_give_finite_orthonormal_basis_within_rank(self, recipe):
+        data = with_repeated_rows(**recipe)
+        rank = np.linalg.matrix_rank(data - data.mean(axis=0))
+        model = et.fit_pca(data, 1.0, k_max=None)
+        assert np.all(np.isfinite(model.basis))
+        gram = model.basis @ model.basis.T
+        assert np.allclose(gram, np.eye(model.n_components), rtol=0.0, atol=1e-8)
+        assert model.n_components <= rank
+
+    @pytest.mark.parametrize("data", [wide_decaying(), gaussian_in_10d()], ids=["n<d", "n>d"])
+    def test_total_variance_is_trace_when_truncated(self, data):
+        model = et.fit_pca(data, 1.0, k_max=2)
+        assert model.n_components == 2
+        centered = data - data.mean(axis=0)
+        expect = np.sum(centered * centered) / (data.shape[0] - 1)
+        assert model.total_variance == pytest.approx(expect, rel=1e-12)
 
     def test_orthonormal_rows(self):
         model = et.fit_pca(gaussian_in_10d(), 1.0, k_max=None)

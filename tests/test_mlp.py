@@ -158,6 +158,19 @@ class TestTrain:
         assert [h.valid_mse for h in h1] == [h.valid_mse for h in h2]
         assert [h.train_mse for h in h1] == [h.train_mse for h in h2]
 
+    def test_train_mse_weights_batches_by_rows(self):
+        # 800 rows in batches of 256 leave a 32-row last batch; at this
+        # learning rate the weights cannot move, so the epoch's training MSE
+        # is the MSE of the initial model over every training row
+        train_set, valid_set = linear_task(n=1600, seed=8)
+        model = mlp.init_model(6, seed=4, hidden_sizes=(8,), output_dim=4)
+        expect = mlp.mse(mlp.forward(model, train_set[0]), train_set[1])
+        schedule = mlp.TrainingSchedule(
+            max_epochs=2, warmup_epochs=1, base_lr=1e-300, batch_size=256, seed=0,
+        )
+        history = mlp.train(model, train_set, valid_set, schedule)[1]
+        assert history[0].train_mse == pytest.approx(expect, rel=1e-12)
+
     def test_schedule_defaults_match_experiment_constants(self):
         schedule = mlp.TrainingSchedule()
         assert schedule.max_epochs == 25

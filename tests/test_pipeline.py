@@ -173,6 +173,20 @@ class TestRunExperiment:
         pipeline.run_stage("evaluate", cfg, run.root)
         assert run.report_csv.read_bytes() == before
 
+    def test_evaluate_reads_each_reference_once(self, tiny_run, monkeypatch):
+        cfg, run = tiny_run
+        read_from = []
+        read_streams = acoustic.read_streams
+
+        def counting(directory, *args, **kwargs):
+            read_from.append(directory)
+            return read_streams(directory, *args, **kwargs)
+
+        monkeypatch.setattr(acoustic, "read_streams", counting)
+        pipeline.run_stage("evaluate", cfg, run.root)
+        split = pipeline.load_split(run)
+        assert read_from.count(cfg.acoustic_dir) == len(split.dev) + len(split.test)
+
     def test_missing_path_fails_before_stages(self, tiny_corpus, tmp_path):
         cfg = config_for(tiny_corpus).with_overrides(
             question_file=tmp_path / "missing.hed"
