@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,19 @@ class QuestionSet:
     def empty(cls) -> "QuestionSet":
         """The ultrasound-only configuration: no text questions at all."""
         return cls(binary=(), numeric=())
+
+    @cached_property
+    def _compiled(self) -> tuple[tuple[re.Pattern, ...], tuple[re.Pattern, ...]]:
+        """One whole-string regex per QS (its globs as alternatives) and one per CQS.
+
+        Compiled on first use and kept on the instance: a Merlin-size set has
+        thousands of globs, far more than ``re``'s own compile cache holds.
+        """
+        binary = tuple(
+            re.compile("|".join(_glob_to_regex(p) for p in patterns))
+            for _, patterns in self.binary
+        )
+        return binary, tuple(_numeric_regex(pattern) for _, pattern in self.numeric)
 
 
 def parse_labels(text: str) -> list[FullContextLabel]:
@@ -150,12 +164,14 @@ def _numeric_regex(pattern: str) -> re.Pattern:
 
 
 def _answer_label(label: FullContextLabel, questions: QuestionSet) -> np.ndarray:
-    answers = np.empty(len(questions.binary) + len(questions.numeric))
-    for i, (_, patterns) in enumerate(questions.binary):
-        answers[i] = 1.0 if any(match_question(p, label.context) for p in patterns) else 0.0
-    base = len(questions.binary)
-    for j, (_, pattern) in enumerate(questions.numeric):
-        m = _numeric_regex(pattern).search(label.context)
+    binary, numeric = questions._compiled
+    answers = np.empty(len(binary) + len(numeric))
+    context = label.context
+    for i, regex in enumerate(binary):
+        answers[i] = 1.0 if regex.fullmatch(context) else 0.0
+    base = len(binary)
+    for j, regex in enumerate(numeric):
+        m = regex.search(context)
         answers[base + j] = float(m.group(1)) if m else NUMERIC_ABSENT
     return answers
 

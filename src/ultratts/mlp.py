@@ -21,6 +21,9 @@ from .errors import ArgumentError, DataError, FormatError, TrainingDiverged
 
 DEFAULT_HIDDEN = (1024,) * 6
 
+# Generated trajectory variants: MLPG-smoothed and raw static predictions.
+VARIANTS = ("mlpg", "static")
+
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
 
@@ -223,14 +226,16 @@ def predict_utterance(
     output_stats: NormalizationStats,
     mgc_dim: int = acoustic.MGC_DIM,
     bap_dim: int = acoustic.BAP_DIM,
-    use_mlpg: bool = True,
-) -> tuple[AcousticStreams, np.ndarray]:
-    """Generate acoustic streams for one utterance of normalized inputs.
+) -> tuple[dict[str, AcousticStreams], np.ndarray]:
+    """Generate both trajectory variants for one utterance of normalized inputs.
 
-    Denormalizes the network output, splits it into stream blocks, collapses
-    each block to its static trajectory (MLPG over the training-set variances,
-    or plain truncation when ``use_mlpg`` is false), thresholds the voicing
-    flag at 0.5, and re-imposes the unvoiced LF0 sentinel.
+    Runs the network once and denormalizes its output, splits it into stream
+    blocks and collapses each block to its static trajectory two ways: MLPG
+    over the training-set variances (``"mlpg"``) and plain truncation to the
+    static columns (``"static"``). The voicing flag, thresholded at 0.5, is
+    shared by both; each re-imposes the unvoiced LF0 sentinel with it.
+    Returns the streams keyed by variant name (``VARIANTS`` order) and the
+    voicing flags.
     """
     if output_stats.kind != "meanvar":
         raise ArgumentError(
@@ -246,15 +251,19 @@ def predict_utterance(
     variances = np.where(output_stats.b > 0.0, output_stats.b**2, 1.0)
 
     vuv = (denorm[:, columns["vuv"]].ravel() > 0.5).astype(np.float64)
-    statics = {}
+    statics = {"mlpg": {}, "static": {}}
     for name, width in (("mgc", mgc_dim), ("bap", bap_dim), ("lf0", 1)):
         block = denorm[:, columns[name]]
-        if use_mlpg:
-            statics[name] = acoustic.mlpg(block, variances[columns[name]])
-        else:
-            statics[name] = block[:, :width]
-    lf0 = np.where(vuv > 0.0, statics["lf0"].ravel(), acoustic.UNVOICED_LF0)
-    streams = AcousticStreams(mgc=statics["mgc"], bap=statics["bap"], lf0=lf0)
+        statics["mlpg"][name] = acoustic.mlpg(block, variances[columns[name]])
+        statics["static"][name] = block[:, :width]
+    streams = {
+        variant: AcousticStreams(
+            mgc=s["mgc"],
+            bap=s["bap"],
+            lf0=np.where(vuv > 0.0, s["lf0"].ravel(), acoustic.UNVOICED_LF0),
+        )
+        for variant, s in statics.items()
+    }
     return streams, vuv
 
 

@@ -24,7 +24,7 @@ from .config import ExperimentConfig, read_config, write_config
 from .errors import ArgumentError, ConfigError, DataError, StageError
 
 STAGES = ("prepare", "pca", "train", "generate", "evaluate", "misalign")
-VARIANTS = ("mlpg", "static")
+VARIANTS = mlp.VARIANTS
 
 CONFIG_NAME = "config.cfg"
 
@@ -189,10 +189,14 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance matrices."""
+    """Discover utterances, split, and persist per-utterance matrices.
+
+    txt2wav never reads ultrasound, so it writes no ultrasound frames.
+    """
     ids = ultra.discover_utterances(cfg.ultrasound_dir)
     split = split_dataset(ids, cfg.ratios)
-    for kind in ("target", "ling", "ult"):
+    uses_ultrasound = cfg.system != "txt2wav"
+    for kind in ("target", "ling", "ult") if uses_ultrasound else ("target", "ling"):
         (run.stage_dir("prepare") / kind).mkdir(parents=True, exist_ok=True)
 
     if cfg.system == "ult2wav":
@@ -206,11 +210,12 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
         targets, _ = acoustic.build_targets(streams)
         np.save(run.prepared("target", utt_id), targets)
 
-        seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
-        frames = ultra.resampled_resized_frames(
-            seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols
-        )
-        np.save(run.prepared("ult", utt_id), frames)
+        if uses_ultrasound:
+            seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
+            frames = ultra.resampled_resized_frames(
+                seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols
+            )
+            np.save(run.prepared("ult", utt_id), frames)
 
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, n)
@@ -232,8 +237,14 @@ def train_frame_matrix(run: RunPaths, split: DatasetSplit) -> np.ndarray:
 
 
 def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Fit the frame compressor on training frames only; project everything."""
+    """Fit the frame compressor on training frames only; project everything.
+
+    txt2wav inputs never read the coefficients, so for it the stage only
+    checks that prepare has run.
+    """
     split = load_split(run)
+    if cfg.system == "txt2wav":
+        return
     model = eigentongues.fit_pca(
         train_frame_matrix(run, split), cfg.variance_target, cfg.max_components
     )
@@ -316,10 +327,8 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     def generate_one(utt_id: str) -> None:
         x = acoustic.apply_normalization(input_stats, utterance_inputs(cfg, run, utt_id))
-        for variant in VARIANTS:
-            streams, vuv = mlp.predict_utterance(
-                model, x, output_stats, cfg.mgc_dim, cfg.bap_dim, use_mlpg=(variant == "mlpg")
-            )
+        by_variant, vuv = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
+        for variant, streams in by_variant.items():
             acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
             acoustic.save_stream(streams.bap, run.generated(variant, utt_id, "bap"))
             acoustic.save_stream(streams.lf0[:, None], run.generated(variant, utt_id, "lf0"))

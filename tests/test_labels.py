@@ -102,6 +102,56 @@ class TestMatchQuestion:
             assert labels.match_question(pattern, text) == backtrack_match(pattern, text)
 
 
+class TestCompiledQuestions:
+    def test_question_set_compiles_once(self, monkeypatch):
+        calls = []
+        glob_to_regex = labels._glob_to_regex
+
+        def counting(pattern):
+            calls.append(pattern)
+            return glob_to_regex(pattern)
+
+        monkeypatch.setattr(labels, "_glob_to_regex", counting)
+        qs = labels.parse_questions('QS "A" {*-a+*,*-e+*}\nCQS "N" {*@(\\d+)+*}\n')
+        labs = labels.parse_labels("0 250000 x-a+b@3+1\n250000 500000 x-e+b@4+2\n")
+        first = labels.extract_features(labs, qs, 0.005, 10)
+        assert calls  # the first call compiles
+        calls.clear()
+        second = labels.extract_features(labs, qs, 0.005, 10)
+        assert calls == []
+        assert np.array_equal(first, second)
+
+    def test_compiled_answers_match_per_pattern_oracle(self):
+        rng = np.random.default_rng(1)
+        alphabet = list("ab*?-+")
+        binary = []
+        for q in range(200):
+            patterns = tuple(
+                "".join(rng.choice(alphabet, size=rng.integers(1, 7)))
+                for _ in range(rng.integers(2, 6))
+            )
+            binary.append((f"Q{q}", patterns))
+        assert sum(len(p) for _, p in binary) > 512  # more than re's compile cache
+        qs = labels.QuestionSet(binary=tuple(binary), numeric=())
+        contexts = [
+            "".join(rng.choice(list("ab-+"), size=rng.integers(1, 9))) for _ in range(60)
+        ]
+        labs = [labels.FullContextLabel(i, i + 1, c) for i, c in enumerate(contexts)]
+        feats = labels.extract_features(labs, qs, 1e-7, len(labs))
+        expect = [
+            [float(any(labels.match_question(p, c) for p in patterns)) for _, patterns in binary]
+            for c in contexts
+        ]
+        assert np.array_equal(feats[:, : len(binary)], np.array(expect))
+
+    def test_malformed_numeric_group_raises_format_error(self):
+        labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c@7+2")]
+        for body in ("*@\\d+*", "*@(\\d+*"):
+            qs = labels.parse_questions(f'CQS "Pos" {{{body}}}\n')
+            with pytest.raises(FormatError, match="capture group"):
+                labels.extract_features(labs, qs, 0.005, 1)
+
+
 class TestExtractFeatures:
     def test_empty_question_set_yields_positional_only(self):
         labs = labels.parse_labels("0 250000 a\n250000 50000000 b\n")

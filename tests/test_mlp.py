@@ -217,9 +217,8 @@ class TestPredictUtterance:
         model = mlp.init_model(6, seed=0, hidden_sizes=(4,), output_dim=199)
         for w in model.weights:
             w[:] = 0.0
-        streams, vuv = mlp.predict_utterance(
-            model, np.zeros((3, 6)), stats, use_mlpg=False
-        )
+        by_variant, vuv = mlp.predict_utterance(model, np.zeros((3, 6)), stats)
+        streams = by_variant["static"]
         cols = acoustic.split_target_columns()
         mean = stats.a
         assert np.allclose(streams.mgc, mean[cols["mgc"]][:60], atol=1e-9)
@@ -235,7 +234,7 @@ class TestPredictUtterance:
             model.biases[-1][-1] = (target_vuv - stats.a[-1]) / (
                 stats.b[-1] if stats.b[-1] > 0 else 1.0
             )
-            _, vuv = mlp.predict_utterance(model, np.zeros((2, 2)), stats, use_mlpg=False)
+            _, vuv = mlp.predict_utterance(model, np.zeros((2, 2)), stats)
             assert np.all(vuv == expect)
 
     def test_static_variant_matches_hand_composition(self):
@@ -243,7 +242,8 @@ class TestPredictUtterance:
         stats = self.make_stats(seed=2)
         model = mlp.init_model(5, seed=9, hidden_sizes=(7,), output_dim=199)
         x = rng.normal(size=(3, 5))
-        streams, vuv = mlp.predict_utterance(model, x, stats, use_mlpg=False)
+        by_variant, vuv = mlp.predict_utterance(model, x, stats)
+        streams = by_variant["static"]
         denorm = acoustic.invert_normalization(stats, mlp.forward(model, x))
         cols = acoustic.split_target_columns()
         assert np.allclose(streams.mgc, denorm[:, cols["mgc"]][:, :60], atol=1e-8)
@@ -261,12 +261,18 @@ class TestPredictUtterance:
         stats = self.make_stats(seed=3)
         model = mlp.init_model(5, seed=10, hidden_sizes=(7,), output_dim=199)
         x = rng.normal(size=(4, 5))
-        streams, _ = mlp.predict_utterance(model, x, stats, use_mlpg=True)
+        by_variant, vuv = mlp.predict_utterance(model, x, stats)
+        assert tuple(by_variant) == mlp.VARIANTS
+        streams = by_variant["mlpg"]
         denorm = acoustic.invert_normalization(stats, mlp.forward(model, x))
         cols = acoustic.split_target_columns()
         variances = np.where(stats.b > 0, stats.b**2, 1.0)
         expect = acoustic.mlpg(denorm[:, cols["mgc"]], variances[cols["mgc"]])
         assert np.allclose(streams.mgc, expect, atol=1e-10)
+        expect = acoustic.mlpg(denorm[:, cols["bap"]], variances[cols["bap"]])
+        assert np.allclose(streams.bap, expect, atol=1e-10)
+        lf0 = acoustic.mlpg(denorm[:, cols["lf0"]], variances[cols["lf0"]]).ravel()
+        assert np.array_equal(streams.lf0, np.where(vuv > 0, lf0, acoustic.UNVOICED_LF0))
 
     def test_wrong_stats_kind_rejected(self):
         minmax = acoustic.fit_normalization(np.random.default_rng(0).random((10, 199)), "minmax")

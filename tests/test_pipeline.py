@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import config_for
-from ultratts import acoustic, cli, eigentongues, metrics, pipeline
+from ultratts import acoustic, cli, eigentongues, metrics, mlp, pipeline
 from ultratts.config import ExperimentConfig, read_config, write_config
 from ultratts.errors import ArgumentError, ConfigError, DataError
 
@@ -187,6 +187,23 @@ class TestRunExperiment:
         split = pipeline.load_split(run)
         assert read_from.count(cfg.acoustic_dir) == len(split.dev) + len(split.test)
 
+    def test_generate_forwards_each_utterance_once(self, tiny_run, monkeypatch):
+        cfg, run = tiny_run
+        generated = sorted(p for p in run.stage_dir("generate").rglob("*") if p.is_file())
+        before = [p.read_bytes() for p in generated]
+        forwarded = []
+        forward = mlp.forward
+
+        def counting(model, batch):
+            forwarded.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(mlp, "forward", counting)
+        pipeline.run_stage("generate", cfg, run.root)
+        split = pipeline.load_split(run)
+        assert len(forwarded) == len(split.dev) + len(split.test)
+        assert [p.read_bytes() for p in generated] == before
+
     def test_missing_path_fails_before_stages(self, tiny_corpus, tmp_path):
         cfg = config_for(tiny_corpus).with_overrides(
             question_file=tmp_path / "missing.hed"
@@ -239,6 +256,22 @@ class TestCli:
         for stage in ("pca", "train", "generate", "evaluate", "misalign"):
             assert cli.main([stage, "--output", run_dir]) == 0
         assert (tmp_path / "run" / "evaluate" / "report.csv").exists()
+
+    def test_txt2wav_run_all_reads_no_ultrasound(self, tmp_path, tiny_corpus):
+        cfg = config_for(
+            tiny_corpus, system="txt2wav", max_epochs=3, warmup_epochs=1,
+            hidden_layers=1, hidden_units=16,
+        )
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        run_dir = tmp_path / "run"
+        assert cli.main(["run-all", "--config", str(cfg_file), "--output", str(run_dir)]) == 0
+        run = pipeline.RunPaths(run_dir)
+        assert list(run.root.glob("prepare/ult/*.npy")) == []
+        assert not run.pca_model.exists()
+        assert run.report_csv.exists()
+        # the drift diagnostic still reads the raw recordings
+        assert (run.misalign_dir / "matrix.csv").exists()
 
     def test_failure_exit_code_and_stage_tag(self, tmp_path, capsys):
         run_dir = str(tmp_path / "norun")
