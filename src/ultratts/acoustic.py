@@ -76,7 +76,11 @@ def load_stream(data: bytes, width: int) -> np.ndarray:
 
 
 def save_stream(matrix: np.ndarray, path: Path) -> None:
+    """Write a float32 feature file; non-finite or float32-overflowing values are refused."""
     matrix = np.atleast_2d(np.asarray(matrix))
+    # NaN fails the comparison too; the finite LF0 sentinel passes
+    if not np.all(np.abs(matrix) <= np.finfo(np.float32).max):
+        raise DataError(f"refusing to write non-finite or out-of-float32-range values to {path}")
     Path(path).write_bytes(matrix.astype("<f4").tobytes())
 
 
@@ -225,15 +229,19 @@ def save_stats(stats: NormalizationStats, path: Path) -> None:
 def load_stats(path: Path) -> NormalizationStats:
     data = Path(path).read_bytes()
     header_size = struct.calcsize("<4sIBQ")
+    if len(data) < header_size:
+        raise FormatError(f"stats file too short: {path}")
     magic, version, kind_code, n = struct.unpack("<4sIBQ", data[:header_size])
     if magic != _STATS_MAGIC or version != _STATS_VERSION:
         raise FormatError(f"not a recognized stats file: {path}")
+    kinds = {v: k for k, v in _STATS_KINDS.items()}
+    if kind_code not in kinds:
+        raise FormatError(f"unknown normalization kind code {kind_code} in {path}")
     expected = header_size + 16 * n
     if len(data) != expected:
         raise FormatError(f"stats file length {len(data)} != expected {expected}")
     floats = np.frombuffer(data, dtype="<f8", offset=header_size)
-    kind = {v: k for k, v in _STATS_KINDS.items()}[kind_code]
-    return NormalizationStats(kind=kind, a=floats[:n].copy(), b=floats[n:].copy())
+    return NormalizationStats(kind=kinds[kind_code], a=floats[:n].copy(), b=floats[n:].copy())
 
 
 def _window_normal_terms(

@@ -293,17 +293,23 @@ def save_checkpoint(
 def load_checkpoint(path: Path) -> tuple[MlpModel, str, str]:
     data = Path(path).read_bytes()
     offset = struct.calcsize("<4sIQ")
-    magic, version, n_sizes = struct.unpack("<4sIQ", data[:offset])
-    if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
-        raise FormatError(f"not a recognized checkpoint: {path}")
-    sizes = struct.unpack_from(f"<{n_sizes}Q", data, offset)
-    offset += 8 * n_sizes
-    refs = []
-    for _ in range(2):
-        (length,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        refs.append(data[offset : offset + length].decode("utf-8"))
-        offset += length
+    try:
+        magic, version, n_sizes = struct.unpack_from("<4sIQ", data)
+        if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
+            raise FormatError(f"not a recognized checkpoint: {path}")
+        sizes = struct.unpack_from(f"<{n_sizes}Q", data, offset)
+        offset += 8 * n_sizes
+        refs = []
+        for _ in range(2):
+            (length,) = struct.unpack_from("<Q", data, offset)
+            offset += 8
+            refs.append(data[offset : offset + length].decode("utf-8"))
+            offset += length
+    except (struct.error, UnicodeDecodeError) as e:
+        raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
+    expected = offset + 8 * sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+    if len(data) != expected:
+        raise FormatError(f"checkpoint length {len(data)} != expected {expected}: {path}")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
@@ -312,6 +318,4 @@ def load_checkpoint(path: Path) -> tuple[MlpModel, str, str]:
         offset += 8 * fan_out
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
-    if offset != len(data):
-        raise FormatError(f"checkpoint has {len(data) - offset} trailing bytes: {path}")
     return MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=biases), refs[0], refs[1]

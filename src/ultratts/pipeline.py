@@ -13,6 +13,7 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import floor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -189,14 +190,10 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance matrices.
-
-    txt2wav never reads ultrasound, so it writes no ultrasound frames.
-    """
+    """Discover utterances, split, and persist per-utterance targets and features."""
     ids = ultra.discover_utterances(cfg.ultrasound_dir)
     split = split_dataset(ids, cfg.ratios)
-    uses_ultrasound = cfg.system != "txt2wav"
-    for kind in ("target", "ling", "ult") if uses_ultrasound else ("target", "ling"):
+    for kind in ("target", "ling"):
         (run.stage_dir("prepare") / kind).mkdir(parents=True, exist_ok=True)
 
     if cfg.system == "ult2wav":
@@ -206,19 +203,11 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     def prepare_one(utt_id: str) -> None:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        n = streams.n_frames
         targets, _ = acoustic.build_targets(streams)
         np.save(run.prepared("target", utt_id), targets)
 
-        if uses_ultrasound:
-            seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
-            frames = ultra.resampled_resized_frames(
-                seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols
-            )
-            np.save(run.prepared("ult", utt_id), frames)
-
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
-        ling = labels.extract_features(parsed, questions, cfg.frame_shift, n)
+        ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
         np.save(run.prepared("ling", utt_id), ling)
 
     _map_ordered(prepare_one, split.all_ids, cfg.workers)
@@ -231,13 +220,23 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
     )
 
 
-def train_frame_matrix(run: RunPaths, split: DatasetSplit) -> np.ndarray:
+def _frame_count(run: RunPaths, utt_id: str) -> int:
+    return np.load(run.prepared("target", utt_id), mmap_mode="r").shape[0]
+
+
+def utterance_frames(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
+    seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
+    n = _frame_count(run, utt_id)
+    return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
+
+
+def train_frame_matrix(cfg: ExperimentConfig, run: RunPaths, split: DatasetSplit) -> np.ndarray:
     """Training-block ultrasound frames, stacked in recording order."""
-    return np.vstack([np.load(run.prepared("ult", u)) for u in split.train])
+    return np.vstack(_map_ordered(partial(utterance_frames, cfg, run), split.train, cfg.workers))
 
 
 def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Fit the frame compressor on training frames only; project everything.
+    """Resize raw frames, fit on training frames only, project every utterance once.
 
     txt2wav inputs never read the coefficients, so for it the stage only
     checks that prepare has run.
@@ -245,14 +244,15 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
     split = load_split(run)
     if cfg.system == "txt2wav":
         return
-    model = eigentongues.fit_pca(
-        train_frame_matrix(run, split), cfg.variance_target, cfg.max_components
-    )
-    run.pca_model.parent.mkdir(parents=True, exist_ok=True)
-    eigentongues.save_model(model, run.pca_model)
+    train_frames = train_frame_matrix(cfg, run, split)
+    model = eigentongues.fit_pca(train_frames, cfg.variance_target, cfg.max_components)
     run.coeffs("x").parent.mkdir(parents=True, exist_ok=True)
-    for utt_id in split.all_ids:
-        frames = np.load(run.prepared("ult", utt_id))
+    eigentongues.save_model(model, run.pca_model)
+    bounds = np.cumsum([_frame_count(run, u) for u in split.train])[:-1]
+    for utt_id, frames in zip(split.train, np.split(train_frames, bounds)):
+        np.save(run.coeffs(utt_id), eigentongues.transform(model, frames))
+    for utt_id in split.dev + split.test:
+        frames = utterance_frames(cfg, run, utt_id)
         np.save(run.coeffs(utt_id), eigentongues.transform(model, frames))
 
 

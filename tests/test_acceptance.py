@@ -216,7 +216,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     split = pipeline.load_split(run)
 
     recomputed_pca = eigentongues.fit_pca(
-        pipeline.train_frame_matrix(run, split), cfg.variance_target, cfg.max_components
+        pipeline.train_frame_matrix(cfg, run, split), cfg.variance_target, cfg.max_components
     )
     persisted = eigentongues.load_model(run.pca_model)
     assert persisted.mean.tobytes() == recomputed_pca.mean.tobytes()

@@ -24,6 +24,21 @@ class TestLoadStream:
         again = acoustic.load_stream(path.read_bytes(), 5)
         assert again.tobytes() == data.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_save_refuses_values_float32_cannot_hold(self, tmp_path, bad):
+        path = tmp_path / "x.mgc"
+        with pytest.raises(DataError):
+            acoustic.save_stream(np.array([[0.5, bad]]), path)
+        assert not path.exists()
+
+    def test_save_keeps_unvoiced_sentinel(self, tmp_path):
+        lf0 = np.array([[acoustic.UNVOICED_LF0], [4.6]])
+        path = tmp_path / "x.lf0"
+        acoustic.save_stream(lf0, path)
+        again = acoustic.load_stream(path.read_bytes(), 1)
+        assert again.tobytes() == lf0.astype("<f4").tobytes()
+        assert again[0, 0] < acoustic.VOICED_THRESHOLD
+
 
 class TestInterpolateLf0:
     def test_all_voiced_unchanged(self):

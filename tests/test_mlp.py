@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ultratts import acoustic, mlp
-from ultratts.errors import ArgumentError, DataError, TrainingDiverged
+from ultratts.errors import ArgumentError, DataError, FormatError, TrainingDiverged
 
 
 def finite_difference_check(model, x, y, eps=1e-5):
@@ -291,3 +291,42 @@ class TestCheckpoint:
         assert loaded.layer_sizes == model.layer_sizes
         for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
             assert a.tobytes() == b.tobytes()
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "model.bin"
+    mlp.save_checkpoint(mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3), path, "a", "b")
+    return path.read_bytes()
+
+
+def _stats_bytes(tmp_path):
+    path = tmp_path / "stats.bin"
+    rng = np.random.default_rng(5)
+    acoustic.save_stats(acoustic.fit_normalization(rng.normal(size=(20, 4)), "meanvar"), path)
+    return path.read_bytes()
+
+
+def _with_kind_code(data, code):
+    # the kind byte follows the 4-byte magic and the 4-byte version
+    return data[:8] + bytes([code]) + data[9:]
+
+
+@pytest.mark.parametrize(
+    "load, original, corrupt",
+    [
+        (acoustic.load_stats, _stats_bytes, lambda d: d[:3]),
+        (acoustic.load_stats, _stats_bytes, lambda d: _with_kind_code(d, 7)),
+        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:3]),
+        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:20]),
+        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:40]),
+        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:-3]),
+        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d + b"x"),
+    ],
+    ids=["stats-3-bytes", "stats-kind-7", "ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes",
+         "ckpt-3-short", "ckpt-1-long"],
+)
+def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, load, original, corrupt):
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(corrupt(original(tmp_path)))
+    with pytest.raises(FormatError):
+        load(path)

@@ -1,10 +1,12 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from conftest import config_for
-from ultratts import acoustic, cli, eigentongues, metrics, mlp, pipeline
+from ultratts import acoustic, cli, eigentongues, metrics, mlp, pipeline, ultra
 from ultratts.config import ExperimentConfig, read_config, write_config
-from ultratts.errors import ArgumentError, ConfigError, DataError
+from ultratts.errors import ArgumentError, ConfigError, DataError, StageError
 
 
 class TestSplitDataset:
@@ -126,6 +128,7 @@ class TestRunExperiment:
         assert (run.misalign_dir / "heatmap.ppm").exists()
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
+        assert not (run.stage_dir("prepare") / "ult").exists()
 
     def test_resolved_config_echo_reparses_identically(self, tiny_run):
         cfg, run = tiny_run
@@ -142,7 +145,7 @@ class TestRunExperiment:
         cfg, run = tiny_run
         split = pipeline.load_split(run)
         recomputed = eigentongues.fit_pca(
-            pipeline.train_frame_matrix(run, split),
+            pipeline.train_frame_matrix(cfg, run, split),
             cfg.variance_target,
             cfg.max_components,
         )
@@ -150,6 +153,38 @@ class TestRunExperiment:
         assert persisted.mean.tobytes() == recomputed.mean.tobytes()
         assert persisted.basis.tobytes() == recomputed.basis.tobytes()
         assert persisted.eigenvalues.tobytes() == recomputed.eigenvalues.tobytes()
+
+    def test_coeffs_project_each_utterance_own_frames(self, tiny_run):
+        cfg, run = tiny_run
+        model = eigentongues.load_model(run.pca_model)
+        for utt_id in pipeline.load_split(run).all_ids:
+            own = eigentongues.transform(model, pipeline.utterance_frames(cfg, run, utt_id))
+            assert np.load(run.coeffs(utt_id)).tobytes() == own.tobytes(), utt_id
+
+    def test_stagewise_prepare_then_pca_matches_run_all(self, tiny_run, tmp_path, monkeypatch):
+        cfg, run = tiny_run
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        resized = []
+        resize = ultra.resampled_resized_frames
+
+        def counting(seq, *args):
+            resized.append(seq.n_frames)
+            return resize(seq, *args)
+
+        monkeypatch.setattr(ultra, "resampled_resized_frames", counting)
+        stagewise = pipeline.RunPaths(tmp_path / "stagewise")
+        assert cli.main(["prepare", "--config", str(cfg_file), "--output", str(stagewise.root)]) == 0
+        assert resized == []
+        assert not (stagewise.stage_dir("prepare") / "ult").exists()
+        assert cli.main(["pca", "--output", str(stagewise.root)]) == 0
+        # one resize per utterance: training coefficients reuse the fitted block
+        assert len(resized) == len(pipeline.load_split(run).all_ids)
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(stagewise.stage_dir("pca")) == files(run.stage_dir("pca"))
 
     def test_normalization_fitted_on_train_block_only(self, tiny_run):
         cfg, run = tiny_run
@@ -219,6 +254,10 @@ class TestRunExperiment:
             # prepare never ran, so the pca stage cannot find its inputs
             pipeline.run_stage("pca", cfg, tmp_path / "fresh_run")
 
+    def test_txt2wav_pca_needs_prepare(self, tiny_corpus, tmp_path):
+        with pytest.raises(StageError, match="pca"):
+            pipeline.run_stage("pca", config_for(tiny_corpus, system="txt2wav"), tmp_path / "run")
+
 
 class TestCli:
     def test_synth_corpus_and_run_all(self, tmp_path, capsys):
@@ -243,6 +282,7 @@ class TestCli:
         assert code == 0
         reports = metrics.read_report_csv(pipeline.RunPaths(run_dir).report_csv)
         assert {r.system for r in reports} == {"ult2wav"}
+        assert not (run_dir / "prepare" / "ult").exists()
 
     def test_stagewise_invocation(self, tmp_path, tiny_corpus):
         cfg = config_for(
@@ -267,11 +307,21 @@ class TestCli:
         run_dir = tmp_path / "run"
         assert cli.main(["run-all", "--config", str(cfg_file), "--output", str(run_dir)]) == 0
         run = pipeline.RunPaths(run_dir)
-        assert list(run.root.glob("prepare/ult/*.npy")) == []
+        assert not (run.stage_dir("prepare") / "ult").exists()
         assert not run.pca_model.exists()
         assert run.report_csv.exists()
         # the drift diagnostic still reads the raw recordings
         assert (run.misalign_dir / "matrix.csv").exists()
+
+    def test_generate_refuses_overflowing_predictions(self, tmp_path, tiny_run, capsys):
+        _, run = tiny_run
+        blown = pipeline.RunPaths(tmp_path / "blown")
+        shutil.copytree(run.root, blown.root)
+        model, in_ref, out_ref = mlp.load_checkpoint(blown.checkpoint)
+        model.weights[-1] *= 1e40
+        mlp.save_checkpoint(model, blown.checkpoint, in_ref, out_ref)
+        assert cli.main(["generate", "--output", str(blown.root)]) == 1
+        assert "stage 'generate' failed" in capsys.readouterr().err
 
     def test_failure_exit_code_and_stage_tag(self, tmp_path, capsys):
         run_dir = str(tmp_path / "norun")
