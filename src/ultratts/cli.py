@@ -1,10 +1,11 @@
 """Command line interface.
 
 One subcommand per pipeline stage plus ``run-all``, a synthetic corpus
-generator, and a report merger. Stage subcommands operate on an existing run
-directory (created by ``prepare`` or ``run-all``, which echo the resolved
-config there). Exit code is 0 on success, 1 with a stage-tagged diagnostic
-otherwise.
+generator, and a report merger. ``prepare`` and ``run-all`` start a run: they
+take the config and its overrides, clear the run directory's stage outputs
+and echo the resolved config there. The other stage subcommands take only
+the run directory and run under that echo. Exit code is 0 on success, 1 with
+a stage-tagged diagnostic otherwise, and 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
+    for command in (*pipeline.STAGES, "run-all"):
+        summary = "run every stage in order" if command == "run-all" else f"run the {command} stage"
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--output", type=Path, required=True, help="run directory")
-        p.add_argument("--config", type=Path, required=needs_config, help="experiment config file")
-        p.add_argument("--system", choices=SYSTEMS, help="override the configured system")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--workers", type=int, help="override the configured worker count")
-
-    for stage in pipeline.STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        add_common(p, needs_config=(stage == "prepare"))
-
-    p = sub.add_parser("run-all", help="run every stage in order")
-    add_common(p, needs_config=True)
+        if command in ("prepare", "run-all"):
+            p.add_argument("--config", type=Path, required=True, help="experiment config file")
+            p.add_argument("--system", choices=SYSTEMS, help="override the configured system")
+            p.add_argument("--seed", type=int, help="override the configured seed")
+            p.add_argument("--workers", type=int, help="override the configured worker count")
 
     p = sub.add_parser("synth-corpus", help="generate a synthetic corpus and sample config")
     p.add_argument("--output", type=Path, required=True, help="corpus directory")
@@ -53,21 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace):
-    run = pipeline.RunPaths(args.output)
-    if args.config is not None:
-        cfg = read_config(args.config)
-    else:
-        cfg = pipeline.load_run_config(args.output)
-    overrides = {}
-    if args.system is not None:
-        overrides["system"] = args.system
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg, run
+    overrides = {
+        name: getattr(args, name)
+        for name in ("system", "seed", "workers")
+        if getattr(args, name) is not None
+    }
+    return read_config(args.config).with_overrides(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,18 +92,14 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(text)
             return 0
 
-        cfg, run = _resolve_config(args)
         if args.command == "run-all":
-            pipeline.run_experiment(cfg, run.root)
-            print(f"run complete: {run.root}")
+            pipeline.run_experiment(_resolve_config(args), args.output)
+            print(f"run complete: {args.output}")
             return 0
-
-        # single stage on an existing (or fresh, for prepare) run directory
-        run.root.mkdir(parents=True, exist_ok=True)
         if args.command == "prepare":
-            write_config(cfg, run.config)
-        pipeline.run_stage(args.command, cfg, run.root)
-        print(f"stage {args.command} complete: {run.root}")
+            pipeline.start_run(_resolve_config(args), args.output)
+        pipeline.run_stage(args.command, args.output)
+        print(f"stage {args.command} complete: {args.output}")
         return 0
     except UltraTtsError as e:
         print(f"error: {e}", file=sys.stderr)

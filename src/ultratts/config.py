@@ -107,7 +107,7 @@ _SCHEMA = {
     },
 }
 
-_PATH_FIELDS = ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file")
+PATH_FIELDS = ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file")
 
 
 def read_config(path: Path) -> ExperimentConfig:
@@ -127,11 +127,11 @@ def read_config(path: Path) -> ExperimentConfig:
                 values[field] = cast(raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from e
-    missing = [k for k in _PATH_FIELDS if k not in values]
+    missing = [k for k in PATH_FIELDS if k not in values]
     if missing:
         raise ConfigError(f"config misses required data paths: {missing}")
     base = path.resolve().parent
-    for field in _PATH_FIELDS:
+    for field in PATH_FIELDS:
         p = values[field]
         values[field] = p if p.is_absolute() else (base / p).resolve()
     try:

@@ -26,7 +26,8 @@ class ConfigError(UltraTtsError):
 
 
 class TrainingDiverged(UltraTtsError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or a best model no better than a
+    fixed multiple of predicting zero."""
 
 
 class StageError(UltraTtsError):

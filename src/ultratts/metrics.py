@@ -6,7 +6,7 @@ voiced/unvoiced decision error rate. Conventions: MCD excludes the 0th
 cepstral coefficient; BAP uses the same formula over all coefficients
 divided by 10; F0 measures are taken on exponentiated (Hz-scale) values over
 frames voiced in both streams. Undefined quantities are reported as NaN,
-never as 0.
+never as 0; a defined quantity that comes out non-finite raises DataError.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .acoustic import UNVOICED_LF0, AcousticStreams
+from .config import SYSTEMS
 from .errors import ArgumentError, DataError
 
 _LOG_SCALE = 10.0 / math.log(10.0)
@@ -187,6 +188,16 @@ def aggregate(
         )
     else:
         rmse = corr = math.nan
+    # NaN stays only where a measure is undefined: F0 with no commonly voiced
+    # frame, and the correlation of a constant track
+    defined = {"mcd_db": mcd_db, "bap_db": bap_db, "vuv_error_pct": vuv}
+    if nv > 0:
+        defined["f0_rmse_hz"] = rmse
+    bad = {name: v for name, v in defined.items() if not math.isfinite(v)}
+    if math.isinf(corr):
+        bad["f0_corr"] = corr
+    if bad:
+        raise DataError(f"non-finite scores for {speaker}/{system}/{split}/{variant}: {bad}")
     return EvaluationReport(
         speaker=speaker,
         system=system,
@@ -256,8 +267,6 @@ _METRIC_COLUMNS = (
     ("F0-VUV", "vuv_error_pct", "{:.3f}"),
 )
 
-_SYSTEM_ORDER = ("ult2wav", "txt2wav", "txt+ult2wav")
-
 
 def render_tables(reports: Sequence[EvaluationReport]) -> str:
     """Aligned text tables, one per metric: speaker rows, system columns,
@@ -267,8 +276,8 @@ def render_tables(reports: Sequence[EvaluationReport]) -> str:
     for variant in variants:
         subset = [r for r in reports if r.variant == variant]
         speakers = sorted({r.speaker for r in subset})
-        systems = [s for s in _SYSTEM_ORDER if any(r.system == s for r in subset)]
-        systems += sorted({r.system for r in subset} - set(_SYSTEM_ORDER))
+        systems = [s for s in SYSTEMS if any(r.system == s for r in subset)]
+        systems += sorted({r.system for r in subset} - set(SYSTEMS))
         by_key = {(r.speaker, r.system, r.split): r for r in subset}
         for title, attr, fmt in _METRIC_COLUMNS:
             lines.append("")

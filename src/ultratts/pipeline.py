@@ -2,15 +2,17 @@
 
 Stages run in a fixed order -- prepare, pca, train, generate, evaluate,
 misalign -- and each writes only into its own subdirectory of the run, so
-individual stages can be rerun. The resolved config is echoed to
-``config.cfg`` at the run root. Statistics (PCA model, input/output
-normalization) are fitted on the training block only.
+individual stages can be rerun. ``start_run`` clears those subdirectories and
+echoes the resolved config to ``config.cfg`` at the run root, the only config
+the stages read. Statistics (PCA model, input/output normalization) are
+fitted on the training block only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -21,13 +23,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import acoustic, eigentongues, labels, metrics, misalign, mlp, ultra
-from .config import ExperimentConfig, read_config, write_config
-from .errors import ArgumentError, ConfigError, DataError, StageError
+from .config import PATH_FIELDS, ExperimentConfig, read_config, write_config
+from .errors import ArgumentError, ConfigError, DataError, StageError, TrainingDiverged
 
 STAGES = ("prepare", "pca", "train", "generate", "evaluate", "misalign")
 VARIANTS = mlp.VARIANTS
 
 CONFIG_NAME = "config.cfg"
+
+# training fails when its best validation MSE exceeds this multiple of the
+# MSE of predicting zero for the mean-variance normalised dev targets
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -296,14 +302,23 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
         hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
         output_dim=acoustic.target_width(cfg.mgc_dim, cfg.bap_dim),
     )
+    dev_y = acoustic.apply_normalization(output_stats, dev_y)
     best, history = mlp.train(
         model,
         (acoustic.apply_normalization(input_stats, train_x),
          acoustic.apply_normalization(output_stats, train_y)),
-        (acoustic.apply_normalization(input_stats, dev_x),
-         acoustic.apply_normalization(output_stats, dev_y)),
+        (acoustic.apply_normalization(input_stats, dev_x), dev_y),
         schedule,
     )
+    # normalised targets make predicting zero score about 1: a best epoch far
+    # above that has diverged, however finite its numbers are
+    best_mse = min(rec.valid_mse for rec in history)
+    zero_mse = mlp.mse(np.zeros_like(dev_y), dev_y)
+    if not best_mse <= DIVERGENCE_FACTOR * zero_mse:
+        raise TrainingDiverged(
+            f"best validation MSE {best_mse:.4g} exceeds {DIVERGENCE_FACTOR:g} x "
+            f"{zero_mse:.4g}, the MSE of predicting zero"
+        )
 
     run.checkpoint.parent.mkdir(parents=True, exist_ok=True)
     acoustic.save_stats(input_stats, run.input_stats)
@@ -403,12 +418,27 @@ _STAGE_FUNCTIONS = {
 }
 
 
-def run_stage(stage: str, cfg: ExperimentConfig, run_dir: Path):
-    """Run one stage with stage-tagged failure; partial outputs are kept."""
+def start_run(cfg: ExperimentConfig, run_dir: Path) -> RunPaths:
+    """Check the data paths, clear every stage's outputs, and echo ``cfg`` with
+    absolute data paths as the one config that the run's stages read."""
+    paths = {name: Path(getattr(cfg, name)).absolute() for name in PATH_FIELDS}
+    for name, path in paths.items():
+        if not path.exists():
+            raise ConfigError(f"{name} does not exist: {path}")
     run = RunPaths(run_dir)
+    for stage in STAGES:
+        if run.stage_dir(stage).exists():
+            shutil.rmtree(run.stage_dir(stage))
     run.root.mkdir(parents=True, exist_ok=True)
+    write_config(cfg.with_overrides(**paths), run.config)
+    return run
+
+
+def run_stage(stage: str, run_dir: Path):
+    """Run one stage under the run's config echo; failures are stage-tagged and
+    partial outputs are kept."""
     try:
-        return _STAGE_FUNCTIONS[stage](cfg, run)
+        return _STAGE_FUNCTIONS[stage](load_run_config(run_dir), RunPaths(run_dir))
     except StageError:
         raise
     except Exception as e:
@@ -416,13 +446,10 @@ def run_stage(stage: str, cfg: ExperimentConfig, run_dir: Path):
 
 
 def run_experiment(cfg: ExperimentConfig, run_dir: Path) -> Path:
-    """Execute every stage in order; echoes the resolved config first."""
-    _check_paths(cfg)
-    run = RunPaths(run_dir)
-    run.root.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, run.config)
+    """Start a new run under ``cfg`` and execute every stage in order."""
+    run = start_run(cfg, run_dir)
     for stage in STAGES:
-        run_stage(stage, cfg, run_dir)
+        run_stage(stage, run_dir)
     return run.root
 
 
@@ -431,10 +458,3 @@ def load_run_config(run_dir: Path) -> ExperimentConfig:
     if not run.config.exists():
         raise ConfigError(f"no resolved config at {run.config}; run prepare with --config first")
     return read_config(run.config)
-
-
-def _check_paths(cfg: ExperimentConfig) -> None:
-    for name in ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file"):
-        p = Path(getattr(cfg, name))
-        if not p.exists():
-            raise ConfigError(f"{name} does not exist: {p}")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -238,6 +239,17 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             metrics.aggregate([])
+
+    @pytest.mark.parametrize("stream", ["lf0", "mgc", "bap"])
+    def test_overflowing_prediction_is_data_error(self, stream):
+        # a voiced LF0 of 1e4 is exp(1e4) = inf Hz; 1e200 squared overflows
+        ref, vuv = voiced_track([100.0, 110.0, 120.0])
+        wild = {"lf0": np.full(3, 1e4), "mgc": np.full((3, 60), 1e200), "bap": np.full((3, 5), 1e200)}
+        pred = dataclasses.replace(ref, **{stream: wild[stream]})
+        with np.errstate(over="ignore"):
+            ev = metrics.evaluate_utterance("u", ref, vuv, pred, vuv)
+        with pytest.raises(DataError, match="non-finite"):
+            metrics.aggregate([ev])
 
 
 class TestReports:

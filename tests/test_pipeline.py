@@ -1,11 +1,13 @@
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import config_for
 from ultratts import acoustic, cli, eigentongues, metrics, mlp, pipeline, ultra
-from ultratts.config import ExperimentConfig, read_config, write_config
+from ultratts.config import PATH_FIELDS, ExperimentConfig, read_config, write_config
 from ultratts.errors import ArgumentError, ConfigError, DataError, StageError
 
 
@@ -205,7 +207,7 @@ class TestRunExperiment:
     def test_evaluate_stage_reruns_identically(self, tiny_run):
         cfg, run = tiny_run
         before = run.report_csv.read_bytes()
-        pipeline.run_stage("evaluate", cfg, run.root)
+        pipeline.run_stage("evaluate", run.root)
         assert run.report_csv.read_bytes() == before
 
     def test_evaluate_reads_each_reference_once(self, tiny_run, monkeypatch):
@@ -218,7 +220,7 @@ class TestRunExperiment:
             return read_streams(directory, *args, **kwargs)
 
         monkeypatch.setattr(acoustic, "read_streams", counting)
-        pipeline.run_stage("evaluate", cfg, run.root)
+        pipeline.run_stage("evaluate", run.root)
         split = pipeline.load_split(run)
         assert read_from.count(cfg.acoustic_dir) == len(split.dev) + len(split.test)
 
@@ -234,7 +236,7 @@ class TestRunExperiment:
             return forward(model, batch)
 
         monkeypatch.setattr(mlp, "forward", counting)
-        pipeline.run_stage("generate", cfg, run.root)
+        pipeline.run_stage("generate", run.root)
         split = pipeline.load_split(run)
         assert len(forwarded) == len(split.dev) + len(split.test)
         assert [p.read_bytes() for p in generated] == before
@@ -252,11 +254,13 @@ class TestRunExperiment:
 
         with pytest.raises(StageError, match="pca"):
             # prepare never ran, so the pca stage cannot find its inputs
-            pipeline.run_stage("pca", cfg, tmp_path / "fresh_run")
+            pipeline.run_stage("pca", pipeline.start_run(cfg, tmp_path / "fresh_run").root)
 
     def test_txt2wav_pca_needs_prepare(self, tiny_corpus, tmp_path):
         with pytest.raises(StageError, match="pca"):
-            pipeline.run_stage("pca", config_for(tiny_corpus, system="txt2wav"), tmp_path / "run")
+            pipeline.run_stage(
+                "pca", pipeline.start_run(config_for(tiny_corpus, system="txt2wav"), tmp_path / "run").root
+            )
 
 
 class TestCli:
@@ -322,6 +326,56 @@ class TestCli:
         mlp.save_checkpoint(model, blown.checkpoint, in_ref, out_ref)
         assert cli.main(["generate", "--output", str(blown.root)]) == 1
         assert "stage 'generate' failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--system", "txt2wav"), ("--seed", "99"), ("--config", "x.cfg"), ("--workers", "2")]
+    )
+    def test_stage_subcommands_reject_run_flags(self, tmp_path, flag, value, capsys):
+        for stage in pipeline.STAGES[1:]:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([stage, "--output", str(tmp_path / "run"), flag, value])
+            assert exit_info.value.code == 2, stage
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_second_prepare_starts_a_new_run(self, tmp_path, tiny_corpus, capsys):
+        first = config_for(tiny_corpus, max_epochs=2, warmup_epochs=1, hidden_layers=1, hidden_units=16)
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(first, cfg_file)
+        run = pipeline.RunPaths(tmp_path / "run")
+        assert cli.main(["prepare", "--config", str(cfg_file), "--output", str(run.root)]) == 0
+        for stage in ("pca", "train"):
+            assert cli.main([stage, "--output", str(run.root)]) == 0
+        write_config(first.with_overrides(resize_rows=8, resize_cols=8), cfg_file)
+        assert cli.main(["prepare", "--config", str(cfg_file), "--output", str(run.root)]) == 0
+        assert not run.stage_dir("pca").exists()
+        assert not run.stage_dir("train").exists()
+        assert read_config(run.config).resize_cols == 8
+        capsys.readouterr()
+        assert cli.main(["train", "--output", str(run.root)]) == 1
+        assert "stage 'train' failed" in capsys.readouterr().err
+
+    def test_relative_data_paths_echo_absolute(self, tmp_path, tiny_corpus, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        relative = {
+            name: Path(os.path.relpath(getattr(tiny_corpus, name), tmp_path))
+            for name in PATH_FIELDS
+        }
+        cfg = config_for(
+            tiny_corpus, max_epochs=2, warmup_epochs=1, hidden_layers=1, hidden_units=16
+        ).with_overrides(**relative)
+        run = pipeline.RunPaths(pipeline.run_experiment(cfg, tmp_path / "run"))
+        before = run.report_csv.read_bytes()
+        assert cli.main(["evaluate", "--output", str(run.root)]) == 0
+        assert run.report_csv.read_bytes() == before
+
+    def test_diverged_training_fails_the_train_stage(self, tmp_path, tiny_corpus, capsys):
+        # at this rate validation MSE climbs from about 5e9 to 1e150 yet stays finite
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(config_for(tiny_corpus, base_lr=5.0), cfg_file)
+        run = pipeline.RunPaths(tmp_path / "run")
+        assert cli.main(["run-all", "--config", str(cfg_file), "--output", str(run.root)]) == 1
+        assert "stage 'train' failed" in capsys.readouterr().err
+        assert not run.checkpoint.exists()
 
     def test_failure_exit_code_and_stage_tag(self, tmp_path, capsys):
         run_dir = str(tmp_path / "norun")
