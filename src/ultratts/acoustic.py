@@ -9,7 +9,6 @@ stream with its delta and delta-delta plus a binary voicing flag:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,9 +32,7 @@ ALL_UNVOICED_FILL = float(np.log(100.0))
 DELTA_WINDOW = (-0.5, 0.0, 0.5)
 DELTA_DELTA_WINDOW = (1.0, -2.0, 1.0)
 
-_STATS_MAGIC = b"NORM"
-_STATS_VERSION = 1
-_STATS_KINDS = {"minmax": 0, "meanvar": 1}
+_STATS_KINDS = ("minmax", "meanvar")
 
 MINMAX_LO = 0.01
 MINMAX_HI = 0.99
@@ -214,34 +211,6 @@ def invert_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndar
         return out
     scale = np.where(const, 1.0, stats.b)
     return data * scale + stats.a
-
-
-def save_stats(stats: NormalizationStats, path: Path) -> None:
-    header = struct.pack(
-        "<4sIBQ", _STATS_MAGIC, _STATS_VERSION, _STATS_KINDS[stats.kind], stats.n_columns
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(stats.a.astype("<f8").tobytes())
-        fh.write(stats.b.astype("<f8").tobytes())
-
-
-def load_stats(path: Path) -> NormalizationStats:
-    data = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sIBQ")
-    if len(data) < header_size:
-        raise FormatError(f"stats file too short: {path}")
-    magic, version, kind_code, n = struct.unpack("<4sIBQ", data[:header_size])
-    if magic != _STATS_MAGIC or version != _STATS_VERSION:
-        raise FormatError(f"not a recognized stats file: {path}")
-    kinds = {v: k for k, v in _STATS_KINDS.items()}
-    if kind_code not in kinds:
-        raise FormatError(f"unknown normalization kind code {kind_code} in {path}")
-    expected = header_size + 16 * n
-    if len(data) != expected:
-        raise FormatError(f"stats file length {len(data)} != expected {expected}")
-    floats = np.frombuffer(data, dtype="<f8", offset=header_size)
-    return NormalizationStats(kind=kinds[kind_code], a=floats[:n].copy(), b=floats[n:].copy())
 
 
 def _window_normal_terms(

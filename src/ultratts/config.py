@@ -1,8 +1,10 @@
 """Experiment configuration: line-oriented ``key = value`` sections.
 
-Data paths are resolved relative to the config file's directory, so a config
-can live next to its corpus. The resolved config is echoed into each run
-directory and reparses to an identical record.
+Relative data paths in a config file are resolved against the file's
+directory, so a config can live next to its corpus. ``write_config`` writes
+them absolute, taking relative ones against the working directory, so a
+written config, such as the echo in each run directory, reparses to an
+identical record wherever it lies.
 """
 
 from __future__ import annotations
@@ -145,6 +147,7 @@ def write_config(cfg: ExperimentConfig, path: Path) -> None:
     for section, keys in _SCHEMA.items():
         parser.add_section(section)
         for key, (field, _) in keys.items():
-            parser.set(section, key, str(getattr(cfg, field)))
+            value = getattr(cfg, field)
+            parser.set(section, key, str(Path(value).absolute() if field in PATH_FIELDS else value))
     with open(path, "w") as fh:
         parser.write(fh)

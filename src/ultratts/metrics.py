@@ -118,6 +118,9 @@ class UtteranceEval:
         return self.hz_ref.size
 
 
+# a wild prediction overflows to inf here; aggregate then raises DataError,
+# so the overflow needs no warning of its own
+@np.errstate(over="ignore")
 def evaluate_utterance(
     utt_id: str,
     ref: AcousticStreams,

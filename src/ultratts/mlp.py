@@ -4,7 +4,8 @@ Default architecture and schedule follow the experiment constants: six
 hidden layers of 1024 tanh units, linear output, SGD with batch size 256,
 25 epochs with a 10-epoch warm-up at learning rate 0.002 and exponential
 decay afterwards, early stopping on validation error. Everything runs in
-64-bit floats.
+64-bit floats. A checkpoint is the whole trained model: the net plus the
+input and output normalisation it was trained under.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ DEFAULT_HIDDEN = (1024,) * 6
 VARIANTS = ("mlpg", "static")
 
 _CKPT_MAGIC = b"MLPC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @dataclass
@@ -275,47 +276,63 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(
-    model: MlpModel, path: Path, input_stats_ref: str = "", output_stats_ref: str = ""
+    model: MlpModel,
+    input_stats: NormalizationStats,
+    output_stats: NormalizationStats,
+    path: Path,
 ) -> None:
-    """Versioned binary checkpoint; stats refs name sibling files by convention."""
+    """Write the whole trained model: the net and the normalisation it was trained under.
+
+    After the magic, version and layer count come the layer sizes, each
+    layer's weights and biases, the input min/max and the output mean/std,
+    all little-endian. The normalisation kinds are fixed by role (min-max
+    inputs, mean-variance outputs), so no kind code is stored.
+    """
+    for role, stats, kind, width in (
+        ("input", input_stats, "minmax", model.input_dim),
+        ("output", output_stats, "meanvar", model.output_dim),
+    ):
+        if stats.kind != kind:
+            raise ArgumentError(f"{role} stats must be {kind}, got {stats.kind!r}")
+        if stats.n_columns != width:
+            raise ArgumentError(
+                f"{role} stats have {stats.n_columns} columns, model {role} has {width}"
+            )
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIQ", _CKPT_MAGIC, _CKPT_VERSION, len(model.layer_sizes)))
         fh.write(struct.pack(f"<{len(model.layer_sizes)}Q", *model.layer_sizes))
-        for ref in (input_stats_ref, output_stats_ref):
-            encoded = ref.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
         for w, b in zip(model.weights, model.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
             fh.write(b.astype("<f8").tobytes())
+        for vector in (input_stats.a, input_stats.b, output_stats.a, output_stats.b):
+            fh.write(vector.astype("<f8").tobytes())
 
 
-def load_checkpoint(path: Path) -> tuple[MlpModel, str, str]:
+def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, NormalizationStats]:
+    """The model written by ``save_checkpoint``, with its input and output stats."""
     data = Path(path).read_bytes()
     offset = struct.calcsize("<4sIQ")
     try:
         magic, version, n_sizes = struct.unpack_from("<4sIQ", data)
-        if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
+        if magic != _CKPT_MAGIC or version != _CKPT_VERSION or n_sizes < 2:
             raise FormatError(f"not a recognized checkpoint: {path}")
         sizes = struct.unpack_from(f"<{n_sizes}Q", data, offset)
         offset += 8 * n_sizes
-        refs = []
-        for _ in range(2):
-            (length,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            refs.append(data[offset : offset + length].decode("utf-8"))
-            offset += length
-    except (struct.error, UnicodeDecodeError) as e:
+    except struct.error as e:
         raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
-    expected = offset + 8 * sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
+    counts += [sizes[0], sizes[0], sizes[-1], sizes[-1]]
+    expected = offset + 8 * sum(counts)
     if len(data) != expected:
         raise FormatError(f"checkpoint length {len(data)} != expected {expected}: {path}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    return MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=biases), refs[0], refs[1]
+    floats = np.frombuffer(data, dtype="<f8", offset=offset).copy()
+    parts = np.split(floats, np.cumsum(counts)[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(parts[0:-4:2], pairs)]
+    model = MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=parts[1:-4:2])
+    in_min, in_max, out_mean, out_std = parts[-4:]
+    return (
+        model,
+        NormalizationStats("minmax", a=in_min, b=in_max),
+        NormalizationStats("meanvar", a=out_mean, b=out_std),
+    )

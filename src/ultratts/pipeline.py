@@ -150,14 +150,6 @@ class RunPaths:
         return self.root / "train" / "model.bin"
 
     @property
-    def input_stats(self) -> Path:
-        return self.root / "train" / "input_stats.bin"
-
-    @property
-    def output_stats(self) -> Path:
-        return self.root / "train" / "output_stats.bin"
-
-    @property
     def history(self) -> Path:
         return self.root / "train" / "history.csv"
 
@@ -321,9 +313,7 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
         )
 
     run.checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    acoustic.save_stats(input_stats, run.input_stats)
-    acoustic.save_stats(output_stats, run.output_stats)
-    mlp.save_checkpoint(best, run.checkpoint, run.input_stats.name, run.output_stats.name)
+    mlp.save_checkpoint(best, input_stats, output_stats, run.checkpoint)
     with open(run.history, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_mse", "valid_mse"])
@@ -334,20 +324,17 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
 def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Predict dev/test utterances and write both trajectory variants."""
     split = load_split(run)
-    model, _, _ = mlp.load_checkpoint(run.checkpoint)
-    input_stats = acoustic.load_stats(run.input_stats)
-    output_stats = acoustic.load_stats(run.output_stats)
+    model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
     for variant in VARIANTS:
         run.generated(variant, "x", "mgc").parent.mkdir(parents=True, exist_ok=True)
 
     def generate_one(utt_id: str) -> None:
         x = acoustic.apply_normalization(input_stats, utterance_inputs(cfg, run, utt_id))
-        by_variant, vuv = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
+        by_variant, _ = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
             acoustic.save_stream(streams.bap, run.generated(variant, utt_id, "bap"))
             acoustic.save_stream(streams.lf0[:, None], run.generated(variant, utt_id, "lf0"))
-            acoustic.save_stream(vuv[:, None], run.generated(variant, utt_id, "vuv"))
 
     _map_ordered(generate_one, split.dev + split.test, cfg.workers)
 
@@ -369,9 +356,7 @@ def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.Evaluat
                 pred = acoustic.read_streams(
                     run.stage_dir("generate") / variant, utt_id, cfg.mgc_dim, cfg.bap_dim
                 )
-                pred_vuv = acoustic.load_stream(
-                    run.generated(variant, utt_id, "vuv").read_bytes(), 1
-                ).ravel()
+                pred_vuv = acoustic.interpolate_lf0(pred.lf0)[1]
                 evals.append(metrics.evaluate_utterance(utt_id, ref, ref_vuv, pred, pred_vuv))
             reports.append(
                 metrics.aggregate(
@@ -421,8 +406,8 @@ _STAGE_FUNCTIONS = {
 def start_run(cfg: ExperimentConfig, run_dir: Path) -> RunPaths:
     """Check the data paths, clear every stage's outputs, and echo ``cfg`` with
     absolute data paths as the one config that the run's stages read."""
-    paths = {name: Path(getattr(cfg, name)).absolute() for name in PATH_FIELDS}
-    for name, path in paths.items():
+    for name in PATH_FIELDS:
+        path = Path(getattr(cfg, name)).absolute()
         if not path.exists():
             raise ConfigError(f"{name} does not exist: {path}")
     run = RunPaths(run_dir)
@@ -430,7 +415,7 @@ def start_run(cfg: ExperimentConfig, run_dir: Path) -> RunPaths:
         if run.stage_dir(stage).exists():
             shutil.rmtree(run.stage_dir(stage))
     run.root.mkdir(parents=True, exist_ok=True)
-    write_config(cfg.with_overrides(**paths), run.config)
+    write_config(cfg, run.config)
     return run
 
 

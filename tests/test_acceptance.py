@@ -229,8 +229,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     out_stats = acoustic.fit_normalization(
         pipeline.target_matrix(run, split.train), "meanvar"
     )
-    persisted_in = acoustic.load_stats(run.input_stats)
-    persisted_out = acoustic.load_stats(run.output_stats)
+    _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
     assert persisted_in.a.tobytes() == in_stats.a.tobytes()
     assert persisted_in.b.tobytes() == in_stats.b.tobytes()
     assert persisted_out.a.tobytes() == out_stats.a.tobytes()

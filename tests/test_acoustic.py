@@ -143,15 +143,6 @@ class TestNormalization:
         with pytest.raises(DataError):
             acoustic.fit_normalization(np.zeros((0, 3)), "minmax")
 
-    def test_stats_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        stats = acoustic.fit_normalization(rng.normal(size=(20, 4)), "meanvar")
-        acoustic.save_stats(stats, tmp_path / "s.bin")
-        loaded = acoustic.load_stats(tmp_path / "s.bin")
-        assert loaded.kind == stats.kind
-        assert loaded.a.tobytes() == stats.a.tobytes()
-        assert loaded.b.tobytes() == stats.b.tobytes()
-
 
 def dense_windows(n):
     """Dense delta and delta-delta operators, boundary frames replicated."""

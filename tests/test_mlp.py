@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -281,52 +283,78 @@ class TestPredictUtterance:
             mlp.predict_utterance(model, np.zeros((1, 2)), minmax)
 
 
+def _fitted_stats(model, seed=5):
+    rng = np.random.default_rng(seed)
+    return (
+        acoustic.fit_normalization(rng.normal(size=(20, model.input_dim)), "minmax"),
+        acoustic.fit_normalization(rng.normal(size=(20, model.output_dim)), "meanvar"),
+    )
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = mlp.init_model(9, seed=12, hidden_sizes=(5, 4), output_dim=3)
+        in_stats, out_stats = _fitted_stats(model)
         path = tmp_path / "model.bin"
-        mlp.save_checkpoint(model, path, "in.bin", "out.bin")
-        loaded, in_ref, out_ref = mlp.load_checkpoint(path)
-        assert (in_ref, out_ref) == ("in.bin", "out.bin")
+        mlp.save_checkpoint(model, in_stats, out_stats, path)
+        loaded, loaded_in, loaded_out = mlp.load_checkpoint(path)
         assert loaded.layer_sizes == model.layer_sizes
         for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
             assert a.tobytes() == b.tobytes()
+        for loaded_stats, stats in ((loaded_in, in_stats), (loaded_out, out_stats)):
+            assert loaded_stats.kind == stats.kind
+            assert loaded_stats.a.tobytes() == stats.a.tobytes()
+            assert loaded_stats.b.tobytes() == stats.b.tobytes()
+
+    def test_save_rejects_swapped_kinds(self, tmp_path):
+        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=4)
+        in_stats, out_stats = _fitted_stats(model)
+        with pytest.raises(ArgumentError):
+            mlp.save_checkpoint(model, out_stats, in_stats, tmp_path / "model.bin")
+
+    @pytest.mark.parametrize("role", ["input", "output"])
+    def test_save_rejects_mismatched_widths(self, tmp_path, role):
+        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2)
+        in_stats, out_stats = _fitted_stats(model)
+        wrong = _fitted_stats(mlp.init_model(5, seed=0, hidden_sizes=(3,), output_dim=3))
+        stats = (wrong[0], out_stats) if role == "input" else (in_stats, wrong[1])
+        with pytest.raises(ArgumentError):
+            mlp.save_checkpoint(model, *stats, tmp_path / "model.bin")
+
+    def test_version_1_checkpoint_is_format_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(_with_version(_checkpoint_bytes(tmp_path), 1))
+        with pytest.raises(FormatError):
+            mlp.load_checkpoint(path)
 
 
 def _checkpoint_bytes(tmp_path):
     path = tmp_path / "model.bin"
-    mlp.save_checkpoint(mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3), path, "a", "b")
+    model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3)
+    mlp.save_checkpoint(model, *_fitted_stats(model), path)
     return path.read_bytes()
 
 
-def _stats_bytes(tmp_path):
-    path = tmp_path / "stats.bin"
-    rng = np.random.default_rng(5)
-    acoustic.save_stats(acoustic.fit_normalization(rng.normal(size=(20, 4)), "meanvar"), path)
-    return path.read_bytes()
-
-
-def _with_kind_code(data, code):
-    # the kind byte follows the 4-byte magic and the 4-byte version
-    return data[:8] + bytes([code]) + data[9:]
+def _with_version(data, version):
+    # the 4-byte version follows the 4-byte magic
+    return data[:4] + struct.pack("<I", version) + data[8:]
 
 
 @pytest.mark.parametrize(
-    "load, original, corrupt",
+    "corrupt",
     [
-        (acoustic.load_stats, _stats_bytes, lambda d: d[:3]),
-        (acoustic.load_stats, _stats_bytes, lambda d: _with_kind_code(d, 7)),
-        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:3]),
-        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:20]),
-        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:40]),
-        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d[:-3]),
-        (mlp.load_checkpoint, _checkpoint_bytes, lambda d: d + b"x"),
+        lambda d: d[:3],
+        lambda d: d[:20],
+        lambda d: d[:40],
+        lambda d: d[:-3],
+        lambda d: d + b"x",
+        lambda d: d[:8] + struct.pack("<Q", 0) + d[16:],
     ],
-    ids=["stats-3-bytes", "stats-kind-7", "ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes",
-         "ckpt-3-short", "ckpt-1-long"],
+    ids=["ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes", "ckpt-3-short", "ckpt-1-long",
+         "ckpt-0-layers"],
 )
-def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, load, original, corrupt):
+def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, corrupt):
     path = tmp_path / "corrupt.bin"
-    path.write_bytes(corrupt(original(tmp_path)))
+    path.write_bytes(corrupt(_checkpoint_bytes(tmp_path)))
     with pytest.raises(FormatError):
-        load(path)
+        mlp.load_checkpoint(path)

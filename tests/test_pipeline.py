@@ -79,6 +79,20 @@ class TestConfig:
         cfg = read_config(tmp_path / "exp.cfg")
         assert cfg.ultrasound_dir == (tmp_path / "ult").resolve()
 
+    def test_cwd_relative_paths_written_elsewhere_read_back_unchanged(
+        self, tmp_path, tiny_corpus, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        relative = {
+            name: Path(os.path.relpath(getattr(tiny_corpus, name), tmp_path))
+            for name in PATH_FIELDS
+        }
+        (tmp_path / "sub").mkdir()
+        write_config(config_for(tiny_corpus).with_overrides(**relative), tmp_path / "sub" / "exp.cfg")
+        cfg = read_config(tmp_path / "sub" / "exp.cfg")
+        for name, path in relative.items():
+            assert getattr(cfg, name) == path.absolute()
+
     def test_bad_ratios_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
             config_for(tiny_corpus, train_ratio=0.9, dev_ratio=0.2, test_ratio=0.05)
@@ -131,6 +145,13 @@ class TestRunExperiment:
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
         assert not (run.stage_dir("prepare") / "ult").exists()
+
+    def test_trained_model_is_one_file_and_voicing_lives_in_lf0(self, tiny_run):
+        _, run = tiny_run
+        train_files = {p.name for p in run.stage_dir("train").iterdir()}
+        assert train_files == {run.checkpoint.name, run.history.name}
+        generated = {p.suffix for p in run.stage_dir("generate").rglob("*") if p.is_file()}
+        assert generated == {".mgc", ".bap", ".lf0"}
 
     def test_resolved_config_echo_reparses_identically(self, tiny_run):
         cfg, run = tiny_run
@@ -197,8 +218,7 @@ class TestRunExperiment:
         out_stats = acoustic.fit_normalization(
             pipeline.target_matrix(run, split.train), "meanvar"
         )
-        persisted_in = acoustic.load_stats(run.input_stats)
-        persisted_out = acoustic.load_stats(run.output_stats)
+        _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
         assert persisted_in.a.tobytes() == in_stats.a.tobytes()
         assert persisted_in.b.tobytes() == in_stats.b.tobytes()
         assert persisted_out.a.tobytes() == out_stats.a.tobytes()
@@ -321,9 +341,9 @@ class TestCli:
         _, run = tiny_run
         blown = pipeline.RunPaths(tmp_path / "blown")
         shutil.copytree(run.root, blown.root)
-        model, in_ref, out_ref = mlp.load_checkpoint(blown.checkpoint)
+        model, in_stats, out_stats = mlp.load_checkpoint(blown.checkpoint)
         model.weights[-1] *= 1e40
-        mlp.save_checkpoint(model, blown.checkpoint, in_ref, out_ref)
+        mlp.save_checkpoint(model, in_stats, out_stats, blown.checkpoint)
         assert cli.main(["generate", "--output", str(blown.root)]) == 1
         assert "stage 'generate' failed" in capsys.readouterr().err
 
