@@ -2,8 +2,10 @@
 
 Per-utterance feature files are headerless row-major little-endian 32-bit
 floats: ``<id>.mgc`` (n x 60), ``<id>.bap`` (n x 5), ``<id>.lf0`` (n x 1).
-Unvoiced frames carry the LF0 sentinel value. Regression targets stack each
-stream with its delta and delta-delta plus a binary voicing flag:
+Unvoiced frames carry the LF0 sentinel value, which is the only record of
+voicing: ``AcousticStreams.voiced`` reads it, and no separate V/UV array is
+kept beside a stream. Regression targets stack each stream with its delta and
+delta-delta plus a binary voicing flag:
 ``[mgc d dd | bap d dd | lf0 d dd | vuv]``, width 3*(60+5+1)+1 = 199.
 """
 
@@ -55,6 +57,15 @@ class AcousticStreams:
     def n_frames(self) -> int:
         return self.mgc.shape[0]
 
+    @property
+    def voiced(self) -> np.ndarray:
+        """Per-frame voicing, boolean, read from the LF0 sentinel."""
+        return _is_voiced(self.lf0)
+
+
+def _is_voiced(lf0: np.ndarray) -> np.ndarray:
+    return lf0 > VOICED_THRESHOLD
+
 
 def target_width(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> int:
     return 3 * (mgc_dim + bap_dim + 1) + 1
@@ -105,7 +116,7 @@ def interpolate_lf0(lf0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lf0 = np.asarray(lf0, dtype=np.float64).ravel()
     if lf0.size == 0:
         raise DataError("empty lf0 vector")
-    vuv = (lf0 > VOICED_THRESHOLD).astype(np.float64)
+    vuv = _is_voiced(lf0).astype(np.float64)
     voiced_idx = np.nonzero(vuv)[0]
     if voiced_idx.size == 0:
         return np.full_like(lf0, ALL_UNVOICED_FILL), vuv
@@ -128,8 +139,8 @@ def compute_deltas(stream: np.ndarray) -> np.ndarray:
     return np.hstack([stream, delta, delta2])
 
 
-def build_targets(streams: AcousticStreams) -> tuple[np.ndarray, np.ndarray]:
-    """Regression target matrix and voicing flag for one utterance."""
+def build_targets(streams: AcousticStreams) -> np.ndarray:
+    """Regression target matrix for one utterance; its last column is the voicing flag."""
     continuous, vuv = interpolate_lf0(streams.lf0)
     blocks = [
         compute_deltas(streams.mgc),
@@ -137,7 +148,7 @@ def build_targets(streams: AcousticStreams) -> tuple[np.ndarray, np.ndarray]:
         compute_deltas(continuous[:, None]),
         vuv[:, None],
     ]
-    return np.hstack(blocks), vuv
+    return np.hstack(blocks)
 
 
 def split_target_columns(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> dict[str, slice]:

@@ -1,5 +1,9 @@
 """Experiment configuration: line-oriented ``key = value`` sections.
 
+Values are taken literally: ``%`` is an ordinary character, not
+interpolation syntax. A file that is not a valid config (no section header,
+a key given twice, bytes that are not UTF-8) raises ConfigError.
+
 Relative data paths in a config file are resolved against the file's
 directory, so a config can live next to its corpus. ``write_config`` writes
 them absolute, taking relative ones against the working directory, so a
@@ -114,8 +118,12 @@ PATH_FIELDS = ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file")
 
 def read_config(path: Path) -> ExperimentConfig:
     path = Path(path)
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {e}") from e
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     values = {}
     for section in parser.sections():
@@ -143,7 +151,7 @@ def read_config(path: Path) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path: Path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SCHEMA.items():
         parser.add_section(section)
         for key, (field, _) in keys.items():

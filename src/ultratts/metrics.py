@@ -4,9 +4,11 @@ Five quantities per (system, split): mel-cepstral distortion, band
 aperiodicity distortion, F0 RMSE in Hz, F0 Pearson correlation, and the
 voiced/unvoiced decision error rate. Conventions: MCD excludes the 0th
 cepstral coefficient; BAP uses the same formula over all coefficients
-divided by 10; F0 measures are taken on exponentiated (Hz-scale) values over
-frames voiced in both streams. Undefined quantities are reported as NaN,
-never as 0; a defined quantity that comes out non-finite raises DataError.
+divided by 10; voicing comes from the LF0 sentinel of each stream
+(``AcousticStreams.voiced``); F0 measures are taken on exponentiated
+(Hz-scale) values over frames voiced in both streams. Undefined quantities
+are reported as NaN, never as 0; a defined quantity that comes out
+non-finite raises DataError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .acoustic import UNVOICED_LF0, AcousticStreams
 from .config import SYSTEMS
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, FormatError
 
 _LOG_SCALE = 10.0 / math.log(10.0)
 
@@ -65,39 +67,31 @@ def _check_pair(ref: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ref, pred
 
 
-def f0_metrics(
-    ref_lf0: np.ndarray,
-    ref_vuv: np.ndarray,
-    pred_lf0: np.ndarray,
-    pred_vuv: np.ndarray,
-) -> tuple[float, float, float]:
+def f0_metrics(ref_lf0: np.ndarray, pred_lf0: np.ndarray) -> tuple[float, float, float]:
     """(rmse_hz, corr, vuv_error_pct) over frames voiced in both streams.
 
-    With no commonly voiced frame, RMSE and correlation are NaN; correlation
-    is also NaN when either Hz series has zero variance.
+    Unvoiced frames carry the LF0 sentinel. With no commonly voiced frame,
+    RMSE and correlation are NaN; correlation is also NaN when either Hz
+    series has zero variance.
     """
     ref_lf0, pred_lf0 = np.ravel(ref_lf0), np.ravel(pred_lf0)
     report = _score_alone(
-        _alone(ref_lf0.size, lf0=ref_lf0, vuv=ref_vuv),
-        _alone(pred_lf0.size, lf0=pred_lf0, vuv=pred_vuv),
+        _alone(ref_lf0.size, lf0=ref_lf0), _alone(pred_lf0.size, lf0=pred_lf0)
     )
     return report.f0_rmse_hz, report.f0_corr, report.vuv_error_pct
 
 
-def _alone(n: int, mgc=None, bap=None, lf0=None, vuv=None) -> tuple[AcousticStreams, np.ndarray]:
+def _alone(n: int, mgc=None, bap=None, lf0=None) -> AcousticStreams:
     """One side of a single-stream comparison: absent streams are empty or unvoiced."""
-    streams = AcousticStreams(
+    return AcousticStreams(
         mgc=np.zeros((n, 0)) if mgc is None else mgc,
         bap=np.zeros((n, 0)) if bap is None else bap,
         lf0=np.full(n, UNVOICED_LF0) if lf0 is None else lf0,
     )
-    return streams, np.zeros(n) if vuv is None else np.ravel(vuv)
 
 
-def _score_alone(
-    ref: tuple[AcousticStreams, np.ndarray], pred: tuple[AcousticStreams, np.ndarray]
-) -> EvaluationReport:
-    return aggregate([evaluate_utterance("", *ref, *pred)])
+def _score_alone(ref: AcousticStreams, pred: AcousticStreams) -> EvaluationReport:
+    return aggregate([evaluate_utterance("", ref, pred)])
 
 
 @dataclass(frozen=True)
@@ -121,28 +115,22 @@ class UtteranceEval:
 # a wild prediction overflows to inf here; aggregate then raises DataError,
 # so the overflow needs no warning of its own
 @np.errstate(over="ignore")
-def evaluate_utterance(
-    utt_id: str,
-    ref: AcousticStreams,
-    ref_vuv: np.ndarray,
-    pred: AcousticStreams,
-    pred_vuv: np.ndarray,
-) -> UtteranceEval:
-    """Error sums for one utterance; no time warping is applied."""
+def evaluate_utterance(utt_id: str, ref: AcousticStreams, pred: AcousticStreams) -> UtteranceEval:
+    """Error sums for one utterance; no time warping is applied. Voicing is
+    read from each stream's LF0 sentinel."""
     mcd_frames = _mcd_frames(ref.mgc, pred.mgc)
     bap_frames = _bap_frames(ref.bap, pred.bap)
-    ref_vuv = np.ravel(ref_vuv)
-    pred_vuv = np.ravel(pred_vuv)
     n = ref.n_frames
-    if pred.n_frames != n or ref_vuv.size != n or pred_vuv.size != n:
+    if pred.n_frames != n:
         raise ArgumentError(f"frame count mismatch for {utt_id}")
-    both = (ref_vuv > 0.5) & (pred_vuv > 0.5)
+    ref_voiced, pred_voiced = ref.voiced, pred.voiced
+    both = ref_voiced & pred_voiced
     return UtteranceEval(
         utt_id=utt_id,
         n_frames=n,
         mcd_sum=float(mcd_frames.sum()),
         bap_sum=float(bap_frames.sum()),
-        vuv_mismatches=int(np.count_nonzero((ref_vuv > 0.5) != (pred_vuv > 0.5))),
+        vuv_mismatches=int(np.count_nonzero(ref_voiced != pred_voiced)),
         hz_ref=np.exp(ref.lf0[both]),
         hz_pred=np.exp(pred.lf0[both]),
     )
@@ -239,12 +227,15 @@ def write_report_csv(reports: Iterable[EvaluationReport], path: Path) -> None:
 
 
 def read_report_csv(path: Path) -> list[EvaluationReport]:
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    out = []
-    for row in reader:
-        out.append(
+    """Reports from a ``write_report_csv`` file; DataError when the file is
+    missing, FormatError when a row lacks a column or holds a bad number."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [line for line in fh if not line.startswith("#")]
+    except OSError as e:
+        raise DataError(f"cannot read report {path}: {e.strerror}") from e
+    try:
+        return [
             EvaluationReport(
                 speaker=row["speaker"],
                 system=row["system"],
@@ -258,8 +249,12 @@ def read_report_csv(path: Path) -> list[EvaluationReport]:
                 n_frames=int(row["n_frames"]),
                 n_voiced_both=int(row["n_voiced_both"]),
             )
-        )
-    return out
+            for row in csv.DictReader(rows)
+        ]
+    except KeyError as e:
+        raise FormatError(f"report {path} has no column {e}") from e
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"report {path} holds a malformed row: {e}") from e
 
 
 _METRIC_COLUMNS = (

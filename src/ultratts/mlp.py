@@ -227,16 +227,15 @@ def predict_utterance(
     output_stats: NormalizationStats,
     mgc_dim: int = acoustic.MGC_DIM,
     bap_dim: int = acoustic.BAP_DIM,
-) -> tuple[dict[str, AcousticStreams], np.ndarray]:
+) -> dict[str, AcousticStreams]:
     """Generate both trajectory variants for one utterance of normalized inputs.
 
     Runs the network once and denormalizes its output, splits it into stream
     blocks and collapses each block to its static trajectory two ways: MLPG
     over the training-set variances (``"mlpg"``) and plain truncation to the
     static columns (``"static"``). The voicing flag, thresholded at 0.5, is
-    shared by both; each re-imposes the unvoiced LF0 sentinel with it.
-    Returns the streams keyed by variant name (``VARIANTS`` order) and the
-    voicing flags.
+    shared by both and lives only in their LF0 streams, as the unvoiced
+    sentinel. Returns the streams keyed by variant name (``VARIANTS`` order).
     """
     if output_stats.kind != "meanvar":
         raise ArgumentError(
@@ -251,21 +250,20 @@ def predict_utterance(
     columns = acoustic.split_target_columns(mgc_dim, bap_dim)
     variances = np.where(output_stats.b > 0.0, output_stats.b**2, 1.0)
 
-    vuv = (denorm[:, columns["vuv"]].ravel() > 0.5).astype(np.float64)
+    voiced = denorm[:, columns["vuv"]].ravel() > 0.5
     statics = {"mlpg": {}, "static": {}}
     for name, width in (("mgc", mgc_dim), ("bap", bap_dim), ("lf0", 1)):
         block = denorm[:, columns[name]]
         statics["mlpg"][name] = acoustic.mlpg(block, variances[columns[name]])
         statics["static"][name] = block[:, :width]
-    streams = {
+    return {
         variant: AcousticStreams(
             mgc=s["mgc"],
             bap=s["bap"],
-            lf0=np.where(vuv > 0.0, s["lf0"].ravel(), acoustic.UNVOICED_LF0),
+            lf0=np.where(voiced, s["lf0"].ravel(), acoustic.UNVOICED_LF0),
         )
         for variant, s in statics.items()
     }
-    return streams, vuv
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def split_dataset(
     n_train = floor(ratios[0] * n + 1e-9)
     n_dev = floor(ratios[1] * n + 1e-9)
     n_test = n - n_train - n_dev
-    if n_train == 0 or n_dev == 0 or n_test == 0:
+    if min(n_train, n_dev, n_test) < 1:
         raise ConfigError(
             f"empty split block: train={n_train} dev={n_dev} test={n_test} for n={n}"
         )
@@ -201,8 +201,7 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     def prepare_one(utt_id: str) -> None:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        targets, _ = acoustic.build_targets(streams)
-        np.save(run.prepared("target", utt_id), targets)
+        np.save(run.prepared("target", utt_id), acoustic.build_targets(streams))
 
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
@@ -330,7 +329,7 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     def generate_one(utt_id: str) -> None:
         x = acoustic.apply_normalization(input_stats, utterance_inputs(cfg, run, utt_id))
-        by_variant, _ = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
+        by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
             acoustic.save_stream(streams.bap, run.generated(variant, utt_id, "bap"))
@@ -342,22 +341,20 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
 def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.EvaluationReport]:
     """Score generated dev/test utterances against the corpus references."""
     split = load_split(run)
-    # each reference and its V/UV serve every variant, so read them once
-    references = {}
-    for utt_id in (*split.dev, *split.test):
-        ref = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        references[utt_id] = ref, acoustic.interpolate_lf0(ref.lf0)[1]
+    # each reference serves every variant, so read it once
+    references = {
+        utt_id: acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
+        for utt_id in (*split.dev, *split.test)
+    }
     reports = []
     for variant in VARIANTS:
         for split_name in ("dev", "test"):
             evals = []
             for utt_id in split.ids_of(split_name):
-                ref, ref_vuv = references[utt_id]
                 pred = acoustic.read_streams(
                     run.stage_dir("generate") / variant, utt_id, cfg.mgc_dim, cfg.bap_dim
                 )
-                pred_vuv = acoustic.interpolate_lf0(pred.lf0)[1]
-                evals.append(metrics.evaluate_utterance(utt_id, ref, ref_vuv, pred, pred_vuv))
+                evals.append(metrics.evaluate_utterance(utt_id, references[utt_id], pred))
             reports.append(
                 metrics.aggregate(
                     evals,

@@ -129,7 +129,10 @@ def test_criterion_5_metric_oracles():
 
     hz = np.array([120.0, 180.0, 90.0, 210.0])
     vuv = np.ones(4)
-    rmse, corr, _ = metrics.f0_metrics(np.log(hz), vuv, np.log(hz + 5.0), vuv)
+    rmse, corr, _ = metrics.f0_metrics(
+        np.where(vuv > 0, np.log(hz), acoustic.UNVOICED_LF0),
+        np.where(vuv > 0, np.log(hz + 5.0), acoustic.UNVOICED_LF0),
+    )
     assert rmse == pytest.approx(5.0, abs=1e-9)
     assert corr == pytest.approx(1.0, abs=1e-9)
 
@@ -138,7 +141,10 @@ def test_criterion_5_metric_oracles():
         for pred_bits in range(16):
             ref_vuv = np.array([(ref_bits >> i) & 1 for i in range(4)], float)
             pred_vuv = np.array([(pred_bits >> i) & 1 for i in range(4)], float)
-            _, _, err = metrics.f0_metrics(lf0, ref_vuv, lf0, pred_vuv)
+            _, _, err = metrics.f0_metrics(
+                np.where(ref_vuv > 0, lf0, acoustic.UNVOICED_LF0),
+                np.where(pred_vuv > 0, lf0, acoustic.UNVOICED_LF0),
+            )
             differing = sum(
                 1 for i in range(4) if ((ref_bits >> i) & 1) != ((pred_bits >> i) & 1)
             )

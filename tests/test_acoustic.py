@@ -40,6 +40,15 @@ class TestLoadStream:
         assert again[0, 0] < acoustic.VOICED_THRESHOLD
 
 
+class TestVoicing:
+    def test_voiced_only_above_threshold(self):
+        t = acoustic.VOICED_THRESHOLD
+        lf0 = np.array([acoustic.UNVOICED_LF0, t, np.nextafter(t, 0.0), math.log(100.0)])
+        streams = acoustic.AcousticStreams(mgc=np.zeros((4, 0)), bap=np.zeros((4, 0)), lf0=lf0)
+        assert streams.voiced.tolist() == [False, False, True, True]
+        assert np.array_equal(acoustic.interpolate_lf0(lf0)[1], streams.voiced)
+
+
 class TestInterpolateLf0:
     def test_all_voiced_unchanged(self):
         lf0 = np.log([100.0, 120.0, 140.0])
@@ -226,7 +235,8 @@ class TestTargets:
         streams = acoustic.AcousticStreams(
             mgc=rng.normal(size=(n, 60)), bap=rng.normal(size=(n, 5)), lf0=lf0
         )
-        targets, vuv = acoustic.build_targets(streams)
+        targets = acoustic.build_targets(streams)
+        vuv = streams.voiced
         assert targets.shape == (n, 199)
         assert acoustic.target_width() == 199
         assert set(np.unique(targets[:, -1])) <= {0.0, 1.0}

@@ -12,6 +12,11 @@ from ultratts.errors import ArgumentError, DataError
 CLOSED_FORM_MCD = (10.0 / math.log(10.0)) * math.sqrt(2.0)
 
 
+def masked(lf0, vuv):
+    """An LF0 track that is unvoiced (the sentinel) wherever ``vuv`` is 0."""
+    return np.where(np.asarray(vuv) > 0, lf0, UNVOICED_LF0)
+
+
 class TestMcd:
     def test_identical_is_zero(self):
         x = np.random.default_rng(0).normal(size=(20, 60))
@@ -66,12 +71,12 @@ class TestF0Metrics:
     def test_identical_streams(self):
         lf0 = np.log([100.0, 120.0, 130.0])
         vuv = np.ones(3)
-        assert metrics.f0_metrics(lf0, vuv, lf0, vuv) == (0.0, 1.0, 0.0)
+        assert metrics.f0_metrics(masked(lf0, vuv), masked(lf0, vuv)) == (0.0, 1.0, 0.0)
 
     def test_constant_hz_shift(self):
         hz = np.array([100.0, 150.0, 210.0, 95.0])
         vuv = np.ones(4)
-        rmse, corr, err = metrics.f0_metrics(np.log(hz), vuv, np.log(hz + 5.0), vuv)
+        rmse, corr, err = metrics.f0_metrics(masked(np.log(hz), vuv), masked(np.log(hz + 5.0), vuv))
         assert rmse == pytest.approx(5.0, abs=1e-9)
         assert corr == pytest.approx(1.0, abs=1e-9)
         assert err == 0.0
@@ -79,7 +84,7 @@ class TestF0Metrics:
     def test_four_frame_vuv_case(self):
         lf0 = np.log([100.0, 100, 100, 100])
         _, _, err = metrics.f0_metrics(
-            lf0, np.array([1, 1, 0, 0]), lf0, np.array([1, 0, 0, 1])
+            masked(lf0, np.array([1, 1, 0, 0])), masked(lf0, np.array([1, 0, 0, 1]))
         )
         assert err == 50.0
 
@@ -88,14 +93,14 @@ class TestF0Metrics:
         for ref_bits, pred_bits in itertools.product(range(16), repeat=2):
             ref_vuv = np.array([(ref_bits >> i) & 1 for i in range(4)], dtype=float)
             pred_vuv = np.array([(pred_bits >> i) & 1 for i in range(4)], dtype=float)
-            _, _, err = metrics.f0_metrics(lf0, ref_vuv, lf0, pred_vuv)
+            _, _, err = metrics.f0_metrics(masked(lf0, ref_vuv), masked(lf0, pred_vuv))
             expect = 100.0 * bin(ref_bits ^ pred_bits).count("1") / 4.0
             assert err == expect
 
     def test_no_common_voicing_gives_nan_markers(self):
         lf0 = np.log([100.0, 110.0])
         rmse, corr, err = metrics.f0_metrics(
-            lf0, np.array([1.0, 0.0]), lf0, np.array([0.0, 1.0])
+            masked(lf0, np.array([1.0, 0.0])), masked(lf0, np.array([0.0, 1.0]))
         )
         assert math.isnan(rmse) and math.isnan(corr)
         assert err == 100.0
@@ -103,7 +108,7 @@ class TestF0Metrics:
     def test_zero_variance_gives_nan_corr(self):
         lf0 = np.log([100.0, 100.0, 100.0])
         vuv = np.ones(3)
-        rmse, corr, _ = metrics.f0_metrics(lf0, vuv, np.log([90.0, 95.0, 100.0]), vuv)
+        rmse, corr, _ = metrics.f0_metrics(masked(lf0, vuv), masked(np.log([90.0, 95.0, 100.0]), vuv))
         assert math.isnan(corr)
         assert rmse > 0.0
 
@@ -112,9 +117,9 @@ class TestF0Metrics:
         hz = rng.uniform(80, 300, 50)
         other = rng.uniform(80, 300, 50)
         vuv = np.ones(50)
-        _, corr1, _ = metrics.f0_metrics(np.log(hz), vuv, np.log(other), vuv)
+        _, corr1, _ = metrics.f0_metrics(masked(np.log(hz), vuv), masked(np.log(other), vuv))
         _, corr2, _ = metrics.f0_metrics(
-            np.log(2.5 * hz), vuv, np.log(2.5 * other), vuv
+            masked(np.log(2.5 * hz), vuv), masked(np.log(2.5 * other), vuv)
         )
         assert corr1 == pytest.approx(corr2, abs=1e-9)
 
@@ -124,31 +129,40 @@ def random_utterance(rng, n):
     bap = rng.normal(size=(n, 5))
     lf0 = np.log(rng.uniform(80, 300, n))
     vuv = (rng.random(n) > 0.3).astype(float)
-    lf0 = np.where(vuv > 0, lf0, UNVOICED_LF0)
-    return AcousticStreams(mgc=mgc, bap=bap, lf0=lf0), vuv
+    return AcousticStreams(mgc=mgc, bap=bap, lf0=masked(lf0, vuv))
 
 
 def evaluate_pair(rng, utt_id, n):
-    ref, ref_vuv = random_utterance(rng, n)
-    pred, pred_vuv = random_utterance(rng, n)
-    ev = metrics.evaluate_utterance(utt_id, ref, ref_vuv, pred, pred_vuv)
-    return ev, (ref, ref_vuv, pred, pred_vuv)
+    ref = random_utterance(rng, n)
+    pred = random_utterance(rng, n)
+    ev = metrics.evaluate_utterance(utt_id, ref, pred)
+    return ev, (ref, pred)
 
 
 def voiced_track(hz):
-    """Streams and voicing flag of an utterance voiced throughout at ``hz``."""
+    """Streams of an utterance voiced throughout at ``hz``."""
     n = len(hz)
     lf0 = np.log(np.asarray(hz, dtype=float))
-    return AcousticStreams(mgc=np.zeros((n, 60)), bap=np.zeros((n, 5)), lf0=lf0), np.ones(n)
+    return AcousticStreams(mgc=np.zeros((n, 60)), bap=np.zeros((n, 5)), lf0=lf0)
+
+
+class TestEvaluateUtterance:
+    def test_prediction_at_or_below_threshold_is_unvoiced(self):
+        ref = voiced_track([100.0, 110.0, 120.0, 130.0])
+        pred = dataclasses.replace(ref, lf0=np.array([ref.lf0[0], -1e9, -5e9, UNVOICED_LF0]))
+        ev = metrics.evaluate_utterance("u", ref, pred)
+        assert ev.vuv_mismatches == 3
+        assert ev.n_voiced_both == 1
+        assert ev.hz_pred.tolist() == pytest.approx([100.0])
 
 
 class TestAggregate:
     def test_single_utterance_unchanged(self):
         rng = np.random.default_rng(4)
-        ev, (ref, ref_vuv, pred, pred_vuv) = evaluate_pair(rng, "u1", 30)
+        ev, (ref, pred) = evaluate_pair(rng, "u1", 30)
         report = metrics.aggregate([ev], system="txt2wav", split="dev", variant="mlpg")
         assert report.mcd_db == pytest.approx(metrics.mcd(ref.mgc, pred.mgc), abs=1e-12)
-        rmse, corr, err = metrics.f0_metrics(ref.lf0, ref_vuv, pred.lf0, pred_vuv)
+        rmse, corr, err = metrics.f0_metrics(ref.lf0, pred.lf0)
         assert report.f0_rmse_hz == pytest.approx(rmse, abs=1e-9)
         assert report.f0_corr == pytest.approx(corr, abs=1e-9)
         assert report.vuv_error_pct == pytest.approx(err, abs=1e-12)
@@ -172,18 +186,16 @@ class TestAggregate:
             raw.append(streams)
         report = metrics.aggregate(evals)
         ref_mgc = np.vstack([r[0].mgc for r in raw])
-        pred_mgc = np.vstack([r[2].mgc for r in raw])
+        pred_mgc = np.vstack([r[1].mgc for r in raw])
         assert report.mcd_db == pytest.approx(metrics.mcd(ref_mgc, pred_mgc), rel=1e-12)
         ref_bap = np.vstack([r[0].bap for r in raw])
-        pred_bap = np.vstack([r[2].bap for r in raw])
+        pred_bap = np.vstack([r[1].bap for r in raw])
         assert report.bap_db == pytest.approx(
             metrics.bap_distortion(ref_bap, pred_bap), rel=1e-12
         )
         pooled = metrics.f0_metrics(
             np.concatenate([r[0].lf0 for r in raw]),
-            np.concatenate([r[1] for r in raw]),
-            np.concatenate([r[2].lf0 for r in raw]),
-            np.concatenate([r[3] for r in raw]),
+            np.concatenate([r[1].lf0 for r in raw]),
         )
         assert report.f0_rmse_hz == pytest.approx(pooled[0], rel=1e-9)
         assert report.f0_corr == pytest.approx(pooled[1], abs=1e-9)
@@ -198,7 +210,7 @@ class TestAggregate:
         ],
     )
     def test_constant_track_gives_nan_corr(self, ref_hz, pred_hz):
-        ev = metrics.evaluate_utterance("u", *voiced_track(ref_hz), *voiced_track(pred_hz))
+        ev = metrics.evaluate_utterance("u", voiced_track(ref_hz), voiced_track(pred_hz))
         report = metrics.aggregate([ev])
         assert math.isnan(report.f0_corr)
         assert report.f0_rmse_hz > 0.0
@@ -210,7 +222,7 @@ class TestAggregate:
         for i, n in enumerate((40, 75, 23, 58)):
             ref, pred = 200.0 + rng.normal(0.0, 0.3, (2, n))
             noisy = pred + 0.2 * (ref - 200.0)
-            ev = metrics.evaluate_utterance(f"u{i}", *voiced_track(ref), *voiced_track(noisy))
+            ev = metrics.evaluate_utterance(f"u{i}", voiced_track(ref), voiced_track(noisy))
             evals.append(ev)
             ref_hz.append(np.exp(np.log(ref)))
             pred_hz.append(np.exp(np.log(noisy)))
@@ -221,16 +233,14 @@ class TestAggregate:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
-        ref, ref_vuv = random_utterance(rng, 40)
-        pred, pred_vuv = random_utterance(rng, 40)
-        base = metrics.evaluate_utterance("u", ref, ref_vuv, pred, pred_vuv)
+        ref = random_utterance(rng, 40)
+        pred = random_utterance(rng, 40)
+        base = metrics.evaluate_utterance("u", ref, pred)
         perm = rng.permutation(40)
         shuffled = metrics.evaluate_utterance(
             "u",
             AcousticStreams(mgc=ref.mgc[perm], bap=ref.bap[perm], lf0=ref.lf0[perm]),
-            ref_vuv[perm],
             AcousticStreams(mgc=pred.mgc[perm], bap=pred.bap[perm], lf0=pred.lf0[perm]),
-            pred_vuv[perm],
         )
         a, b = metrics.aggregate([base]), metrics.aggregate([shuffled])
         assert a.mcd_db == pytest.approx(b.mcd_db, rel=1e-12)
@@ -243,10 +253,10 @@ class TestAggregate:
     @pytest.mark.parametrize("stream", ["lf0", "mgc", "bap"])
     def test_overflowing_prediction_is_data_error(self, stream):
         # a voiced LF0 of 1e4 is exp(1e4) = inf Hz; 1e200 squared overflows
-        ref, vuv = voiced_track([100.0, 110.0, 120.0])
+        ref = voiced_track([100.0, 110.0, 120.0])
         wild = {"lf0": np.full(3, 1e4), "mgc": np.full((3, 60), 1e200), "bap": np.full((3, 5), 1e200)}
         pred = dataclasses.replace(ref, **{stream: wild[stream]})
-        ev = metrics.evaluate_utterance("u", ref, vuv, pred, vuv)
+        ev = metrics.evaluate_utterance("u", ref, pred)
         with pytest.raises(DataError, match="non-finite"):
             metrics.aggregate([ev])
 

@@ -219,7 +219,7 @@ class TestPredictUtterance:
         model = mlp.init_model(6, seed=0, hidden_sizes=(4,), output_dim=199)
         for w in model.weights:
             w[:] = 0.0
-        by_variant, vuv = mlp.predict_utterance(model, np.zeros((3, 6)), stats)
+        by_variant = mlp.predict_utterance(model, np.zeros((3, 6)), stats)
         streams = by_variant["static"]
         cols = acoustic.split_target_columns()
         mean = stats.a
@@ -236,16 +236,18 @@ class TestPredictUtterance:
             model.biases[-1][-1] = (target_vuv - stats.a[-1]) / (
                 stats.b[-1] if stats.b[-1] > 0 else 1.0
             )
-            _, vuv = mlp.predict_utterance(model, np.zeros((2, 2)), stats)
-            assert np.all(vuv == expect)
+            for streams in mlp.predict_utterance(model, np.zeros((2, 2)), stats).values():
+                vuv = streams.voiced
+                assert np.all(vuv == expect)
 
     def test_static_variant_matches_hand_composition(self):
         rng = np.random.default_rng(3)
         stats = self.make_stats(seed=2)
         model = mlp.init_model(5, seed=9, hidden_sizes=(7,), output_dim=199)
         x = rng.normal(size=(3, 5))
-        by_variant, vuv = mlp.predict_utterance(model, x, stats)
+        by_variant = mlp.predict_utterance(model, x, stats)
         streams = by_variant["static"]
+        vuv = streams.voiced
         denorm = acoustic.invert_normalization(stats, mlp.forward(model, x))
         cols = acoustic.split_target_columns()
         assert np.allclose(streams.mgc, denorm[:, cols["mgc"]][:, :60], atol=1e-8)
@@ -263,10 +265,11 @@ class TestPredictUtterance:
         stats = self.make_stats(seed=3)
         model = mlp.init_model(5, seed=10, hidden_sizes=(7,), output_dim=199)
         x = rng.normal(size=(4, 5))
-        by_variant, vuv = mlp.predict_utterance(model, x, stats)
+        by_variant = mlp.predict_utterance(model, x, stats)
         assert tuple(by_variant) == mlp.VARIANTS
         streams = by_variant["mlpg"]
         denorm = acoustic.invert_normalization(stats, mlp.forward(model, x))
+        vuv = denorm[:, -1] > 0.5
         cols = acoustic.split_target_columns()
         variances = np.where(stats.b > 0, stats.b**2, 1.0)
         expect = acoustic.mlpg(denorm[:, cols["mgc"]], variances[cols["mgc"]])

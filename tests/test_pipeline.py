@@ -27,8 +27,9 @@ class TestSplitDataset:
         assert list(split.all_ids) == ids
 
     def test_empty_block_rejected(self):
-        with pytest.raises(ConfigError):
-            pipeline.split_dataset([f"u{i}" for i in range(10)], (1.0, 0.0, 0.0))
+        for ratios in ((1.0, 0.0, 0.0), (1.2, -0.1, -0.1)):
+            with pytest.raises(ConfigError):
+                pipeline.split_dataset([f"u{i}" for i in range(10)], ratios)
 
     def test_bad_ratio_sum_rejected(self):
         with pytest.raises(ConfigError):
@@ -100,6 +101,13 @@ class TestConfig:
     def test_unknown_system_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
             config_for(tiny_corpus, system="wav2txt")
+
+    def test_percent_in_paths_round_trips(self, tmp_path, tiny_corpus):
+        cfg = config_for(tiny_corpus).with_overrides(
+            ultrasound_dir=tmp_path / "100%" / "ult", label_dir=tmp_path / "a%(b)s"
+        )
+        write_config(cfg, tmp_path / "exp.cfg")
+        assert read_config(tmp_path / "exp.cfg") == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "exp.cfg").write_text("[data]\nwhatever = 3\n")
@@ -403,6 +411,30 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"ultrasound_dir = ult\n", b"[data]\nlabel_dir = a\nlabel_dir = b\n", b"[data]\n\xff\n"],
+        ids=["no-section-header", "duplicate-key", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["prepare", "run-all"])
+    def test_malformed_config_is_an_error_line(self, tmp_path, capsys, data, command):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_bytes(data)
+        assert cli.main([command, "--config", str(cfg_file), "--output", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file") and str(cfg_file) in err
+
+    def test_report_without_a_readable_csv_is_an_error_line(self, tmp_path, capsys):
+        run = pipeline.RunPaths(tmp_path / "run")
+        assert cli.main(["report", str(run.root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run.report_csv) in err
+        run.report_csv.parent.mkdir(parents=True)
+        run.report_csv.write_text("speaker,system\nspk,txt2wav\n")
+        assert cli.main(["report", str(run.root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run.report_csv) in err and "'split'" in err
 
     def test_report_merges_runs(self, tmp_path, tiny_run, capsys):
         _, run = tiny_run
