@@ -128,15 +128,15 @@ def interpolate_lf0(lf0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def compute_deltas(stream: np.ndarray) -> np.ndarray:
     """Append delta and delta-delta columns: output is ``[static | d | dd]``.
 
-    Windows are (-0.5, 0, 0.5) and (1, -2, 1) with boundary frames replicated
-    before windowing, so a length-1 stream gets zero dynamics.
+    The windows are ``DELTA_WINDOW`` and ``DELTA_DELTA_WINDOW``, the ones MLPG
+    inverts, with boundary frames replicated before windowing, so a length-1
+    stream gets zero dynamics.
     """
     stream = np.atleast_2d(np.asarray(stream, dtype=np.float64))
     padded = np.pad(stream, ((1, 1), (0, 0)), mode="edge")
     prev, cur, nxt = padded[:-2], padded[1:-1], padded[2:]
-    delta = 0.5 * (nxt - prev)
-    delta2 = prev - 2.0 * cur + nxt
-    return np.hstack([stream, delta, delta2])
+    dynamics = [w0 * prev + w1 * cur + w2 * nxt for w0, w1, w2 in (DELTA_WINDOW, DELTA_DELTA_WINDOW)]
+    return np.hstack([stream, *dynamics])
 
 
 def build_targets(streams: AcousticStreams) -> np.ndarray:

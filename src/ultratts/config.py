@@ -54,6 +54,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
+        # written so that NaN fails too
+        if not all(r >= 0 for r in self.ratios):
+            raise ConfigError(f"split ratios must not be negative or NaN, got {self.ratios}")
         total = self.train_ratio + self.dev_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
@@ -66,6 +69,19 @@ class ExperimentConfig:
     @property
     def ratios(self) -> tuple[float, float, float]:
         return (self.train_ratio, self.dev_ratio, self.test_ratio)
+
+    # The system's input recipe: these two properties are the only code that
+    # reads meaning into a system name.
+    @property
+    def reads_questions(self) -> bool:
+        """Whether the linguistic input answers the question set; ult2wav's
+        holds only the 4 positional features."""
+        return self.system != "ult2wav"
+
+    @property
+    def reads_ultrasound(self) -> bool:
+        """Whether the input appends the eigentongue PCA coefficients."""
+        return self.system != "txt2wav"
 
 
 _SCHEMA = {

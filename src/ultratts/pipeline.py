@@ -24,7 +24,7 @@ import numpy as np
 
 from . import acoustic, eigentongues, labels, metrics, misalign, mlp, ultra
 from .config import PATH_FIELDS, ExperimentConfig, read_config, write_config
-from .errors import ArgumentError, ConfigError, DataError, StageError, TrainingDiverged
+from .errors import ConfigError, StageError, TrainingDiverged
 
 STAGES = ("prepare", "pca", "train", "generate", "evaluate", "misalign")
 VARIANTS = mlp.VARIANTS
@@ -77,43 +77,6 @@ def split_dataset(
         dev=ids[n_train : n_train + n_dev],
         test=ids[n_train + n_dev :],
     )
-
-
-def assemble_inputs(
-    system: str,
-    linguistic: np.ndarray | None,
-    ultrasound_coeffs: np.ndarray | None,
-) -> np.ndarray:
-    """Network input matrix for one utterance under the given system.
-
-    txt2wav uses the linguistic matrix alone (ultrasound is ignored even if
-    provided); ult2wav concatenates the 4 positional columns with the PCA
-    coefficients; txt+ult2wav concatenates the full linguistic matrix with
-    the coefficients.
-    """
-    if system == "txt2wav":
-        if linguistic is None:
-            raise ArgumentError("txt2wav needs a linguistic matrix")
-        return np.asarray(linguistic, dtype=np.float64)
-    if system == "ult2wav":
-        if linguistic is None or ultrasound_coeffs is None:
-            raise ArgumentError("ult2wav needs positional features and ultrasound coefficients")
-        if linguistic.shape[1] != labels.N_POSITIONAL:
-            raise ArgumentError(
-                f"ult2wav expects a positional-only matrix with {labels.N_POSITIONAL} "
-                f"columns, got {linguistic.shape[1]}"
-            )
-    elif system == "txt+ult2wav":
-        if linguistic is None or ultrasound_coeffs is None:
-            raise ArgumentError("txt+ult2wav needs both linguistic and ultrasound matrices")
-    else:
-        raise ArgumentError(f"unknown system {system!r}")
-    if linguistic.shape[0] != ultrasound_coeffs.shape[0]:
-        raise DataError(
-            f"frame count mismatch: linguistic has {linguistic.shape[0]} frames, "
-            f"ultrasound has {ultrasound_coeffs.shape[0]}"
-        )
-    return np.hstack([linguistic, ultrasound_coeffs]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +151,18 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance targets and features."""
+    """Discover utterances, split, and persist per-utterance targets and
+    linguistic features: question answers plus the 4 positional features, or
+    the positional features alone when the system does not read questions."""
     ids = ultra.discover_utterances(cfg.ultrasound_dir)
     split = split_dataset(ids, cfg.ratios)
     for kind in ("target", "ling"):
         (run.stage_dir("prepare") / kind).mkdir(parents=True, exist_ok=True)
 
-    if cfg.system == "ult2wav":
-        questions = labels.QuestionSet.empty()
-    else:
+    if cfg.reads_questions:
         questions = labels.parse_questions(Path(cfg.question_file).read_text())
+    else:
+        questions = labels.QuestionSet.empty()
 
     def prepare_one(utt_id: str) -> None:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
@@ -235,11 +200,11 @@ def train_frame_matrix(cfg: ExperimentConfig, run: RunPaths, split: DatasetSplit
 def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Resize raw frames, fit on training frames only, project every utterance once.
 
-    txt2wav inputs never read the coefficients, so for it the stage only
-    checks that prepare has run.
+    When the system does not read ultrasound no input uses the coefficients,
+    so the stage only checks that prepare has run.
     """
     split = load_split(run)
-    if cfg.system == "txt2wav":
+    if not cfg.reads_ultrasound:
         return
     train_frames = train_frame_matrix(cfg, run, split)
     model = eigentongues.fit_pca(train_frames, cfg.variance_target, cfg.max_components)
@@ -254,9 +219,12 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
 
 
 def utterance_inputs(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
+    """Network input matrix for one utterance: the prepared linguistic matrix,
+    followed by its PCA coefficients when the system reads ultrasound."""
     ling = np.load(run.prepared("ling", utt_id))
-    coeffs = np.load(run.coeffs(utt_id)) if cfg.system != "txt2wav" else None
-    return assemble_inputs(cfg.system, ling, coeffs)
+    if not cfg.reads_ultrasound:
+        return ling
+    return np.hstack([ling, np.load(run.coeffs(utt_id))])
 
 
 def input_matrix(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> np.ndarray:

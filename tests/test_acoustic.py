@@ -115,6 +115,16 @@ class TestComputeDeltas:
         assert np.allclose(rev[1:-1, 3:6], -fwd[::-1][1:-1, 3:6])
         assert np.allclose(rev[1:-1, 6:9], fwd[::-1][1:-1, 6:9])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_dynamics_apply_the_mlpg_window_operators(self, n):
+        # the targets and the dense MLPG oracle share one pair of windows
+        x = np.random.default_rng(n + 200).normal(size=(n, 3))
+        w_d, w_dd = dense_windows(n)
+        out = acoustic.compute_deltas(x)
+        assert np.array_equal(out[:, :3], x)
+        assert np.allclose(out[:, 3:6], w_d @ x, rtol=0, atol=1e-12)
+        assert np.allclose(out[:, 6:], w_dd @ x, rtol=0, atol=1e-12)
+
 
 class TestNormalization:
     def test_minmax_maps_to_declared_range(self):

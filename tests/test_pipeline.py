@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import config_for
-from ultratts import acoustic, cli, eigentongues, metrics, mlp, pipeline, ultra
-from ultratts.config import PATH_FIELDS, ExperimentConfig, read_config, write_config
-from ultratts.errors import ArgumentError, ConfigError, DataError, StageError
+from ultratts import acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, ultra
+from ultratts.config import PATH_FIELDS, SYSTEMS, ExperimentConfig, read_config, write_config
+from ultratts.errors import ConfigError, StageError
 
 
 class TestSplitDataset:
@@ -34,32 +34,6 @@ class TestSplitDataset:
     def test_bad_ratio_sum_rejected(self):
         with pytest.raises(ConfigError):
             pipeline.split_dataset([f"u{i}" for i in range(10)], (0.5, 0.1, 0.1))
-
-
-class TestAssembleInputs:
-    def test_combined_concatenation_arithmetic(self):
-        ling = np.zeros((50, 400))
-        coeffs = np.zeros((50, 128))
-        out = pipeline.assemble_inputs("txt+ult2wav", ling, coeffs)
-        assert out.shape == (50, 528)
-
-    def test_ultrasound_only_gets_positional_plus_coeffs(self):
-        out = pipeline.assemble_inputs("ult2wav", np.zeros((10, 4)), np.zeros((10, 128)))
-        assert out.shape == (10, 132)
-
-    def test_ultrasound_only_rejects_full_linguistic_matrix(self):
-        with pytest.raises(ArgumentError):
-            pipeline.assemble_inputs("ult2wav", np.zeros((10, 40)), np.zeros((10, 8)))
-
-    def test_text_only_ignores_ultrasound(self):
-        ling = np.random.default_rng(0).normal(size=(10, 20))
-        with_ult = pipeline.assemble_inputs("txt2wav", ling, np.ones((10, 8)))
-        without = pipeline.assemble_inputs("txt2wav", ling, None)
-        assert np.array_equal(with_ult, without)
-
-    def test_frame_count_mismatch_reports_counts(self):
-        with pytest.raises(DataError, match="40.*30|30.*40"):
-            pipeline.assemble_inputs("txt+ult2wav", np.zeros((40, 6)), np.zeros((30, 8)))
 
 
 class TestConfig:
@@ -97,6 +71,17 @@ class TestConfig:
     def test_bad_ratios_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
             config_for(tiny_corpus, train_ratio=0.9, dev_ratio=0.2, test_ratio=0.05)
+        with pytest.raises(ConfigError, match="negative"):
+            config_for(tiny_corpus, train_ratio=1.2, dev_ratio=-0.1, test_ratio=-0.1)
+        with pytest.raises(ConfigError, match="NaN"):
+            config_for(tiny_corpus, train_ratio=float("nan"))
+
+    def test_input_recipe_per_system(self, tiny_corpus):
+        expected = {"txt2wav": (True, False), "ult2wav": (False, True), "txt+ult2wav": (True, True)}
+        assert set(expected) == set(SYSTEMS)
+        for system, recipe in expected.items():
+            cfg = config_for(tiny_corpus, system=system)
+            assert (cfg.reads_questions, cfg.reads_ultrasound) == recipe, system
 
     def test_unknown_system_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
@@ -129,6 +114,44 @@ class TestConfig:
         assert (cfg.base_lr, cfg.batch_size) == (0.002, 256)
         assert cfg.frame_shift == 0.005
         assert (cfg.mgc_dim, cfg.bap_dim) == (60, 5)
+
+
+@pytest.fixture(scope="module")
+def prepared_runs(tiny_corpus, tmp_path_factory):
+    """Each system's run directory after ``prepare`` and ``pca`` only."""
+    runs = {}
+    for system in SYSTEMS:
+        cfg = config_for(tiny_corpus, system=system)
+        run = pipeline.start_run(cfg, tmp_path_factory.mktemp("inputs") / system.replace("+", "_"))
+        for stage in ("prepare", "pca"):
+            pipeline.run_stage(stage, run.root)
+        runs[system] = (cfg, run)
+    return runs
+
+
+class TestInputRecipe:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_input_width_and_pca_products(self, prepared_runs, system):
+        cfg, run = prepared_runs[system]
+        questions = labels.parse_questions(Path(cfg.question_file).read_text())
+        n_answers = len(questions.binary) + len(questions.numeric)
+        assert run.stage_dir("pca").exists() == cfg.reads_ultrasound
+        k = eigentongues.load_model(run.pca_model).n_components if cfg.reads_ultrasound else 0
+        width = (n_answers + 4 if cfg.reads_questions else 4) + k
+        for utt_id in pipeline.load_split(run).all_ids:
+            x = pipeline.utterance_inputs(cfg, run, utt_id)
+            assert x.shape == (np.load(run.prepared("target", utt_id)).shape[0], width)
+
+    def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
+        cfg, run = prepared_runs["txt+ult2wav"]
+        text_cfg, text_run = prepared_runs["txt2wav"]
+        ult_cfg, ult_run = prepared_runs["ult2wav"]
+        for utt_id in pipeline.load_split(run).all_ids:
+            coeffs = pipeline.utterance_inputs(ult_cfg, ult_run, utt_id)[:, 4:]
+            expected = np.hstack([pipeline.utterance_inputs(text_cfg, text_run, utt_id), coeffs])
+            combined = pipeline.utterance_inputs(cfg, run, utt_id)
+            assert (combined.dtype, combined.shape) == (expected.dtype, expected.shape)
+            assert combined.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +377,34 @@ class TestCli:
         mlp.save_checkpoint(model, in_stats, out_stats, blown.checkpoint)
         assert cli.main(["generate", "--output", str(blown.root)]) == 1
         assert "stage 'generate' failed" in capsys.readouterr().err
+
+    def test_coefficient_frame_count_mismatch_fails_train(self, tmp_path, tiny_run, capsys):
+        _, run = tiny_run
+        cut = pipeline.RunPaths(tmp_path / "cut")
+        shutil.copytree(run.root, cut.root)
+        coeffs_file = cut.coeffs(pipeline.load_split(cut).train[0])
+        np.save(coeffs_file, np.load(coeffs_file)[:-1])
+        assert cli.main(["train", "--output", str(cut.root)]) == 1
+        assert "stage 'train' failed" in capsys.readouterr().err
+
+    def test_negative_ratios_leave_a_finished_run_intact(self, tmp_path, tiny_run, capsys):
+        cfg, run = tiny_run
+        finished = pipeline.RunPaths(tmp_path / "finished")
+        shutil.copytree(run.root, finished.root)
+        before = {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()}
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        ratios = f"train = {cfg.train_ratio}\ndev = {cfg.dev_ratio}\ntest = {cfg.test_ratio}\n"
+        text = cfg_file.read_text()
+        assert ratios in text
+        cfg_file.write_text(text.replace(ratios, "train = 1.2\ndev = -0.1\ntest = -0.1\n"))
+        argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
+        assert cli.main(argv) == 1
+        for stage in pipeline.STAGES:
+            assert finished.stage_dir(stage).is_dir(), stage
+        assert finished.report_csv.exists()
+        assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
+        assert "negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value", [("--system", "txt2wav"), ("--seed", "99"), ("--config", "x.cfg"), ("--workers", "2")]
