@@ -17,9 +17,15 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from . import mlp
+from .errors import ArgumentError, ConfigError
 
 SYSTEMS = ("ult2wav", "txt2wav", "txt+ult2wav")
+
+_AT_LEAST_ONE = (
+    "resize_rows", "resize_cols", "max_components", "mgc_dim", "bap_dim",
+    "hidden_layers", "hidden_units",
+)
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,36 @@ class ExperimentConfig:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # written so that NaN fails too
+        if not 0 < self.variance_target <= 1:
+            raise ConfigError(f"variance_target must be in (0, 1], got {self.variance_target}")
+        if not self.frame_shift > 0:
+            raise ConfigError(f"frame_shift must be > 0, got {self.frame_shift}")
+        try:
+            self.schedule
+        except ArgumentError as e:
+            raise ConfigError(str(e)) from e
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
+
+    @property
+    def schedule(self) -> mlp.TrainingSchedule:
+        """The SGD schedule of the [training] section, checked at construction."""
+        return mlp.TrainingSchedule(
+            max_epochs=self.max_epochs,
+            warmup_epochs=self.warmup_epochs,
+            base_lr=self.base_lr,
+            decay=self.lr_decay,
+            batch_size=self.batch_size,
+            patience=self.patience,
+            seed=self.seed,
+        )
 
     @property
     def ratios(self) -> tuple[float, float, float]:

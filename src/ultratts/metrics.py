@@ -17,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -234,21 +234,10 @@ def read_report_csv(path: Path) -> list[EvaluationReport]:
             rows = [line for line in fh if not line.startswith("#")]
     except OSError as e:
         raise DataError(f"cannot read report {path}: {e.strerror}") from e
+    casts = get_type_hints(EvaluationReport)
     try:
         return [
-            EvaluationReport(
-                speaker=row["speaker"],
-                system=row["system"],
-                split=row["split"],
-                variant=row["variant"],
-                mcd_db=float(row["mcd_db"]),
-                bap_db=float(row["bap_db"]),
-                f0_rmse_hz=float(row["f0_rmse_hz"]),
-                f0_corr=float(row["f0_corr"]),
-                vuv_error_pct=float(row["vuv_error_pct"]),
-                n_frames=int(row["n_frames"]),
-                n_voiced_both=int(row["n_voiced_both"]),
-            )
+            EvaluationReport(**{name: cast(row[name]) for name, cast in casts.items()})
             for row in csv.DictReader(rows)
         ]
     except KeyError as e:

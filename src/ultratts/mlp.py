@@ -62,8 +62,8 @@ class TrainingSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.warmup_epochs < self.max_epochs:
-            raise ArgumentError("warmup_epochs must be smaller than max_epochs")
+        if not 0 <= self.warmup_epochs < self.max_epochs:
+            raise ArgumentError("warmup_epochs must be >= 0 and smaller than max_epochs")
         if not self.base_lr > 0:
             raise ArgumentError("base_lr must be > 0")
         if not 0.0 < self.decay <= 1.0:

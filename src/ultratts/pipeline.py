@@ -98,8 +98,8 @@ class RunPaths:
     def splits(self) -> Path:
         return self.root / "prepare" / "splits.json"
 
-    def prepared(self, kind: str, utt_id: str) -> Path:
-        return self.root / "prepare" / kind / f"{utt_id}.npy"
+    def ling(self, utt_id: str) -> Path:
+        return self.root / "prepare" / "ling" / f"{utt_id}.npy"
 
     @property
     def pca_model(self) -> Path:
@@ -151,13 +151,12 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance targets and
-    linguistic features: question answers plus the 4 positional features, or
-    the positional features alone when the system does not read questions."""
+    """Discover utterances, split, and persist per-utterance linguistic features
+    (question answers when the system reads questions, then 4 positional
+    features), one row per frame of the utterance's checked acoustic streams."""
     ids = ultra.discover_utterances(cfg.ultrasound_dir)
     split = split_dataset(ids, cfg.ratios)
-    for kind in ("target", "ling"):
-        (run.stage_dir("prepare") / kind).mkdir(parents=True, exist_ok=True)
+    run.ling("x").parent.mkdir(parents=True, exist_ok=True)
 
     if cfg.reads_questions:
         questions = labels.parse_questions(Path(cfg.question_file).read_text())
@@ -166,11 +165,9 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     def prepare_one(utt_id: str) -> None:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        np.save(run.prepared("target", utt_id), acoustic.build_targets(streams))
-
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
-        np.save(run.prepared("ling", utt_id), ling)
+        np.save(run.ling(utt_id), ling)
 
     _map_ordered(prepare_one, split.all_ids, cfg.workers)
     run.splits.write_text(
@@ -183,7 +180,7 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 
 
 def _frame_count(run: RunPaths, utt_id: str) -> int:
-    return np.load(run.prepared("target", utt_id), mmap_mode="r").shape[0]
+    return np.load(run.ling(utt_id), mmap_mode="r").shape[0]
 
 
 def utterance_frames(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
@@ -221,7 +218,7 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
 def utterance_inputs(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
     """Network input matrix for one utterance: the prepared linguistic matrix,
     followed by its PCA coefficients when the system reads ultrasound."""
-    ling = np.load(run.prepared("ling", utt_id))
+    ling = np.load(run.ling(utt_id))
     if not cfg.reads_ultrasound:
         return ling
     return np.hstack([ling, np.load(run.coeffs(utt_id))])
@@ -231,30 +228,22 @@ def input_matrix(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> np
     return np.vstack([utterance_inputs(cfg, run, u) for u in ids])
 
 
-def target_matrix(run: RunPaths, ids: Iterable[str]) -> np.ndarray:
-    return np.vstack([np.load(run.prepared("target", u)) for u in ids])
+def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
+    streams = (acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim) for u in ids)
+    return np.vstack([acoustic.build_targets(s) for s in streams])
 
 
 def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network."""
     split = load_split(run)
     train_x = input_matrix(cfg, run, split.train)
-    train_y = target_matrix(run, split.train)
+    train_y = target_matrix(cfg, split.train)
     dev_x = input_matrix(cfg, run, split.dev)
-    dev_y = target_matrix(run, split.dev)
+    dev_y = target_matrix(cfg, split.dev)
 
     input_stats = acoustic.fit_normalization(train_x, "minmax")
     output_stats = acoustic.fit_normalization(train_y, "meanvar")
 
-    schedule = mlp.TrainingSchedule(
-        max_epochs=cfg.max_epochs,
-        warmup_epochs=cfg.warmup_epochs,
-        base_lr=cfg.base_lr,
-        decay=cfg.lr_decay,
-        batch_size=cfg.batch_size,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
     model = mlp.init_model(
         train_x.shape[1],
         cfg.seed,
@@ -267,7 +256,7 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
         (acoustic.apply_normalization(input_stats, train_x),
          acoustic.apply_normalization(output_stats, train_y)),
         (acoustic.apply_normalization(input_stats, dev_x), dev_y),
-        schedule,
+        cfg.schedule,
     )
     # normalised targets make predicting zero score about 1: a best epoch far
     # above that has diverged, however finite its numbers are

@@ -233,7 +233,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
         pipeline.input_matrix(cfg, run, split.train), "minmax"
     )
     out_stats = acoustic.fit_normalization(
-        pipeline.target_matrix(run, split.train), "meanvar"
+        pipeline.target_matrix(cfg, split.train), "meanvar"
     )
     _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
     assert persisted_in.a.tobytes() == in_stats.a.tobytes()

@@ -1,5 +1,7 @@
 import os
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,16 @@ class TestConfig:
             cfg = config_for(tiny_corpus, system=system)
             assert (cfg.reads_questions, cfg.reads_ultrasound) == recipe, system
 
+    def test_schedule_is_derived_from_the_training_fields(self, tiny_corpus):
+        cfg = config_for(tiny_corpus, seed=4, lr_decay=0.7, patience=3)
+        assert cfg.schedule == mlp.TrainingSchedule(
+            max_epochs=18, warmup_epochs=6, base_lr=0.05, decay=0.7, batch_size=256,
+            patience=3, seed=4,
+        )
+        assert "schedule" not in {f.name for f in fields(ExperimentConfig)}
+        with pytest.raises(AttributeError):
+            cfg.schedule = cfg.schedule
+
     def test_unknown_system_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
             config_for(tiny_corpus, system="wav2txt")
@@ -140,7 +152,7 @@ class TestInputRecipe:
         width = (n_answers + 4 if cfg.reads_questions else 4) + k
         for utt_id in pipeline.load_split(run).all_ids:
             x = pipeline.utterance_inputs(cfg, run, utt_id)
-            assert x.shape == (np.load(run.prepared("target", utt_id)).shape[0], width)
+            assert x.shape == (np.load(run.ling(utt_id)).shape[0], width)
 
     def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
         cfg, run = prepared_runs["txt+ult2wav"]
@@ -176,6 +188,8 @@ class TestRunExperiment:
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
         assert not (run.stage_dir("prepare") / "ult").exists()
+        prepared = {p.name for p in run.stage_dir("prepare").iterdir()}
+        assert prepared == {run.splits.name, run.ling("x").parent.name}
 
     def test_trained_model_is_one_file_and_voicing_lives_in_lf0(self, tiny_run):
         _, run = tiny_run
@@ -247,7 +261,7 @@ class TestRunExperiment:
             pipeline.input_matrix(cfg, run, split.train), "minmax"
         )
         out_stats = acoustic.fit_normalization(
-            pipeline.target_matrix(run, split.train), "meanvar"
+            pipeline.target_matrix(cfg, split.train), "meanvar"
         )
         _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
         assert persisted_in.a.tobytes() == in_stats.a.tobytes()
@@ -405,6 +419,47 @@ class TestCli:
         assert finished.report_csv.exists()
         assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
         assert "negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("base_lr", "0"),
+            ("warmup_epochs", "8"),
+            ("warmup_epochs", "-1"),
+            ("variance_target", "1.5"),
+            ("variance_target", "0"),
+            ("max_components", "0"),
+            ("seed", "-1"),
+            ("hidden_units", "0"),
+            ("hidden_layers", "0"),
+            ("resize_rows", "0"),
+            ("resize_cols", "0"),
+            ("mgc_dim", "0"),
+            ("bap_dim", "0"),
+            ("frame_shift", "0"),
+            ("frame_shift", "nan"),
+        ],
+    )
+    def test_out_of_range_setting_leaves_a_finished_run_intact(
+        self, tmp_path, tiny_run, capsys, key, value
+    ):
+        cfg, run = tiny_run
+        assert cfg.max_epochs == 8
+        finished = pipeline.RunPaths(tmp_path / "finished")
+        shutil.copytree(run.root, finished.root)
+        before = {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()}
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        text, replaced = re.subn(
+            rf"^{key} = .*$", f"{key} = {value}", cfg_file.read_text(), flags=re.MULTILINE
+        )
+        assert replaced == 1
+        cfg_file.write_text(text)
+        argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert finished.report_csv.exists()
+        assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "flag, value", [("--system", "txt2wav"), ("--seed", "99"), ("--config", "x.cfg"), ("--workers", "2")]

@@ -1,31 +1,45 @@
-"""Contract between the package and the benchmark's call tracer (bench/spans.py).
+"""Contracts between the package and the benchmark (bench/).
 
-The tracer wraps package functions by module attribute name and computes its
-counters from their parameter names and results. Renaming or folding away any
-of them would silently drop a per-layer benchmark metric, so a traced
-``run-all`` must produce a span for every traced name and a counter set for
-every counter entry.
+The call tracer (bench/spans.py) wraps package functions by module attribute
+name and computes its counters from their parameter names and results.
+Renaming or folding away any of them would silently drop a per-layer
+benchmark metric, so a traced ``run-all`` must produce a span for every traced
+name and a counter set for every counter entry.
+
+Each workload of bench/corpus.py writes an ExperimentConfig; a config check
+that rejected one would fail every benchmark call on that workload.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from conftest import config_for
 from ultratts import cli
-from ultratts.config import write_config
+from ultratts.config import PATH_FIELDS, ExperimentConfig, read_config, write_config
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans_module():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
+def test_bench_workload_configs_are_valid_and_round_trip(tmp_path):
+    paths = {name: tmp_path / name for name in PATH_FIELDS}
+    for name, workload in load_bench_module("corpus").WORKLOADS.items():
+        cfg = ExperimentConfig(**paths, **workload.config)
+        write_config(cfg, tmp_path / f"{name}.cfg")
+        assert read_config(tmp_path / f"{name}.cfg") == cfg, name
+
+
 def test_traced_run_all_fires_every_span_and_counter(tiny_corpus, tmp_path):
-    spans = load_spans_module()
+    spans = load_bench_module("spans")
     cfg = config_for(tiny_corpus, system="txt+ult2wav", seed=5, max_epochs=2, warmup_epochs=1)
     cfg_file = tmp_path / "exp.cfg"
     write_config(cfg, cfg_file)
