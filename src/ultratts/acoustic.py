@@ -198,17 +198,30 @@ def fit_normalization(data: np.ndarray, kind: str) -> NormalizationStats:
 
 
 def apply_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
+    """Normalised copy of ``data``."""
+    return normalize_in_place(stats, np.array(data, dtype=np.float64))
+
+
+def normalize_in_place(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``data`` with its normalised values; return it.
+
+    Min-max maps to ``MINMAX_LO + (MINMAX_HI - MINMAX_LO) * (x - min) / span``
+    and mean-variance to ``(x - mean) / std``, one operation at a time.
+    """
+    if data.dtype != np.float64:
+        raise ArgumentError(f"can only normalise float64 in place, got {data.dtype}")
     if data.shape[-1] != stats.n_columns:
         raise ArgumentError(f"column count {data.shape[-1]} != stats columns {stats.n_columns}")
     const = stats.constant_columns
+    data -= stats.a
     if stats.kind == "minmax":
-        span = np.where(const, 1.0, stats.b - stats.a)
-        out = MINMAX_LO + (MINMAX_HI - MINMAX_LO) * (data - stats.a) / span
-        out[..., const] = 0.5
-        return out
-    scale = np.where(const, 1.0, stats.b)
-    return (data - stats.a) / scale
+        data *= MINMAX_HI - MINMAX_LO
+        data /= np.where(const, 1.0, stats.b - stats.a)
+        data += MINMAX_LO
+        data[..., const] = 0.5
+    else:
+        data /= np.where(const, 1.0, stats.b)
+    return data
 
 
 def invert_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Full-context phonetic labels, question sets, and per-frame linguistic features.
+"""Full-context phonetic labels, question sets, and linguistic features.
 
 Label files carry one ``start end context`` line per phone with times in
 100 ns ticks. Question files declare binary ``QS`` and numeric ``CQS``
@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -134,11 +135,6 @@ def _glob_to_regex(pattern: str) -> str:
     return "".join(out)
 
 
-def match_question(pattern: str, context: str) -> bool:
-    """Whole-string wildcard match: ``*`` any run, ``?`` one char, rest literal."""
-    return re.fullmatch(_glob_to_regex(pattern), context) is not None
-
-
 def _numeric_regex(pattern: str) -> re.Pattern:
     """Compile a CQS pattern: glob text around one verbatim regex capture group."""
     open_idx = pattern.find("(")
@@ -176,13 +172,53 @@ def _answer_label(label: FullContextLabel, questions: QuestionSet) -> np.ndarray
     return answers
 
 
+@dataclass(frozen=True)
+class LinguisticFeatures:
+    """One utterance's linguistic input, stored per label and expanded per frame.
+
+    Every question column is constant within a label, so the answers are kept
+    once per label and ``which`` names the label that answers each frame.
+    """
+
+    answers: np.ndarray  # (n_labels, n_binary + n_numeric)
+    which: np.ndarray  # (n_frames,) index of the label answering each frame
+    positional: np.ndarray  # (n_frames, N_POSITIONAL)
+
+    @property
+    def n_frames(self) -> int:
+        return self.which.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The per-frame matrix (n_frames, n_binary + n_numeric + 4)."""
+        return np.hstack([self.answers[self.which], self.positional])
+
+
+def save_features(features: LinguisticFeatures, path: Path) -> None:
+    """Write the three arrays as one ``.npz`` file."""
+    np.savez(
+        path, answers=features.answers, which=features.which, positional=features.positional
+    )
+
+
+def load_features(path: Path) -> LinguisticFeatures:
+    """The features written by ``save_features``."""
+    with np.load(path) as data:
+        return LinguisticFeatures(data["answers"], data["which"], data["positional"])
+
+
+def frame_count(path: Path) -> int:
+    """The frame count of saved features, read from ``which`` alone."""
+    with np.load(path) as data:
+        return data["which"].shape[0]
+
+
 def extract_features(
     labels: Sequence[FullContextLabel],
     questions: QuestionSet,
     frame_shift: float,
     n_frames: int,
-) -> np.ndarray:
-    """Per-frame feature matrix (n_frames, n_binary + n_numeric + 4).
+) -> LinguisticFeatures:
+    """Label answers, the frame-to-label index and the positional columns.
 
     Frame k is answered by the label covering time k * frame_shift (the first
     label whose end lies beyond it); frames past the last label clamp to it.
@@ -191,17 +227,14 @@ def extract_features(
     """
     if not labels:
         raise DataError("empty label list")
-    n_questions = len(questions.binary) + len(questions.numeric)
-    out = np.zeros((n_frames, n_questions + N_POSITIONAL))
-    if n_frames == 0:
-        return out
     answers = np.stack([_answer_label(lab, questions) for lab in labels])
 
     shift_ticks = frame_shift * TICKS_PER_SECOND
     ticks = np.floor(np.arange(n_frames) * shift_ticks + 0.5)
     ends = np.array([lab.end for lab in labels], dtype=np.float64)
     which = np.searchsorted(ends, ticks, side="right")
-    which = np.minimum(which, len(labels) - 1)
+    # the smallest index type that holds every label keeps the saved index small
+    which = np.minimum(which, len(labels) - 1).astype(np.min_scalar_type(len(labels) - 1))
 
     starts = np.array([lab.start for lab in labels], dtype=np.float64)
     durations = np.maximum(ends - starts, 1.0)  # guard zero-length labels
@@ -210,9 +243,9 @@ def extract_features(
     frac_through = np.clip((ticks - lab_start) / lab_dur, 0.0, 1.0)
     index_within = np.maximum(np.floor((ticks - lab_start) / shift_ticks), 0.0)
 
-    out[:, :n_questions] = answers[which]
-    out[:, n_questions + 0] = frac_through
-    out[:, n_questions + 1] = 1.0 - frac_through
-    out[:, n_questions + 2] = lab_dur / shift_ticks
-    out[:, n_questions + 3] = index_within
-    return out
+    positional = np.empty((n_frames, N_POSITIONAL))
+    positional[:, 0] = frac_through
+    positional[:, 1] = 1.0 - frac_through
+    positional[:, 2] = lab_dur / shift_ticks
+    positional[:, 3] = index_within
+    return LinguisticFeatures(answers, which, positional)

@@ -52,6 +52,33 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
+class GatheredRows:
+    """Rows ``hstack([table[which[i]], frames[i]])`` of a matrix that is never built.
+
+    Indexing with an index array gathers those rows, so a training set whose
+    leading columns repeat per group (a label's answers over its frames)
+    is held once per group.
+    """
+
+    table: np.ndarray  # (n_groups, n_table_columns)
+    which: np.ndarray  # (n_rows,) table row of each row
+    frames: np.ndarray  # (n_rows, n_frame_columns)
+
+    def __post_init__(self):
+        if self.which.shape != (self.frames.shape[0],):
+            raise ArgumentError(
+                f"{self.which.shape[0]} table indices for {self.frames.shape[0]} frame rows"
+            )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.frames.shape[0], self.table.shape[1] + self.frames.shape[1]
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        return np.hstack([self.table[self.which[idx]], self.frames[idx]])
+
+
+@dataclass(frozen=True)
 class TrainingSchedule:
     max_epochs: int = 25
     warmup_epochs: int = 10
@@ -157,18 +184,22 @@ def backward(
 
 def train(
     model: MlpModel,
-    train_set: tuple[np.ndarray, np.ndarray],
+    train_set: tuple[np.ndarray | GatheredRows, np.ndarray],
     valid_set: tuple[np.ndarray, np.ndarray],
     schedule: TrainingSchedule,
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Plain SGD with the warm-up/decay schedule and early stopping.
 
     Batches are reshuffled each epoch with a generator seeded from the
-    schedule. Returns the parameters of the best-validation epoch; stops
-    early when validation MSE has not improved for ``patience`` consecutive
-    epochs after warm-up.
+    schedule; the training inputs may be a ``GatheredRows``, which builds
+    each batch when it is drawn. Returns the parameters of the
+    best-validation epoch; stops early when validation MSE has not improved
+    for ``patience`` consecutive epochs after warm-up.
     """
-    train_x, train_y = (np.asarray(a, dtype=np.float64) for a in train_set)
+    train_x, train_y = train_set
+    if not isinstance(train_x, GatheredRows):
+        train_x = np.asarray(train_x, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.float64)
     valid_x, valid_y = (np.asarray(a, dtype=np.float64) for a in valid_set)
     if train_x.shape[0] == 0 or valid_x.shape[0] == 0:
         raise DataError("train and validation sets must be non-empty")
@@ -190,8 +221,10 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             loss_sum += batch_loss * idx.size
             for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= lr * gw
-                b -= lr * gb
+                gw *= lr
+                w -= gw
+                gb *= lr
+                b -= gb
         # per-element MSE over all training rows, comparable with the
         # validation column; each batch loss is a mean over its own rows
         train_mse = 2.0 * loss_sum / (order.size * model.output_dim)

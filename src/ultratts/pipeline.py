@@ -99,7 +99,7 @@ class RunPaths:
         return self.root / "prepare" / "splits.json"
 
     def ling(self, utt_id: str) -> Path:
-        return self.root / "prepare" / "ling" / f"{utt_id}.npy"
+        return self.root / "prepare" / "ling" / f"{utt_id}.npz"
 
     @property
     def pca_model(self) -> Path:
@@ -151,9 +151,10 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance linguistic features
-    (question answers when the system reads questions, then 4 positional
-    features), one row per frame of the utterance's checked acoustic streams."""
+    """Discover utterances, split, and persist per-utterance linguistic features:
+    the answers of each label (when the system reads questions), the label of
+    each frame of the utterance's checked acoustic streams, and each frame's 4
+    positional features."""
     ids = ultra.discover_utterances(cfg.ultrasound_dir)
     split = split_dataset(ids, cfg.ratios)
     run.ling("x").parent.mkdir(parents=True, exist_ok=True)
@@ -167,7 +168,7 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
-        np.save(run.ling(utt_id), ling)
+        labels.save_features(ling, run.ling(utt_id))
 
     _map_ordered(prepare_one, split.all_ids, cfg.workers)
     run.splits.write_text(
@@ -180,7 +181,7 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 
 
 def _frame_count(run: RunPaths, utt_id: str) -> int:
-    return np.load(run.ling(utt_id), mmap_mode="r").shape[0]
+    return labels.frame_count(run.ling(utt_id))
 
 
 def utterance_frames(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
@@ -216,9 +217,10 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
 
 
 def utterance_inputs(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
-    """Network input matrix for one utterance: the prepared linguistic matrix,
-    followed by its PCA coefficients when the system reads ultrasound."""
-    ling = np.load(run.ling(utt_id))
+    """Network input matrix for one utterance: the prepared linguistic features
+    expanded per frame, followed by its PCA coefficients when the system reads
+    ultrasound."""
+    ling = labels.load_features(run.ling(utt_id)).dense()
     if not cfg.reads_ultrasound:
         return ling
     return np.hstack([ling, np.load(run.coeffs(utt_id))])
@@ -228,21 +230,66 @@ def input_matrix(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> np
     return np.vstack([utterance_inputs(cfg, run, u) for u in ids])
 
 
+def gathered_inputs(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> mlp.GatheredRows:
+    """The rows of ``input_matrix`` without building it: a table of the answers
+    of every label that owns a frame, and a per-frame block of the positional
+    features followed by the PCA coefficients when the system reads ultrasound."""
+    tables, whiches, blocks = [], [], []
+    n_labels = 0
+    for utt_id in ids:
+        ling = labels.load_features(run.ling(utt_id))
+        owners, which = np.unique(ling.which, return_inverse=True)
+        tables.append(ling.answers[owners])
+        whiches.append(which + n_labels)
+        n_labels += owners.size
+        block = ling.positional
+        if cfg.reads_ultrasound:
+            block = np.hstack([block, np.load(run.coeffs(utt_id))])
+        blocks.append(block)
+    return mlp.GatheredRows(np.vstack(tables), np.concatenate(whiches), np.vstack(blocks))
+
+
+def normalize_gathered(rows: mlp.GatheredRows) -> acoustic.NormalizationStats:
+    """Fit min-max statistics on the table and on the per-frame block, normalise
+    each in place, and return the statistics of the whole rows.
+
+    They equal those of the expanded matrix, since the table holds only labels
+    that own a row and min and max are exact. Normalisation works element by
+    element, so each gathered row equals the normalised expanded row bit for bit.
+    """
+    parts = []
+    for block in (rows.table, rows.frames):
+        parts.append(acoustic.fit_normalization(block, "minmax"))
+        acoustic.normalize_in_place(parts[-1], block)
+    return acoustic.NormalizationStats(
+        "minmax",
+        a=np.concatenate([p.a for p in parts]),
+        b=np.concatenate([p.b for p in parts]),
+    )
+
+
 def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
     streams = (acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim) for u in ids)
     return np.vstack([acoustic.build_targets(s) for s in streams])
 
 
 def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Fit normalizations on the training block, then train the network."""
+    """Fit normalizations on the training block, then train the network.
+
+    The training inputs stay gathered (``gathered_inputs``): no per-frame
+    linguistic matrix of the training block is built. Everything is
+    normalised in place, so each array is held once.
+    """
     split = load_split(run)
-    train_x = input_matrix(cfg, run, split.train)
+    train_x = gathered_inputs(cfg, run, split.train)
     train_y = target_matrix(cfg, split.train)
     dev_x = input_matrix(cfg, run, split.dev)
     dev_y = target_matrix(cfg, split.dev)
 
-    input_stats = acoustic.fit_normalization(train_x, "minmax")
+    input_stats = normalize_gathered(train_x)
     output_stats = acoustic.fit_normalization(train_y, "meanvar")
+    for stats, data in ((output_stats, train_y), (input_stats, dev_x), (output_stats, dev_y)):
+        acoustic.normalize_in_place(stats, data)
 
     model = mlp.init_model(
         train_x.shape[1],
@@ -250,14 +297,7 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
         hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
         output_dim=acoustic.target_width(cfg.mgc_dim, cfg.bap_dim),
     )
-    dev_y = acoustic.apply_normalization(output_stats, dev_y)
-    best, history = mlp.train(
-        model,
-        (acoustic.apply_normalization(input_stats, train_x),
-         acoustic.apply_normalization(output_stats, train_y)),
-        (acoustic.apply_normalization(input_stats, dev_x), dev_y),
-        cfg.schedule,
-    )
+    best, history = mlp.train(model, (train_x, train_y), (dev_x, dev_y), cfg.schedule)
     # normalised targets make predicting zero score about 1: a best epoch far
     # above that has diverged, however finite its numbers are
     best_mse = min(rec.valid_mse for rec in history)

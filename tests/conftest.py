@@ -1,9 +1,24 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from ultratts import synthetic
 from ultratts.config import ExperimentConfig
 
 _acceptance_results = []
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

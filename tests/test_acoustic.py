@@ -162,6 +162,29 @@ class TestNormalization:
         with pytest.raises(DataError):
             acoustic.fit_normalization(np.zeros((0, 3)), "minmax")
 
+    @pytest.mark.parametrize("kind", ["minmax", "meanvar"])
+    def test_in_place_matches_the_formula_bit_for_bit(self, kind):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(40, 6)) * rng.uniform(0.5, 8.0, 6)
+        data[:, 2] = 3.0
+        stats = acoustic.fit_normalization(data, kind)
+        const = stats.constant_columns
+        if kind == "minmax":
+            lo, hi = acoustic.MINMAX_LO, acoustic.MINMAX_HI
+            expect = lo + (hi - lo) * (data - stats.a) / np.where(const, 1.0, stats.b - stats.a)
+            expect[:, const] = 0.5
+        else:
+            expect = (data - stats.a) / np.where(const, 1.0, stats.b)
+        assert acoustic.apply_normalization(stats, data).tobytes() == expect.tobytes()
+        copy = data.copy()
+        assert acoustic.normalize_in_place(stats, copy) is copy
+        assert copy.tobytes() == expect.tobytes()
+
+    def test_in_place_needs_float64(self):
+        stats = acoustic.fit_normalization(np.array([[0.0], [2.0]]), "minmax")
+        with pytest.raises(ArgumentError, match="float64"):
+            acoustic.normalize_in_place(stats, np.array([[1.0]], dtype=np.float32))
+
 
 def dense_windows(n):
     """Dense delta and delta-delta operators, boundary frames replicated."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import load_bench_module
 from ultratts import labels
 from ultratts.errors import DataError, FormatError
 
@@ -49,13 +50,13 @@ class TestParseQuestions:
     def test_numeric_extraction(self):
         qs = labels.parse_questions('CQS "Pos" {*@(\\d+)+*}\n')
         labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c@7+2")]
-        feats = labels.extract_features(labs, qs, 0.005, 1)
+        feats = labels.extract_features(labs, qs, 0.005, 1).dense()
         assert feats[0, 0] == 7.0
 
     def test_absent_numeric_is_minus_one(self):
         qs = labels.parse_questions('CQS "Pos" {*@(\\d+)+*}\n')
         labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c")]
-        feats = labels.extract_features(labs, qs, 0.005, 1)
+        feats = labels.extract_features(labs, qs, 0.005, 1).dense()
         assert feats[0, 0] == labels.NUMERIC_ABSENT
 
     def test_comments_and_blanks_skipped(self):
@@ -83,23 +84,41 @@ def backtrack_match(pattern, text):
     return False
 
 
+def answers(question_text, context):
+    """Whether the one QS of ``question_text`` answers yes for ``context``,
+    through ``parse_questions`` and ``extract_features``."""
+    qs = labels.parse_questions(question_text)
+    feats = labels.extract_features([labels.FullContextLabel(0, 1, context)], qs, 1e-7, 1)
+    return feats.answers[0, 0] == 1.0
+
+
+def compiled_match(pattern, text):
+    """Whole-string match of one glob through the regex a ``QuestionSet`` compiles."""
+    (regex,), _ = labels.QuestionSet(binary=(("Q", (pattern,)),), numeric=())._compiled
+    return regex.fullmatch(text) is not None
+
+
 class TestMatchQuestion:
+    """Question globs, matched through the path the pipeline runs."""
+
     def test_direct_hits(self):
-        assert labels.match_question("*-a+*", "x^x-a+b=c")
-        assert not labels.match_question("*-a+*", "x^x-e+b=c")
+        assert answers('QS "C-a" {*-a+*}', "x^x-a+b=c")
+        assert not answers('QS "C-a" {*-a+*}', "x^x-e+b=c")
 
     def test_question_mark_and_literals(self):
-        assert labels.match_question("a?c", "abc")
-        assert not labels.match_question("a?c", "ac")
-        assert labels.match_question("a[1]", "a[1]")  # brackets are literal
+        assert answers('QS "Q" {a?c}', "abc")
+        assert not answers('QS "Q" {a?c}', "ac")
+        assert answers('QS "Q" {a[1]}', "a[1]")  # brackets are literal
 
     def test_random_pairs_agree_with_backtracking_oracle(self):
+        # an empty pattern or context cannot be declared in a question file
+        # or a label, so these pairs go to the compiled regex directly
         rng = np.random.default_rng(0)
         alphabet = list("ab*?-+")
         for _ in range(1000):
             pattern = "".join(rng.choice(alphabet, size=rng.integers(0, 7)))
             text = "".join(rng.choice(list("ab-+"), size=rng.integers(0, 8)))
-            assert labels.match_question(pattern, text) == backtrack_match(pattern, text)
+            assert compiled_match(pattern, text) == backtrack_match(pattern, text)
 
 
 class TestCompiledQuestions:
@@ -114,10 +133,10 @@ class TestCompiledQuestions:
         monkeypatch.setattr(labels, "_glob_to_regex", counting)
         qs = labels.parse_questions('QS "A" {*-a+*,*-e+*}\nCQS "N" {*@(\\d+)+*}\n')
         labs = labels.parse_labels("0 250000 x-a+b@3+1\n250000 500000 x-e+b@4+2\n")
-        first = labels.extract_features(labs, qs, 0.005, 10)
+        first = labels.extract_features(labs, qs, 0.005, 10).dense()
         assert calls  # the first call compiles
         calls.clear()
-        second = labels.extract_features(labs, qs, 0.005, 10)
+        second = labels.extract_features(labs, qs, 0.005, 10).dense()
         assert calls == []
         assert np.array_equal(first, second)
 
@@ -137,9 +156,9 @@ class TestCompiledQuestions:
             "".join(rng.choice(list("ab-+"), size=rng.integers(1, 9))) for _ in range(60)
         ]
         labs = [labels.FullContextLabel(i, i + 1, c) for i, c in enumerate(contexts)]
-        feats = labels.extract_features(labs, qs, 1e-7, len(labs))
+        feats = labels.extract_features(labs, qs, 1e-7, len(labs)).dense()
         expect = [
-            [float(any(labels.match_question(p, c) for p in patterns)) for _, patterns in binary]
+            [float(any(backtrack_match(p, c) for p in patterns)) for _, patterns in binary]
             for c in contexts
         ]
         assert np.array_equal(feats[:, : len(binary)], np.array(expect))
@@ -155,13 +174,13 @@ class TestCompiledQuestions:
 class TestExtractFeatures:
     def test_empty_question_set_yields_positional_only(self):
         labs = labels.parse_labels("0 250000 a\n250000 50000000 b\n")
-        feats = labels.extract_features(labs, labels.QuestionSet.empty(), 0.005, 100)
+        feats = labels.extract_features(labs, labels.QuestionSet.empty(), 0.005, 100).dense()
         assert feats.shape == (100, 4)
 
     def test_single_label_geometry(self):
         qs = labels.parse_questions('QS "Always" {*}\n')
         labs = [labels.FullContextLabel(0, 100 * 50000, "anything")]
-        feats = labels.extract_features(labs, qs, 0.005, 100)
+        feats = labels.extract_features(labs, qs, 0.005, 100).dense()
         assert np.all(feats[:, 0] == 1.0)
         frac = feats[:, 1]
         assert frac[0] == 0.0
@@ -177,7 +196,7 @@ class TestExtractFeatures:
         labs = labels.parse_labels(
             "0 200000 a@4\n200000 300000 b@2\n300000 500000 c@4\n"
         )
-        feats = labels.extract_features(labs, qs, 0.005, 10)
+        feats = labels.extract_features(labs, qs, 0.005, 10).dense()
         expect = np.array(
             [
                 # IsB, N, frac_through, frac_rem, dur_frames, idx_within
@@ -198,7 +217,7 @@ class TestExtractFeatures:
 
     def test_frames_beyond_last_label_clamp(self):
         labs = [labels.FullContextLabel(0, 2 * 50000, "only")]
-        feats = labels.extract_features(labs, labels.QuestionSet.empty(), 0.005, 5)
+        feats = labels.extract_features(labs, labels.QuestionSet.empty(), 0.005, 5).dense()
         assert feats.shape == (5, 4)
         assert np.all(feats[2:, 0] == 1.0)  # fraction through clipped to 1
 
@@ -206,7 +225,7 @@ class TestExtractFeatures:
         qs = labels.parse_questions(synth_corpus.question_file.read_text())
         lab_file = sorted(synth_corpus.label_dir.glob("*.lab"))[0]
         labs = labels.parse_labels(lab_file.read_text())
-        feats = labels.extract_features(labs, qs, 0.005, 120)
+        feats = labels.extract_features(labs, qs, 0.005, 120).dense()
         n_bin = len(qs.binary)
         assert set(np.unique(feats[:, :n_bin])) <= {0.0, 1.0}
 
@@ -214,10 +233,84 @@ class TestExtractFeatures:
         text = synth_corpus.question_file.read_text()
         lab_file = sorted(synth_corpus.label_dir.glob("*.lab"))[0]
         labs = labels.parse_labels(lab_file.read_text())
-        a = labels.extract_features(labs, labels.parse_questions(text), 0.005, 80)
-        b = labels.extract_features(labs, labels.parse_questions(text), 0.005, 80)
+        a = labels.extract_features(labs, labels.parse_questions(text), 0.005, 80).dense()
+        b = labels.extract_features(labs, labels.parse_questions(text), 0.005, 80).dense()
         assert np.array_equal(a, b)
 
     def test_empty_label_list_rejected(self):
         with pytest.raises(DataError):
             labels.extract_features([], labels.QuestionSet.empty(), 0.005, 10)
+
+
+def dense_reference(labs, questions, frame_shift, n_frames):
+    """The per-frame matrix as ``extract_features`` built it before it kept
+    answers per label: every frame row written out in full."""
+    n_questions = len(questions.binary) + len(questions.numeric)
+    out = np.zeros((n_frames, n_questions + labels.N_POSITIONAL))
+    answers = np.stack([labels._answer_label(lab, questions) for lab in labs])
+    shift_ticks = frame_shift * labels.TICKS_PER_SECOND
+    ticks = np.floor(np.arange(n_frames) * shift_ticks + 0.5)
+    ends = np.array([lab.end for lab in labs], dtype=np.float64)
+    which = np.minimum(np.searchsorted(ends, ticks, side="right"), len(labs) - 1)
+    starts = np.array([lab.start for lab in labs], dtype=np.float64)
+    durations = np.maximum(ends - starts, 1.0)
+    frac_through = np.clip((ticks - starts[which]) / durations[which], 0.0, 1.0)
+    out[:, :n_questions] = answers[which]
+    out[:, n_questions + 0] = frac_through
+    out[:, n_questions + 1] = 1.0 - frac_through
+    out[:, n_questions + 2] = durations[which] / shift_ticks
+    out[:, n_questions + 3] = np.maximum(np.floor((ticks - starts[which]) / shift_ticks), 0.0)
+    return out
+
+
+def assert_dense_matches_reference(labs, qs, frame_shift, n_frames):
+    feats = labels.extract_features(labs, qs, frame_shift, n_frames)
+    assert feats.answers.shape == (len(labs), len(qs.binary) + len(qs.numeric))
+    assert feats.positional.shape == (n_frames, labels.N_POSITIONAL)
+    dense = feats.dense()
+    expect = dense_reference(labs, qs, frame_shift, n_frames)
+    assert (dense.dtype, dense.shape) == (expect.dtype, expect.shape)
+    assert dense.tobytes() == expect.tobytes()
+    return feats
+
+
+class TestLinguisticFeatures:
+    def test_dense_matches_per_frame_matrix_on_bench_question_set(self, tiny_corpus):
+        corpus = load_bench_module("corpus")
+        text = corpus.render_question_set(1000, np.random.default_rng(0))
+        qs = labels.parse_questions(text)
+        assert len(qs.binary) + len(qs.numeric) == 1001
+        for lab_file in sorted(tiny_corpus.label_dir.glob("*.lab"))[:4]:
+            labs = labels.parse_labels(lab_file.read_text())
+            n_frames = round(labs[-1].end / 50000) + 7  # a few frames past the last label
+            feats = assert_dense_matches_reference(labs, qs, 0.005, n_frames)
+            assert feats.answers[:, -1].max() > 0  # the duration CQS answers
+
+    def test_dense_matches_per_frame_matrix_at_label_edges(self):
+        qs = labels.parse_questions('QS "IsZ" {*z*}\nQS "IsB" {*b*}\nCQS "N" {*@(\\d+)}\n')
+        labs = labels.parse_labels(
+            "0 210000 a@4\n"
+            "210000 210000 z@9\n"  # zero length
+            "210000 240000 z@7\n"  # between two frame times: owns no frame
+            "240000 300000 b@2\n"
+            "300000 500000 c@4\n"
+        )
+        feats = assert_dense_matches_reference(labs, qs, 0.005, 14)  # 4 frames past the end
+        assert set(feats.which) == {0, 3, 4}
+        assert np.all(feats.which[-4:] == 4)
+
+    def test_empty_utterance_has_no_rows(self):
+        labs = labels.parse_labels("0 200000 a@4\n")
+        assert_dense_matches_reference(labs, labels.parse_questions('QS "A" {*a*}'), 0.005, 0)
+
+    def test_save_load_round_trip(self, tmp_path):
+        qs = labels.parse_questions('QS "IsB" {*b*}\nCQS "N" {*@(\\d+)}\n')
+        labs = labels.parse_labels("0 200000 a@4\n200000 300000 b@2\n")
+        feats = labels.extract_features(labs, qs, 0.005, 8)
+        labels.save_features(feats, tmp_path / "u.npz")
+        back = labels.load_features(tmp_path / "u.npz")
+        assert labels.frame_count(tmp_path / "u.npz") == 8
+        assert back.which.dtype == np.uint8  # two labels
+        for name in ("answers", "which", "positional"):
+            a, b = getattr(feats, name), getattr(back, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

@@ -152,7 +152,7 @@ class TestInputRecipe:
         width = (n_answers + 4 if cfg.reads_questions else 4) + k
         for utt_id in pipeline.load_split(run).all_ids:
             x = pipeline.utterance_inputs(cfg, run, utt_id)
-            assert x.shape == (np.load(run.ling(utt_id)).shape[0], width)
+            assert x.shape == (labels.frame_count(run.ling(utt_id)), width)
 
     def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
         cfg, run = prepared_runs["txt+ult2wav"]
@@ -164,6 +164,56 @@ class TestInputRecipe:
             combined = pipeline.utterance_inputs(cfg, run, utt_id)
             assert (combined.dtype, combined.shape) == (expected.dtype, expected.shape)
             assert combined.tobytes() == expected.tobytes()
+
+
+class TestGatheredInputs:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_rows_and_normalisation_match_the_input_matrix(self, prepared_runs, system):
+        cfg, run = prepared_runs[system]
+        train = pipeline.load_split(run).train
+        dense = pipeline.input_matrix(cfg, run, train)
+        rows = pipeline.gathered_inputs(cfg, run, train)
+        everything = np.arange(dense.shape[0])
+        assert rows[everything].tobytes() == dense.tobytes()
+        stats = pipeline.normalize_gathered(rows)
+        dense_stats = acoustic.fit_normalization(dense, "minmax")
+        assert stats.a.tobytes() == dense_stats.a.tobytes()
+        assert stats.b.tobytes() == dense_stats.b.tobytes()
+        assert rows[everything].tobytes() == acoustic.apply_normalization(stats, dense).tobytes()
+
+    def test_minmax_skips_labels_that_own_no_frame(self, tiny_corpus, tmp_path):
+        ids = ultra.discover_utterances(tiny_corpus.ultrasound_dir)
+        first = pipeline.split_dataset(ids, config_for(tiny_corpus).ratios).train[0]
+        label_dir = tmp_path / "lab"
+        shutil.copytree(tiny_corpus.label_dir, label_dir)
+        # a zero-length label, owning no frame, that alone answers C-z and
+        # holds the largest C-Dur value
+        lines = (label_dir / f"{first}.lab").read_text().splitlines()
+        end = lines[0].split()[1]
+        lines.insert(1, f"{end} {end} x^x-z+x=x@999")
+        (label_dir / f"{first}.lab").write_text("\n".join(lines) + "\n")
+        question_file = tmp_path / "questions.hed"
+        question_file.write_text(tiny_corpus.question_file.read_text() + 'QS "C-z" {*-z+*}\n')
+        cfg = config_for(
+            tiny_corpus, system="txt2wav", label_dir=label_dir, question_file=question_file,
+            max_epochs=2, warmup_epochs=1,
+        )
+        run = pipeline.start_run(cfg, tmp_path / "run")
+        for stage in ("prepare", "train"):
+            pipeline.run_stage(stage, run.root)
+
+        train = pipeline.load_split(run).train
+        dense = acoustic.fit_normalization(pipeline.input_matrix(cfg, run, train), "minmax")
+        _, persisted, _ = mlp.load_checkpoint(run.checkpoint)
+        assert persisted.a.tobytes() == dense.a.tobytes()
+        assert persisted.b.tobytes() == dense.b.tobytes()
+        # over every label row, the C-Dur and C-z maxima would be the new label's
+        every_label = np.vstack([labels.load_features(run.ling(u)).answers for u in train])
+        n_questions = every_label.shape[1]
+        assert np.array_equal(
+            every_label.max(axis=0) > dense.b[:n_questions],
+            np.arange(n_questions) >= n_questions - 2,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +240,8 @@ class TestRunExperiment:
         assert not (run.stage_dir("prepare") / "ult").exists()
         prepared = {p.name for p in run.stage_dir("prepare").iterdir()}
         assert prepared == {run.splits.name, run.ling("x").parent.name}
+        ling = sorted(p.name for p in run.ling("x").parent.iterdir())
+        assert ling == sorted(f"{u}.npz" for u in pipeline.load_split(run).all_ids)
 
     def test_trained_model_is_one_file_and_voicing_lives_in_lf0(self, tiny_run):
         _, run = tiny_run
