@@ -92,6 +92,11 @@ def save_stream(matrix: np.ndarray, path: Path) -> None:
     Path(path).write_bytes(matrix.astype("<f4").tobytes())
 
 
+def frame_count(acoustic_dir: Path, utt_id: str) -> int:
+    """Frames of an utterance's feature files, from the size of its LF0 file alone."""
+    return (Path(acoustic_dir) / f"{utt_id}.lf0").stat().st_size // np.dtype("<f4").itemsize
+
+
 def read_streams(
     acoustic_dir: Path, utt_id: str, mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM
 ) -> AcousticStreams:

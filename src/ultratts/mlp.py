@@ -3,9 +3,13 @@
 Default architecture and schedule follow the experiment constants: six
 hidden layers of 1024 tanh units, linear output, SGD with batch size 256,
 25 epochs with a 10-epoch warm-up at learning rate 0.002 and exponential
-decay afterwards, early stopping on validation error. Everything runs in
-64-bit floats. A checkpoint is the whole trained model: the net plus the
-input and output normalisation it was trained under.
+decay afterwards, early stopping on validation error. The net computes in
+the dtype of its weights (``init_model``'s ``dtype``, 64-bit by default;
+the pipeline trains in 32-bit): batches, targets, activations, gradients
+and updates all stay in it, while ``mse`` and the validation score are
+taken in 64-bit floats. A checkpoint is the whole trained model: the net,
+at its own float width, plus the 64-bit input and output normalisation it
+was trained under.
 """
 
 from __future__ import annotations
@@ -25,8 +29,15 @@ DEFAULT_HIDDEN = (1024,) * 6
 # Generated trajectory variants: MLPG-smoothed and raw static predictions.
 VARIANTS = ("mlpg", "static")
 
+# training has diverged when its best validation MSE exceeds this multiple of
+# the MSE of predicting zero (about 1 for mean-variance normalised targets)
+DIVERGENCE_FACTOR = 10.0
+
 _CKPT_MAGIC = b"MLPC"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
+# magic, version, float width of the net in bytes, layer count
+_CKPT_HEADER = "<4sIIQ"
+_CKPT_NET_DTYPES = {4: np.float32, 8: np.float64}
 
 
 @dataclass
@@ -42,6 +53,11 @@ class MlpModel:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The float type the net computes in: that of its weights."""
+        return self.weights[0].dtype
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -76,6 +92,12 @@ class GatheredRows:
 
     def __getitem__(self, idx: np.ndarray) -> np.ndarray:
         return np.hstack([self.table[self.which[idx]], self.frames[idx]])
+
+    def astype(self, dtype) -> "GatheredRows":
+        """The same rows with ``table`` and ``frames`` in ``dtype``; no copy if they are."""
+        return GatheredRows(
+            self.table.astype(dtype, copy=False), self.which, self.frames.astype(dtype, copy=False)
+        )
 
 
 @dataclass(frozen=True)
@@ -118,8 +140,11 @@ def init_model(
     seed: int,
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
     output_dim: int = acoustic.target_width(),
+    dtype=np.float64,
 ) -> MlpModel:
-    """Glorot-uniform weights, zero biases; bit-deterministic for a given seed."""
+    """Glorot-uniform weights, zero biases, in ``dtype``; bit-deterministic for a
+    given seed. The weights are drawn in float64 and then cast, so a seed fixes
+    the same initial net at every width."""
     if input_dim < 1:
         raise ArgumentError(f"input_dim must be >= 1, got {input_dim}")
     sizes = (input_dim, *hidden_sizes, output_dim)
@@ -127,14 +152,18 @@ def init_model(
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Affine + tanh through the hidden layers, linear output."""
-    return _forward(model, _check_batch(model, batch), keep_activations=False)[0]
+    batch = _check_batch(model, batch)
+    # only a diverged model overflows; its callers check the outputs for
+    # non-finite values, so silence the intermediate warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward(model, batch, keep_activations=False)[0]
 
 
 def _forward(
@@ -156,10 +185,11 @@ def backward(
     """Gradients of the half-MSE loss for every weight and bias, plus the loss.
 
     The loss is half of the batch-mean squared error, summed over output
-    dimensions; it is the quantity SGD minimises.
+    dimensions; it is the quantity SGD minimises, accumulated in float64.
+    Batch, targets and gradients are in the model's dtype.
     """
     batch = _check_batch(model, batch)
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(targets, dtype=model.dtype))
     if targets.shape != (batch.shape[0], model.output_dim):
         raise ArgumentError(
             f"target shape {targets.shape} != ({batch.shape[0]}, {model.output_dim})"
@@ -169,7 +199,7 @@ def backward(
     with np.errstate(over="ignore", invalid="ignore"):
         pred, activations = _forward(model, batch, keep_activations=True)
         diff = pred - targets
-        batch_loss = float(0.5 * np.sum(diff * diff) / diff.shape[0])
+        batch_loss = float(0.5 * np.sum(diff * diff, dtype=np.float64) / diff.shape[0])
         delta = diff / diff.shape[0]  # d loss / d pred, mean over the batch
         grads_w = [np.empty(0)] * len(model.weights)
         grads_b = [np.empty(0)] * len(model.biases)
@@ -192,15 +222,23 @@ def train(
 
     Batches are reshuffled each epoch with a generator seeded from the
     schedule; the training inputs may be a ``GatheredRows``, which builds
-    each batch when it is drawn. Returns the parameters of the
-    best-validation epoch; stops early when validation MSE has not improved
-    for ``patience`` consecutive epochs after warm-up.
+    each batch when it is drawn. Inputs, targets and validation inputs are
+    cast to the model's dtype once, here, so no batch is cast. Returns the
+    parameters of the best-validation epoch; stops early when validation MSE
+    has not improved for ``patience`` consecutive epochs after warm-up, and
+    when a loss overflows the model's float range, which a diverging float32
+    net reaches long before float64 would. Raises ``TrainingDiverged`` when
+    the best validation MSE exceeds ``DIVERGENCE_FACTOR`` times the MSE of
+    predicting zero, however finite its numbers are, or no epoch stayed finite.
     """
     train_x, train_y = train_set
-    if not isinstance(train_x, GatheredRows):
-        train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64)
-    valid_x, valid_y = (np.asarray(a, dtype=np.float64) for a in valid_set)
+    if isinstance(train_x, GatheredRows):
+        train_x = train_x.astype(model.dtype)
+    else:
+        train_x = np.asarray(train_x, dtype=model.dtype)
+    train_y = np.asarray(train_y, dtype=model.dtype)
+    valid_x = np.asarray(valid_set[0], dtype=model.dtype)
+    valid_y = np.asarray(valid_set[1], dtype=np.float64)
     if train_x.shape[0] == 0 or valid_x.shape[0] == 0:
         raise DataError("train and validation sets must be non-empty")
 
@@ -217,20 +255,23 @@ def train(
         for start in range(0, order.size, schedule.batch_size):
             idx = order[start : start + schedule.batch_size]
             grads_w, grads_b, batch_loss = backward(model, train_x[idx], train_y[idx])
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             loss_sum += batch_loss * idx.size
+            if not np.isfinite(loss_sum):
+                break
             for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
                 gw *= lr
                 w -= gw
                 gb *= lr
                 b -= gb
+        # an overflowed net cannot recover; the epochs before it hold the best
+        if not np.isfinite(loss_sum):
+            break
         # per-element MSE over all training rows, comparable with the
         # validation column; each batch loss is a mean over its own rows
         train_mse = 2.0 * loss_sum / (order.size * model.output_dim)
         valid_mse = mse(forward(model, valid_x), valid_y)
         if not np.isfinite(valid_mse):
-            raise TrainingDiverged(f"non-finite validation MSE at epoch {epoch}")
+            break
         history.append(EpochRecord(epoch=epoch, lr=lr, train_mse=train_mse, valid_mse=valid_mse))
 
         if valid_mse < best_valid:
@@ -241,6 +282,14 @@ def train(
             stale_epochs += 1
             if stale_epochs >= schedule.patience:
                 break
+
+    zero_mse = mse(np.zeros_like(valid_y), valid_y)
+    if not best_valid <= DIVERGENCE_FACTOR * zero_mse:
+        overflow = f"; the loss overflowed at epoch {epoch}" if epoch > len(history) else ""
+        raise TrainingDiverged(
+            f"best validation MSE {best_valid:.4g} exceeds {DIVERGENCE_FACTOR:g} x "
+            f"{zero_mse:.4g}, the MSE of predicting zero{overflow}"
+        )
     return best, history
 
 
@@ -280,6 +329,8 @@ def predict_utterance(
             f"{acoustic.target_width(mgc_dim, bap_dim)}"
         )
     denorm = acoustic.invert_normalization(output_stats, forward(model, inputs))
+    if not np.all(np.isfinite(denorm)):
+        raise DataError("non-finite predictions: the model has diverged")
     columns = acoustic.split_target_columns(mgc_dim, bap_dim)
     variances = np.where(output_stats.b > 0.0, output_stats.b**2, 1.0)
 
@@ -300,7 +351,7 @@ def predict_utterance(
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    batch = np.atleast_2d(np.asarray(batch, dtype=model.dtype))
     if batch.shape[1] != model.input_dim:
         raise ArgumentError(f"batch width {batch.shape[1]} != model input {model.input_dim}")
     return batch
@@ -314,54 +365,68 @@ def save_checkpoint(
 ) -> None:
     """Write the whole trained model: the net and the normalisation it was trained under.
 
-    After the magic, version and layer count come the layer sizes, each
-    layer's weights and biases, the input min/max and the output mean/std,
-    all little-endian. The normalisation kinds are fixed by role (min-max
+    After the magic, version, the net's float width (4 or 8 bytes) and the
+    layer count come the layer sizes, each layer's weights and biases at
+    that width, and the input min/max and output mean/std as float64, all
+    little-endian. The normalisation kinds are fixed by role (min-max
     inputs, mean-variance outputs), so no kind code is stored.
     """
-    for role, stats, kind, width in (
+    width = model.dtype.itemsize
+    if model.dtype.kind != "f" or width not in _CKPT_NET_DTYPES:
+        raise ArgumentError(f"cannot checkpoint a net of dtype {model.dtype}")
+    for role, stats, kind, n_columns in (
         ("input", input_stats, "minmax", model.input_dim),
         ("output", output_stats, "meanvar", model.output_dim),
     ):
         if stats.kind != kind:
             raise ArgumentError(f"{role} stats must be {kind}, got {stats.kind!r}")
-        if stats.n_columns != width:
+        if stats.n_columns != n_columns:
             raise ArgumentError(
-                f"{role} stats have {stats.n_columns} columns, model {role} has {width}"
+                f"{role} stats have {stats.n_columns} columns, model {role} has {n_columns}"
             )
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", _CKPT_MAGIC, _CKPT_VERSION, len(model.layer_sizes)))
+        fh.write(
+            struct.pack(_CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION, width, len(model.layer_sizes))
+        )
         fh.write(struct.pack(f"<{len(model.layer_sizes)}Q", *model.layer_sizes))
         for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype=f"<f{width}").tobytes())
+            fh.write(b.astype(f"<f{width}").tobytes())
         for vector in (input_stats.a, input_stats.b, output_stats.a, output_stats.b):
             fh.write(vector.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, NormalizationStats]:
-    """The model written by ``save_checkpoint``, with its input and output stats."""
+    """The model written by ``save_checkpoint``, in its stored dtype, with its
+    input and output stats."""
     data = Path(path).read_bytes()
-    offset = struct.calcsize("<4sIQ")
+    offset = struct.calcsize(_CKPT_HEADER)
     try:
-        magic, version, n_sizes = struct.unpack_from("<4sIQ", data)
-        if magic != _CKPT_MAGIC or version != _CKPT_VERSION or n_sizes < 2:
+        magic, version, width, n_sizes = struct.unpack_from(_CKPT_HEADER, data)
+        if (
+            magic != _CKPT_MAGIC
+            or version != _CKPT_VERSION
+            or width not in _CKPT_NET_DTYPES
+            or n_sizes < 2
+        ):
             raise FormatError(f"not a recognized checkpoint: {path}")
         sizes = struct.unpack_from(f"<{n_sizes}Q", data, offset)
         offset += 8 * n_sizes
     except struct.error as e:
         raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
     pairs = list(zip(sizes[:-1], sizes[1:]))
-    counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
-    counts += [sizes[0], sizes[0], sizes[-1], sizes[-1]]
-    expected = offset + 8 * sum(counts)
+    net_counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
+    stats_counts = [sizes[0], sizes[0], sizes[-1], sizes[-1]]
+    stats_offset = offset + width * sum(net_counts)
+    expected = stats_offset + 8 * sum(stats_counts)
     if len(data) != expected:
         raise FormatError(f"checkpoint length {len(data)} != expected {expected}: {path}")
-    floats = np.frombuffer(data, dtype="<f8", offset=offset).copy()
-    parts = np.split(floats, np.cumsum(counts)[:-1])
-    weights = [w.reshape(shape) for w, shape in zip(parts[0:-4:2], pairs)]
-    model = MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=parts[1:-4:2])
-    in_min, in_max, out_mean, out_std = parts[-4:]
+    net = np.frombuffer(data, dtype=f"<f{width}", count=sum(net_counts), offset=offset)
+    parts = np.split(net.astype(_CKPT_NET_DTYPES[width]), np.cumsum(net_counts)[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(parts[0::2], pairs)]
+    model = MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=parts[1::2])
+    stats = np.frombuffer(data, dtype="<f8", offset=stats_offset).astype(np.float64)
+    in_min, in_max, out_mean, out_std = np.split(stats, np.cumsum(stats_counts)[:-1])
     return (
         model,
         NormalizationStats("minmax", a=in_min, b=in_max),

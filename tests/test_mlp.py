@@ -54,6 +54,14 @@ class TestInit:
         with pytest.raises(ArgumentError):
             mlp.init_model(0, seed=0)
 
+    def test_float32_net_is_the_float64_net_cast(self):
+        wide = mlp.init_model(10, seed=42, hidden_sizes=(16, 16), output_dim=7)
+        narrow = mlp.init_model(10, seed=42, hidden_sizes=(16, 16), output_dim=7, dtype=np.float32)
+        assert (wide.dtype, narrow.dtype) == (np.float64, np.float32)
+        for a, b in zip(wide.weights + wide.biases, narrow.weights + narrow.biases):
+            assert b.dtype == np.float32
+            assert b.tobytes() == a.astype(np.float32).tobytes()
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
@@ -114,6 +122,88 @@ class TestBackward:
         model = mlp.init_model(4, seed=0, hidden_sizes=(6,), output_dim=2)
         with pytest.raises(ArgumentError):
             mlp.backward(model, np.zeros((3, 4)), np.zeros((3, 5)))
+
+
+def _float32_twin():
+    """Criterion 3's 5-8-8-3 net in float32, and the same weights in float64."""
+    narrow = mlp.init_model(5, seed=1, hidden_sizes=(8, 8), output_dim=3, dtype=np.float32)
+    wide = mlp.MlpModel(
+        narrow.layer_sizes,
+        [w.astype(np.float64) for w in narrow.weights],
+        [b.astype(np.float64) for b in narrow.biases],
+    )
+    return narrow, wide
+
+
+class TestFloat32:
+    # Every gradient entry of the 5-8-8-3 net on a 6-row batch passes through
+    # under 50 dependent float32 roundings (dot products of length 5, 8 and 8
+    # forward, 3 and 8 backward, the 6-row batch sum, tanh and its derivative,
+    # the residual and the 1/batch scaling), each within eps/2: about 25 eps of
+    # the summed absolute terms. Those sums exceed the largest entry of a
+    # gradient array by at most fan-in x batch = 8 x 6 when the terms cancel,
+    # so each array may differ from float64 by 25 x 48 eps (1.4e-4) of its
+    # largest entry.
+    grad_rtol = 25 * 48 * np.finfo(np.float32).eps
+
+    def test_gradients_match_the_float64_path(self):
+        narrow, wide = _float32_twin()
+        rng = np.random.default_rng(0)
+        # float32-representable data, so both paths see the same numbers
+        x = rng.normal(size=(6, 5)).astype(np.float32).astype(np.float64)
+        y = rng.normal(size=(6, 3)).astype(np.float32).astype(np.float64)
+        grads_w32, grads_b32, loss32 = mlp.backward(narrow, x, y)
+        grads_w64, grads_b64, loss64 = mlp.backward(wide, x, y)
+        for g32, g64 in zip(grads_w32 + grads_b32, grads_w64 + grads_b64):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g64).max() <= self.grad_rtol * np.abs(g64).max()
+        assert loss32 == pytest.approx(loss64, rel=self.grad_rtol)
+
+    def test_float64_data_does_not_promote_backward(self):
+        narrow, _ = _float32_twin()
+        rng = np.random.default_rng(1)
+        grads_w, grads_b, _ = mlp.backward(narrow, rng.normal(size=(4, 5)), rng.normal(size=(4, 3)))
+        assert {g.dtype for g in grads_w + grads_b} == {np.dtype(np.float32)}
+        assert mlp.forward(narrow, rng.normal(size=(4, 5))).dtype == np.float32
+
+    @pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
+    def test_float64_data_does_not_promote_train(self, gathered, monkeypatch):
+        rows, dense, y = grouped_task()
+        assert (rows.table.dtype, dense.dtype, y.dtype) == (np.float64,) * 3
+        # train casts its data once, so every batch reaches backward in float32
+        seen = set()
+        backward = mlp.backward
+
+        def recording_backward(model, batch, targets):
+            seen.update((batch.dtype, targets.dtype))
+            return backward(model, batch, targets)
+
+        monkeypatch.setattr(mlp, "backward", recording_backward)
+        schedule = mlp.TrainingSchedule(
+            max_epochs=3, warmup_epochs=1, base_lr=0.1, decay=0.9, batch_size=64, seed=2,
+        )
+        model = mlp.init_model(7, seed=3, hidden_sizes=(8, 8), output_dim=4, dtype=np.float32)
+        train_x = rows if gathered else dense
+        best, _ = mlp.train(model, (train_x, y), (dense[-100:], y[-100:]), schedule)
+        assert seen == {np.dtype(np.float32)}
+        assert {a.dtype for a in best.weights + best.biases} == {np.dtype(np.float32)}
+
+    def test_train_is_bit_reproducible(self):
+        rows, dense, y = grouped_task(seed=4)
+        schedule = mlp.TrainingSchedule(
+            max_epochs=5, warmup_epochs=2, base_lr=0.1, decay=0.9, batch_size=64, seed=6,
+        )
+        results = [
+            mlp.train(
+                mlp.init_model(7, seed=5, hidden_sizes=(8, 8), output_dim=4, dtype=np.float32),
+                (rows, y), (dense[-100:], y[-100:]), schedule,
+            )
+            for _ in range(2)
+        ]
+        (best_a, history_a), (best_b, history_b) = results
+        assert history_a == history_b
+        for a, b in zip(best_a.weights + best_a.biases, best_b.weights + best_b.biases):
+            assert a.tobytes() == b.tobytes()
 
 
 def linear_task(n=800, seed=0):
@@ -188,13 +278,46 @@ class TestTrain:
         assert schedule.learning_rate(12) == pytest.approx(0.0005)
 
     def test_divergence_raises(self):
+        # float64 keeps three epochs finite at a validation MSE near 1e92 before
+        # the loss overflows; float32 overflows within the first epoch
         train_set, valid_set = linear_task(seed=7)
         schedule = mlp.TrainingSchedule(
             max_epochs=10, warmup_epochs=2, base_lr=1e6, decay=1.0,
             batch_size=64, patience=3, seed=0,
         )
-        model = mlp.init_model(6, seed=3, hidden_sizes=(8,), output_dim=4)
-        with pytest.raises(TrainingDiverged):
+        for dtype in (np.float64, np.float32):
+            model = mlp.init_model(6, seed=3, hidden_sizes=(8,), output_dim=4, dtype=dtype)
+            with pytest.raises(TrainingDiverged):
+                mlp.train(model, train_set, valid_set, schedule)
+
+    def test_overflowing_loss_keeps_the_best_finite_epoch(self, monkeypatch):
+        # 400 training rows in batches of 64 make 7 batches per epoch; the
+        # loss overflows from the first batch of epoch 4 on
+        train_set, valid_set = linear_task(seed=5)
+        backward = mlp.backward
+        calls = []
+
+        def overflowing_backward(model, batch, targets):
+            grads_w, grads_b, loss = backward(model, batch, targets)
+            calls.append(loss)
+            return grads_w, grads_b, loss if len(calls) <= 3 * 7 else np.inf
+
+        monkeypatch.setattr(mlp, "backward", overflowing_backward)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        best, history = mlp.train(model, train_set, valid_set, self.schedule)
+        assert [h.epoch for h in history] == [1, 2, 3]
+        assert len(calls) == 3 * 7 + 1
+        recomputed = mlp.mse(mlp.forward(best, valid_set[0]), valid_set[1])
+        assert recomputed == min(h.valid_mse for h in history)
+
+    def test_finite_divergence_raises(self):
+        # at a rate of 1e-300 the net keeps its initial weights, whose output
+        # biases of 100 score more than 10x worse than predicting zero
+        train_set, valid_set = linear_task(seed=9)
+        schedule = mlp.TrainingSchedule(max_epochs=2, warmup_epochs=1, base_lr=1e-300, seed=0)
+        model = mlp.init_model(6, seed=4, hidden_sizes=(8,), output_dim=4)
+        model.biases[-1][:] = 100.0
+        with pytest.raises(TrainingDiverged, match="predicting zero"):
             mlp.train(model, train_set, valid_set, schedule)
 
     def test_empty_sets_rejected(self):
@@ -341,18 +464,34 @@ def _fitted_stats(model, seed=5):
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = mlp.init_model(9, seed=12, hidden_sizes=(5, 4), output_dim=3)
-        in_stats, out_stats = _fitted_stats(model)
+        for dtype in (np.float32, np.float64):
+            model = mlp.init_model(9, seed=12, hidden_sizes=(5, 4), output_dim=3, dtype=dtype)
+            in_stats, out_stats = _fitted_stats(model)
+            path = tmp_path / "model.bin"
+            mlp.save_checkpoint(model, in_stats, out_stats, path)
+            loaded, loaded_in, loaded_out = mlp.load_checkpoint(path)
+            assert loaded.layer_sizes == model.layer_sizes
+            for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+                assert a.dtype == dtype
+                assert a.tobytes() == b.tobytes()
+            for loaded_stats, stats in ((loaded_in, in_stats), (loaded_out, out_stats)):
+                assert loaded_stats.kind == stats.kind
+                assert loaded_stats.a.dtype == np.float64
+                assert loaded_stats.a.tobytes() == stats.a.tobytes()
+                assert loaded_stats.b.tobytes() == stats.b.tobytes()
+
+    def test_file_holds_the_net_at_its_own_width(self, tmp_path):
+        model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3, dtype=np.float32)
         path = tmp_path / "model.bin"
-        mlp.save_checkpoint(model, in_stats, out_stats, path)
-        loaded, loaded_in, loaded_out = mlp.load_checkpoint(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
-            assert a.tobytes() == b.tobytes()
-        for loaded_stats, stats in ((loaded_in, in_stats), (loaded_out, out_stats)):
-            assert loaded_stats.kind == stats.kind
-            assert loaded_stats.a.tobytes() == stats.a.tobytes()
-            assert loaded_stats.b.tobytes() == stats.b.tobytes()
+        mlp.save_checkpoint(model, *_fitted_stats(model), path)
+        n_net = 9 * 5 + 5 + 5 * 3 + 3
+        n_stats = 2 * 9 + 2 * 3
+        assert path.stat().st_size == 20 + 8 * 3 + 4 * n_net + 8 * n_stats
+
+    def test_save_rejects_a_net_of_another_width(self, tmp_path):
+        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2, dtype=np.float16)
+        with pytest.raises(ArgumentError, match="float16"):
+            mlp.save_checkpoint(model, *_fitted_stats(model), tmp_path / "model.bin")
 
     def test_save_rejects_swapped_kinds(self, tmp_path):
         model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=4)
@@ -370,10 +509,12 @@ class TestCheckpoint:
             mlp.save_checkpoint(model, *stats, tmp_path / "model.bin")
 
     def test_version_1_checkpoint_is_format_error(self, tmp_path):
+        # versions 1 and 2 held the net in float64 without a width field
         path = tmp_path / "model.bin"
-        path.write_bytes(_with_version(_checkpoint_bytes(tmp_path), 1))
-        with pytest.raises(FormatError):
-            mlp.load_checkpoint(path)
+        for version in (1, 2):
+            path.write_bytes(_with_version(_checkpoint_bytes(tmp_path), version))
+            with pytest.raises(FormatError):
+                mlp.load_checkpoint(path)
 
 
 def _checkpoint_bytes(tmp_path):
@@ -388,6 +529,9 @@ def _with_version(data, version):
     return data[:4] + struct.pack("<I", version) + data[8:]
 
 
+# The header is the magic (4 bytes), the version (4), the float width (4) and
+# the layer count (8), followed by the 3 layer sizes (24): 3 bytes cut inside
+# the magic, 20 keep the fixed header but no size, 40 cut inside the sizes.
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -396,10 +540,11 @@ def _with_version(data, version):
         lambda d: d[:40],
         lambda d: d[:-3],
         lambda d: d + b"x",
-        lambda d: d[:8] + struct.pack("<Q", 0) + d[16:],
+        lambda d: d[:12] + struct.pack("<Q", 0) + d[20:],
+        lambda d: d[:8] + struct.pack("<I", 2) + d[12:],
     ],
     ids=["ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes", "ckpt-3-short", "ckpt-1-long",
-         "ckpt-0-layers"],
+         "ckpt-0-layers", "ckpt-width-2"],
 )
 def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, corrupt):
     path = tmp_path / "corrupt.bin"

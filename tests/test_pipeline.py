@@ -250,6 +250,17 @@ class TestRunExperiment:
         generated = {p.suffix for p in run.stage_dir("generate").rglob("*") if p.is_file()}
         assert generated == {".mgc", ".bap", ".lf0"}
 
+    def test_checkpoint_holds_a_float32_net_and_float64_normalisation(self, tiny_run):
+        _, run = tiny_run
+        model, in_stats, out_stats = mlp.load_checkpoint(run.checkpoint)
+        assert {a.dtype for a in model.weights + model.biases} == {np.dtype(np.float32)}
+        assert (in_stats.a.dtype, out_stats.a.dtype) == (np.float64, np.float64)
+        sizes = model.layer_sizes
+        n_net = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+        n_stats = 2 * (sizes[0] + sizes[-1])
+        header = 20 + 8 * len(sizes)
+        assert run.checkpoint.stat().st_size == header + 4 * n_net + 8 * n_stats
+
     def test_resolved_config_echo_reparses_identically(self, tiny_run):
         cfg, run = tiny_run
         assert read_config(run.config) == cfg
@@ -320,6 +331,17 @@ class TestRunExperiment:
         assert persisted_in.b.tobytes() == in_stats.b.tobytes()
         assert persisted_out.a.tobytes() == out_stats.a.tobytes()
         assert persisted_out.b.tobytes() == out_stats.b.tobytes()
+
+    def test_target_matrix_stacks_each_utterance_targets(self, tiny_run):
+        cfg, run = tiny_run
+        ids = pipeline.load_split(run).train
+        stacked = np.vstack([
+            acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim))
+            for u in ids
+        ])
+        targets = pipeline.target_matrix(cfg, ids)
+        assert targets.dtype == np.float64
+        assert targets.tobytes() == stacked.tobytes()
 
     def test_evaluate_stage_reruns_identically(self, tiny_run):
         cfg, run = tiny_run
@@ -439,7 +461,10 @@ class TestCli:
         blown = pipeline.RunPaths(tmp_path / "blown")
         shutil.copytree(run.root, blown.root)
         model, in_stats, out_stats = mlp.load_checkpoint(blown.checkpoint)
-        model.weights[-1] *= 1e40
+        # float32 holds every blown-up parameter, but not the outputs that the
+        # scaled weights push above the largest float32
+        model.weights[-1] *= 1e38
+        model.biases[-1][:] = np.finfo(np.float32).max
         mlp.save_checkpoint(model, in_stats, out_stats, blown.checkpoint)
         assert cli.main(["generate", "--output", str(blown.root)]) == 1
         assert "stage 'generate' failed" in capsys.readouterr().err
