@@ -198,8 +198,39 @@ def fit_normalization(data: np.ndarray, kind: str) -> NormalizationStats:
     if kind == "minmax":
         return NormalizationStats(kind=kind, a=data.min(axis=0), b=data.max(axis=0))
     if kind == "meanvar":
-        return NormalizationStats(kind=kind, a=data.mean(axis=0), b=data.std(axis=0))
+        mean = data.mean(axis=0)
+        return NormalizationStats(kind=kind, a=mean, b=_column_std(data, mean))
     raise ArgumentError(f"unknown normalization kind {kind!r}")
+
+
+# elements of squared deviations held at a time by _column_std
+_STD_BLOCK_ELEMENTS = 1 << 16
+
+
+def _column_std(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``data.std(axis=0)`` without its full-size ``data - mean`` temporary.
+
+    numpy sums axis 0 of a C-ordered matrix of several columns row by row.
+    The squared deviations are formed a block of rows at a time and summed
+    with the running sum stacked above them, which keeps that order, so the
+    result equals ``np.std`` bit for bit. numpy sums a single column or
+    another layout pairwise; those are left to it.
+    """
+    n, c = data.shape
+    if c == 1 or not data.flags.c_contiguous:
+        return data.std(axis=0)
+    step = max(1, _STD_BLOCK_ELEMENTS // c)
+    buf = np.empty((min(step, n) + 1, c))
+    total = np.zeros(c)
+    for start in range(0, n, step):
+        block = data[start : start + step]
+        rows = buf[: len(block) + 1]
+        rows[0] = total
+        np.subtract(block, mean, out=rows[1:])
+        rows[1:] *= rows[1:]
+        total = rows.sum(axis=0)
+    total /= n
+    return np.sqrt(total)
 
 
 def apply_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:

@@ -42,7 +42,10 @@ class EigenTonguesModel:
 
 
 def fit_pca(
-    frames: np.ndarray, variance_target: float, k_max: int | None = 128
+    frames: np.ndarray,
+    variance_target: float,
+    k_max: int | None = 128,
+    counts: np.ndarray | None = None,
 ) -> EigenTonguesModel:
     """Fit the compressor on flattened frames (one row per frame).
 
@@ -52,26 +55,48 @@ def fit_pca(
     sign-flipped so its largest-magnitude entry is positive, which makes the
     fit deterministic.
 
+    ``counts``, when given, holds how many times each row occurs in the frame
+    set, so distinct frames can stand for a set with repeats and the fit is
+    that of the expanded set: the mean is weighted by the counts, each centred
+    row is scaled by √m, and n = Σm in the (n-1) normalization and in the
+    total variance.
+
     The fit is an exact eigendecomposition of the smaller Gram matrix of the
-    centred n x d frame matrix C: CCᵀ (n x n) when there are fewer frames than
-    pixels, as in the eigenfaces "snapshot" method, and CᵀC (d x d) otherwise.
-    Only the top min(k_max, n, d) eigenpairs are computed; the total variance
-    is the exact trace ‖C‖²_F / (n-1), so it covers the discarded axes too.
+    centred (and scaled) u x d row matrix C: CCᵀ (u x u) when there are fewer
+    rows than pixels, as in the eigenfaces "snapshot" method, and CᵀC (d x d)
+    otherwise. Only the top min(k_max, u, d) eigenpairs are computed; the
+    total variance is the exact trace ‖C‖²_F / (n-1), so it covers the
+    discarded axes too.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ArgumentError(f"frames must be 2-D (n, d), got shape {frames.shape}")
-    n, d = frames.shape
+    rows, d = frames.shape
+    if counts is None:
+        n = rows
+    else:
+        counts = np.asarray(counts)
+        if (
+            counts.shape != (rows,)
+            or not np.issubdtype(counts.dtype, np.integer)
+            or np.any(counts < 1)
+        ):
+            raise ArgumentError(
+                f"counts must hold one positive integer per row, got {counts.dtype} {counts.shape}"
+            )
+        n = int(counts.sum())
     if n < 2:
         raise DataError(f"need at least 2 frames to fit, got {n}")
     if not 0.0 < variance_target <= 1.0:
         raise ArgumentError(f"variance_target must be in (0, 1], got {variance_target}")
-    mean = frames.mean(axis=0)
+    mean = frames.mean(axis=0) if counts is None else counts @ frames / n
     centered = frames - mean
+    if counts is not None:
+        centered *= np.sqrt(counts)[:, None]
     total = float(np.vdot(centered, centered)) / (n - 1)
     if total <= 0.0:
         raise DataError("zero total variance: all frames are identical")
-    snapshot = n < d
+    snapshot = rows < d
     gram = centered @ centered.T if snapshot else centered.T @ centered
     m = gram.shape[0]
     top = m if k_max is None else min(k_max, m)

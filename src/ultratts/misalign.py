@@ -28,10 +28,17 @@ _RAMP = ((25, 60, 170), (35, 195, 180), (250, 225, 40))
 
 
 def mean_image(seq: UltrasoundSequence) -> np.ndarray:
-    """Pixel-by-pixel mean across time, as float64."""
-    if seq.n_frames == 0:
+    """Pixel-by-pixel mean across time, as float64.
+
+    The uint8 frames are summed in an integer accumulator wide enough for
+    255 * n_frames and divided once; the sum is exact, as it is in float64,
+    so the result equals the float64 mean bit for bit.
+    """
+    n = seq.n_frames
+    if n == 0:
         raise DataError("cannot average an empty ultrasound sequence")
-    return seq.frames.astype(np.float64).mean(axis=0)
+    accumulator = np.uint32 if 255 * n <= np.iinfo(np.uint32).max else np.uint64
+    return seq.frames.sum(axis=0, dtype=accumulator) / n
 
 
 @dataclass(frozen=True)

@@ -184,36 +184,49 @@ def _frame_count(run: RunPaths, utt_id: str) -> int:
     return labels.frame_count(run.ling(utt_id))
 
 
-def utterance_frames(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
+def utterance_frames(
+    cfg: ExperimentConfig, run: RunPaths, utt_id: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The utterance's distinct resized frames and the target-clock index into them."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = _frame_count(run, utt_id)
     return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
 
 
-def train_frame_matrix(cfg: ExperimentConfig, run: RunPaths, split: DatasetSplit) -> np.ndarray:
-    """Training-block ultrasound frames, stacked in recording order."""
-    return np.vstack(_map_ordered(partial(utterance_frames, cfg, run), split.train, cfg.workers))
+def train_frame_matrix(
+    cfg: ExperimentConfig, run: RunPaths, split: DatasetSplit
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The training block's distinct ultrasound frames, stacked in recording
+    order; how many target frames each row stands for; and each utterance's
+    rows (a view of the stack) with its target-clock index into them."""
+    resized = _map_ordered(partial(utterance_frames, cfg, run), split.train, cfg.workers)
+    frames = np.vstack([rows for rows, _ in resized])
+    counts = np.concatenate([np.bincount(index, minlength=len(rows)) for rows, index in resized])
+    bounds = np.cumsum([len(rows) for rows, _ in resized])[:-1]
+    utterances = [(rows, index) for rows, (_, index) in zip(np.split(frames, bounds), resized)]
+    return frames, counts, utterances
 
 
 def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Resize raw frames, fit on training frames only, project every utterance once.
 
-    When the system does not read ultrasound no input uses the coefficients,
-    so the stage only checks that prepare has run.
+    Only distinct source frames are resized, fitted (weighted by how many
+    target frames repeat each) and projected; each coefficient file holds one
+    row per target frame. When the system does not read ultrasound no input
+    uses the coefficients, so the stage only checks that prepare has run.
     """
     split = load_split(run)
     if not cfg.reads_ultrasound:
         return
-    train_frames = train_frame_matrix(cfg, run, split)
-    model = eigentongues.fit_pca(train_frames, cfg.variance_target, cfg.max_components)
+    frames, counts, train_utterances = train_frame_matrix(cfg, run, split)
+    model = eigentongues.fit_pca(frames, cfg.variance_target, cfg.max_components, counts=counts)
     run.coeffs("x").parent.mkdir(parents=True, exist_ok=True)
     eigentongues.save_model(model, run.pca_model)
-    bounds = np.cumsum([_frame_count(run, u) for u in split.train])[:-1]
-    for utt_id, frames in zip(split.train, np.split(train_frames, bounds)):
-        np.save(run.coeffs(utt_id), eigentongues.transform(model, frames))
+    for utt_id, (rows, index) in zip(split.train, train_utterances):
+        np.save(run.coeffs(utt_id), eigentongues.transform(model, rows)[index])
     for utt_id in split.dev + split.test:
-        frames = utterance_frames(cfg, run, utt_id)
-        np.save(run.coeffs(utt_id), eigentongues.transform(model, frames))
+        rows, index = utterance_frames(cfg, run, utt_id)
+        np.save(run.coeffs(utt_id), eigentongues.transform(model, rows)[index])
 
 
 def utterance_inputs(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:

@@ -139,39 +139,67 @@ def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
-    """Dense (n_out, n_in) weight matrix for one axis of a cubic resize.
+def _resize_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices and weights, each (n_out, 4), for one axis of a cubic resize.
 
-    Output sample i reads input coordinate (i + 0.5) * n_in / n_out - 0.5;
-    taps falling outside the image are clamped to the border, which folds
-    their weight onto the edge sample (border replication).
+    Output sample i reads the 4 input samples around coordinate
+    (i + 0.5) * n_in / n_out - 0.5. Taps falling outside the image are clamped
+    to the border, and a clamped tap's weight is added onto the first tap that
+    reads the same sample (border replication), which leaves it weight 0.
     """
     scale = n_in / n_out
-    weights = np.zeros((n_out, n_in))
+    taps = np.empty((n_out, 4), dtype=np.intp)
+    weights = np.zeros((n_out, 4))
     for i in range(n_out):
         s = (i + 0.5) * scale - 0.5
         base = math.floor(s)
         t = s - base
-        taps = np.array([base - 1, base, base + 1, base + 2])
         w = _cubic_kernel(np.array([1.0 + t, t, 1.0 - t, 2.0 - t]))
-        for tap, wk in zip(np.clip(taps, 0, n_in - 1), w):
-            weights[i, tap] += wk
-    return weights
+        clamped = [min(max(tap, 0), n_in - 1) for tap in range(base - 1, base + 3)]
+        taps[i] = clamped
+        for tap, wk in zip(clamped, w):
+            weights[i, clamped.index(tap)] += wk
+    return taps, weights
+
+
+def _resize_axis(images: np.ndarray, n_out: int, axis: int) -> np.ndarray:
+    """Cubic resize of ``images`` along ``axis``: a gather and a weighted sum per tap."""
+    if images.shape[axis] == n_out:
+        # an unscaled axis reads each sample at its centre, with taps 0, 1, 0, 0
+        return images.astype(np.float64)
+    taps, weights = _resize_taps(images.shape[axis], n_out)
+    shape = [1] * images.ndim
+    shape[axis] = n_out
+    weights = weights.T.reshape(4, *shape)
+    out = np.take(images, taps[:, 0], axis=axis) * weights[0]
+    for k in range(1, 4):
+        out += np.take(images, taps[:, k], axis=axis) * weights[k]
+    return out
+
+
+def resize_stack(frames: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
+    """Resize each image of a (n, rows, cols) stack with separable cubic
+    convolution (a = -0.5); returns float64 (n, out_rows, out_cols).
+
+    No re-quantization. Border samples are replicated. Columns are resized
+    first, so the row pass reads the narrower images of a downsized scanline.
+    """
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or frames.shape[1] < 2 or frames.shape[2] < 2:
+        raise ArgumentError(
+            f"input must be a stack of 2-D images of at least 2x2, got shape {frames.shape}"
+        )
+    if out_rows < 1 or out_cols < 1:
+        raise ArgumentError(f"output dimensions must be >= 1, got {out_rows}x{out_cols}")
+    return _resize_axis(_resize_axis(frames, out_cols, axis=2), out_rows, axis=1)
 
 
 def resize_bicubic(frame: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Resize a 2-D image with separable cubic convolution (a = -0.5).
-
-    Returns float64 values; no re-quantization. Border samples are replicated.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2 or frame.shape[0] < 2 or frame.shape[1] < 2:
+    """Resize one 2-D image; ``resize_stack`` of a stack of one."""
+    frame = np.asarray(frame)
+    if frame.ndim != 2:
         raise ArgumentError(f"input must be a 2-D image of at least 2x2, got shape {frame.shape}")
-    if out_rows < 1 or out_cols < 1:
-        raise ArgumentError(f"output dimensions must be >= 1, got {out_rows}x{out_cols}")
-    row_w = _resize_weights(frame.shape[0], out_rows)
-    col_w = _resize_weights(frame.shape[1], out_cols)
-    return row_w @ frame @ col_w.T
+    return resize_stack(frame[None], out_rows, out_cols)[0]
 
 
 def resample_to_frame_clock(
@@ -200,15 +228,14 @@ def resample_to_frame_clock(
 
 def resampled_resized_frames(
     seq: UltrasoundSequence, frame_shift: float, n_target: int, out_rows: int, out_cols: int
-) -> np.ndarray:
-    """Flattened resized frames on the target clock, shape (n_target, out_rows*out_cols).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct source frames the target clock selects, resized and
+    flattened to (u, out_rows*out_cols) in recording order, and the target-clock
+    index into them: row ``index[k]`` is target frame k.
 
-    Only the selected source frames are resized; repeated selections reuse
-    the same resized image.
+    Each selected source frame is resized once, all of them as one stack.
     """
     indices = resample_to_frame_clock(seq, frame_shift, n_target)
-    unique, inverse = np.unique(indices, return_inverse=True)
-    resized = np.stack(
-        [resize_bicubic(seq.frames[i], out_rows, out_cols).ravel() for i in unique]
-    )
-    return resized[inverse]
+    unique, index = np.unique(indices, return_inverse=True)
+    resized = resize_stack(seq.frames[unique], out_rows, out_cols)
+    return resized.reshape(unique.size, out_rows * out_cols), index

@@ -221,8 +221,9 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     run = pipeline.RunPaths(run_dir)
     split = pipeline.load_split(run)
 
+    frames, counts, _ = pipeline.train_frame_matrix(cfg, run, split)
     recomputed_pca = eigentongues.fit_pca(
-        pipeline.train_frame_matrix(cfg, run, split), cfg.variance_target, cfg.max_components
+        frames, cfg.variance_target, cfg.max_components, counts=counts
     )
     persisted = eigentongues.load_model(run.pca_model)
     assert persisted.mean.tobytes() == recomputed_pca.mean.tobytes()

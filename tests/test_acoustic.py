@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,28 @@ class TestNormalization:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             acoustic.fit_normalization(np.zeros((0, 3)), "minmax")
+
+    @pytest.mark.parametrize(
+        "shape, order",
+        [((1, 5), "C"), ((7, 3), "C"), ((1000, 199), "C"), ((300, 1), "C"), ((500, 4), "F")],
+        ids=["one-row", "small", "many-blocks", "one-column", "fortran"],
+    )
+    def test_meanvar_equals_numpy_mean_and_std_bytewise(self, shape, order):
+        rng = np.random.default_rng(6)
+        data = np.asarray(rng.normal(3.0, 40.0, size=shape) + rng.normal(size=shape[1]) * 1e3, order=order)
+        stats = acoustic.fit_normalization(data, "meanvar")
+        assert stats.a.tobytes() == data.mean(axis=0).tobytes()
+        assert stats.b.tobytes() == data.std(axis=0).tobytes()
+
+    def test_meanvar_holds_no_copy_of_the_data(self):
+        data = np.random.default_rng(7).normal(size=(4000, 199))
+        tracemalloc.start()
+        try:
+            acoustic.fit_normalization(data, "meanvar")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4
 
     @pytest.mark.parametrize("kind", ["minmax", "meanvar"])
     def test_in_place_matches_the_formula_bit_for_bit(self, kind):

@@ -122,6 +122,62 @@ class TestFit:
             et.fit_pca(np.random.default_rng(0).normal(size=(5, 4)), 1.5)
 
 
+
+def decaying_rows(distinct, d, seed):
+    """Distinct rows with a geometrically decaying spectrum, and 1-4 repeats of each."""
+    rng = np.random.default_rng(seed)
+    rank = min(distinct, d)
+    directions = np.linalg.qr(rng.normal(size=(d, rank)))[0]
+    latent = rng.normal(size=(distinct, rank)) * (5.0 * 0.8 ** np.arange(rank))
+    return latent @ directions.T + rng.normal(size=d) * 10.0, rng.integers(1, 5, size=distinct)
+
+
+class TestWeightedFit:
+    """Distinct rows with their multiplicities fit as the expanded rows do, to
+    criterion 4's bounds."""
+
+    @pytest.mark.parametrize(
+        "distinct, d",
+        [(30, 200), (30, 50), (30, 8)],
+        ids=["snapshot", "snapshot-vs-expanded-scatter", "scatter"],
+    )
+    def test_counts_fit_equals_expanded_fit(self, distinct, d):
+        rows, counts = decaying_rows(distinct, d, seed=d)
+        expanded = np.repeat(rows, counts, axis=0)
+        weighted = et.fit_pca(rows, 0.9, counts=counts)
+        plain = et.fit_pca(expanded, 0.9)
+        assert weighted.n_components == plain.n_components > 1
+        assert np.allclose(weighted.eigenvalues, plain.eigenvalues, rtol=1e-6)
+        assert np.max(subspace_angles(weighted.basis.T, plain.basis.T)) < 1e-6
+        assert weighted.total_variance == pytest.approx(plain.total_variance, rel=1e-12)
+        assert np.allclose(weighted.mean, plain.mean, rtol=0, atol=1e-12 * np.abs(plain.mean).max())
+        # projecting the distinct rows and repeating them gives the expanded coefficients
+        coeffs = et.transform(weighted, rows)[np.repeat(np.arange(distinct), counts)]
+        assert np.allclose(coeffs, et.transform(plain, expanded), rtol=0, atol=1e-6)
+
+    def test_counts_of_one_fit_the_rows(self):
+        data = gaussian_in_10d(seed=11)
+        weighted = et.fit_pca(data, 0.9, counts=np.ones(len(data), dtype=np.int64))
+        plain = et.fit_pca(data, 0.9)
+        assert np.allclose(weighted.eigenvalues, plain.eigenvalues, rtol=1e-12)
+        assert np.allclose(weighted.basis, plain.basis, atol=1e-9)
+
+    def test_two_copies_of_one_row_are_two_frames(self):
+        # n = Σm: a single distinct row counted twice passes the size check and
+        # fails on its zero variance instead
+        with pytest.raises(DataError, match="zero total variance"):
+            et.fit_pca(np.ones((1, 4)), 0.7, counts=np.array([2]))
+        with pytest.raises(DataError, match="at least 2 frames"):
+            et.fit_pca(np.ones((1, 4)), 0.7, counts=np.array([1]))
+
+    @pytest.mark.parametrize(
+        "counts", [np.array([1, 2]), np.array([1, 0, 2]), np.array([1.0, 2.0, 1.0])],
+        ids=["length", "zero", "float"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ArgumentError, match="counts"):
+            et.fit_pca(np.random.default_rng(0).normal(size=(3, 4)), 0.9, counts=counts)
+
 class TestTransform:
     @pytest.fixture()
     def model(self):

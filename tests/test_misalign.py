@@ -45,6 +45,18 @@ class TestMeanImage:
         with pytest.raises(DataError):
             misalign.mean_image(make_seq(np.zeros((0, 4, 6), np.uint8)))
 
+    def test_equals_float64_mean_bytewise(self):
+        frames = np.random.default_rng(1).integers(0, 256, size=(333, 16, 64), dtype=np.uint8)
+        expect = frames.astype(np.float64).mean(axis=0)
+        assert misalign.mean_image(make_seq(frames)).tobytes() == expect.tobytes()
+
+    def test_accumulator_holds_255_times_frame_count(self):
+        # 255 * n exceeds the uint32 range; a read-only broadcast holds the frames
+        n = 2**32 // 255 + 1
+        meta = ultra.UltrasoundMetadata(1, 2, 81.5, 0.0)
+        frames = np.broadcast_to(np.array([[[255, 1]]], dtype=np.uint8), (n, 1, 2))
+        assert misalign.mean_image(ultra.UltrasoundSequence(meta, frames)).tolist() == [[255.0, 1.0]]
+
 
 class TestMse:
     def test_identical_images_zero(self):

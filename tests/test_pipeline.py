@@ -275,10 +275,12 @@ class TestRunExperiment:
     def test_pca_fitted_on_train_block_only(self, tiny_run):
         cfg, run = tiny_run
         split = pipeline.load_split(run)
+        frames, counts, _ = pipeline.train_frame_matrix(cfg, run, split)
         recomputed = eigentongues.fit_pca(
-            pipeline.train_frame_matrix(cfg, run, split),
+            frames,
             cfg.variance_target,
             cfg.max_components,
+            counts=counts,
         )
         persisted = eigentongues.load_model(run.pca_model)
         assert persisted.mean.tobytes() == recomputed.mean.tobytes()
@@ -289,8 +291,22 @@ class TestRunExperiment:
         cfg, run = tiny_run
         model = eigentongues.load_model(run.pca_model)
         for utt_id in pipeline.load_split(run).all_ids:
-            own = eigentongues.transform(model, pipeline.utterance_frames(cfg, run, utt_id))
+            frames, index = pipeline.utterance_frames(cfg, run, utt_id)
+            own = eigentongues.transform(model, frames)[index]
             assert np.load(run.coeffs(utt_id)).tobytes() == own.tobytes(), utt_id
+
+    def test_target_frames_of_one_source_frame_share_coefficients(self, tiny_run):
+        cfg, run = tiny_run
+        repeats = 0
+        for utt_id in pipeline.load_split(run).all_ids:
+            seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
+            coeffs = np.load(run.coeffs(utt_id))
+            source = ultra.resample_to_frame_clock(seq, cfg.frame_shift, len(coeffs))
+            for i in np.unique(source):
+                rows = coeffs[source == i]
+                assert all(row.tobytes() == rows[0].tobytes() for row in rows), (utt_id, i)
+                repeats += len(rows) - 1
+        assert repeats > 0
 
     def test_stagewise_prepare_then_pca_matches_run_all(self, tiny_run, tmp_path, monkeypatch):
         cfg, run = tiny_run

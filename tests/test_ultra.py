@@ -133,6 +133,81 @@ class TestResizeBicubic:
             ultra.resize_bicubic(np.zeros((1, 5)), 2, 2)
 
 
+
+def dense_axis_weights(n_in, n_out):
+    """Dense (n_out, n_in) weights of one axis of the cubic resize, border taps
+    folded onto the edge sample: the matrix form that the tap table replaced."""
+    scale = n_in / n_out
+    weights = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        s = (i + 0.5) * scale - 0.5
+        base = math.floor(s)
+        t = s - base
+        w = ultra._cubic_kernel(np.array([1.0 + t, t, 1.0 - t, 2.0 - t]))
+        for tap, wk in zip(np.clip([base - 1, base, base + 1, base + 2], 0, n_in - 1), w):
+            weights[i, tap] += wk
+    return weights
+
+
+def dense_resize(img, out_rows, out_cols):
+    rows = dense_axis_weights(img.shape[0], out_rows)
+    cols = dense_axis_weights(img.shape[1], out_cols)
+    return rows @ np.asarray(img, dtype=np.float64) @ cols.T
+
+
+def uint8_stack(n, rows, cols, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
+
+
+class TestResizeStack:
+    # the bench's two geometries: every weight is a short dyadic fraction, so
+    # both forms compute exactly and must agree to the bit
+    @pytest.mark.parametrize("shape", [(64, 842, 64, 128), (16, 64, 16, 32)])
+    def test_bench_geometries_equal_dense_matrix_form_bytewise(self, shape):
+        in_rows, in_cols, out_rows, out_cols = shape
+        frames = uint8_stack(3, in_rows, in_cols)
+        expect = np.stack([dense_resize(f, out_rows, out_cols) for f in frames])
+        assert ultra.resize_stack(frames, out_rows, out_cols).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(9, 7, 5, 3), (9, 7, 12, 20), (10, 13, 4, 4), (2, 2, 5, 7), (2, 2, 1, 1), (3, 40, 2, 9)],
+        ids=["down", "up", "mixed", "2x2-up", "2x2-down", "folded-both-ends"],
+    )
+    def test_other_geometries_match_dense_matrix_form(self, shape):
+        in_rows, in_cols, out_rows, out_cols = shape
+        for frames in (uint8_stack(4, in_rows, in_cols), uint8_stack(4, in_rows, in_cols, 1) / 7.0):
+            expect = np.stack([dense_resize(f, out_rows, out_cols) for f in frames])
+            out = ultra.resize_stack(frames, out_rows, out_cols)
+            assert out.shape == expect.shape
+            assert np.allclose(out, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    def test_single_frame_is_a_stack_of_one(self):
+        frames = uint8_stack(5, 9, 7)
+        stacked = ultra.resize_stack(frames, 6, 4)
+        for frame, out in zip(frames, stacked):
+            assert ultra.resize_bicubic(frame, 6, 4).tobytes() == out.tobytes()
+
+    def test_rejects_non_stacks_and_degenerate_dims(self):
+        with pytest.raises(ArgumentError):
+            ultra.resize_stack(np.zeros((4, 4)), 2, 2)
+        with pytest.raises(ArgumentError):
+            ultra.resize_stack(np.zeros((3, 1, 5)), 2, 2)
+        with pytest.raises(ArgumentError):
+            ultra.resize_stack(np.zeros((3, 4, 4)), 2, 0)
+
+
+class TestResampledResizedFrames:
+    def test_distinct_frames_indexed_by_the_target_clock(self):
+        meta = ultra.UltrasoundMetadata(16, 64, 81.5, 0.0)
+        seq = ultra.UltrasoundSequence(meta, uint8_stack(40, 16, 64))
+        frames, index = ultra.resampled_resized_frames(seq, 0.005, 90, 16, 32)
+        selected = ultra.resample_to_frame_clock(seq, 0.005, 90)
+        assert frames.shape == (np.unique(selected).size, 16 * 32)
+        assert frames.shape[0] < 90
+        expect = np.stack([dense_resize(seq.frames[i], 16, 32).ravel() for i in selected])
+        assert frames[index].tobytes() == expect.tobytes()
+
 class TestResampleToFrameClock:
     def make_seq(self, n_frames, fps=81.5, offset=0.0):
         meta = small_meta(fps=fps, offset=offset)
