@@ -170,7 +170,8 @@ class TestNormalization:
     )
     def test_meanvar_equals_numpy_mean_and_std_bytewise(self, shape, order):
         rng = np.random.default_rng(6)
-        data = np.asarray(rng.normal(3.0, 40.0, size=shape) + rng.normal(size=shape[1]) * 1e3, order=order)
+        data = rng.normal(3.0, 40.0, size=shape) + rng.normal(size=shape[1]) * 1e3
+        data = np.asarray(data, order=order)
         stats = acoustic.fit_normalization(data, "meanvar")
         assert stats.a.tobytes() == data.mean(axis=0).tobytes()
         assert stats.b.tobytes() == data.std(axis=0).tobytes()

@@ -122,7 +122,6 @@ class TestFit:
             et.fit_pca(np.random.default_rng(0).normal(size=(5, 4)), 1.5)
 
 
-
 def decaying_rows(distinct, d, seed):
     """Distinct rows with a geometrically decaying spectrum, and 1-4 repeats of each."""
     rng = np.random.default_rng(seed)
@@ -177,6 +176,7 @@ class TestWeightedFit:
     def test_bad_counts_rejected(self, counts):
         with pytest.raises(ArgumentError, match="counts"):
             et.fit_pca(np.random.default_rng(0).normal(size=(3, 4)), 0.9, counts=counts)
+
 
 class TestTransform:
     @pytest.fixture()

@@ -55,7 +55,8 @@ class TestMeanImage:
         n = 2**32 // 255 + 1
         meta = ultra.UltrasoundMetadata(1, 2, 81.5, 0.0)
         frames = np.broadcast_to(np.array([[[255, 1]]], dtype=np.uint8), (n, 1, 2))
-        assert misalign.mean_image(ultra.UltrasoundSequence(meta, frames)).tolist() == [[255.0, 1.0]]
+        mean = misalign.mean_image(ultra.UltrasoundSequence(meta, frames))
+        assert mean.tolist() == [[255.0, 1.0]]
 
 
 class TestMse:

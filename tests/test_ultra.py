@@ -133,7 +133,6 @@ class TestResizeBicubic:
             ultra.resize_bicubic(np.zeros((1, 5)), 2, 2)
 
 
-
 def dense_axis_weights(n_in, n_out):
     """Dense (n_out, n_in) weights of one axis of the cubic resize, border taps
     folded onto the edge sample: the matrix form that the tap table replaced."""
@@ -207,6 +206,7 @@ class TestResampledResizedFrames:
         assert frames.shape[0] < 90
         expect = np.stack([dense_resize(seq.frames[i], 16, 32).ravel() for i in selected])
         assert frames[index].tobytes() == expect.tobytes()
+
 
 class TestResampleToFrameClock:
     def make_seq(self, n_frames, fps=81.5, offset=0.0):
