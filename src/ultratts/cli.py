@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, pipeline, synthetic
-from .config import SYSTEMS, read_config, write_config
+from .config import SYSTEMS, ExperimentConfig, read_config, write_config
 from .errors import UltraTtsError
 
 
@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", type=Path, required=True, help="experiment config file")
             p.add_argument("--system", choices=SYSTEMS, help="override the configured system")
             p.add_argument("--seed", type=int, help="override the configured seed")
-            p.add_argument("--workers", type=int, help="override the configured worker count")
+            # accepted and ignored: the bench harness still passes --workers 1 on every call
+            p.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
 
     p = sub.add_parser("synth-corpus", help="generate a synthetic corpus and sample config")
     p.add_argument("--output", type=Path, required=True, help="corpus directory")
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace):
     overrides = {
         name: getattr(args, name)
-        for name in ("system", "seed", "workers")
+        for name in ("system", "seed")
         if getattr(args, name) is not None
     }
     return read_config(args.config).with_overrides(**overrides)
@@ -69,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 drift_magnitude=args.drift,
             )
-            from .config import ExperimentConfig
-
             cfg = ExperimentConfig(
                 ultrasound_dir=layout.ultrasound_dir,
                 label_dir=layout.label_dir,

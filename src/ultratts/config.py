@@ -37,7 +37,6 @@ class ExperimentConfig:
     speaker: str = "spk"
     system: str = "txt+ult2wav"
     seed: int = 1
-    workers: int = 1
     train_ratio: float = 0.85
     dev_ratio: float = 0.10
     test_ratio: float = 0.05
@@ -66,8 +65,6 @@ class ExperimentConfig:
         total = self.train_ratio + self.dev_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in _AT_LEAST_ONE:
@@ -128,7 +125,6 @@ _SCHEMA = {
         "speaker": ("speaker", str),
         "system": ("system", str),
         "seed": ("seed", int),
-        "workers": ("workers", int),
     },
     "split": {
         "train": ("train_ratio", float),

@@ -45,10 +45,6 @@ class QuestionSet:
     binary: tuple[tuple[str, tuple[str, ...]], ...]
     numeric: tuple[tuple[str, str], ...]
 
-    @property
-    def n_features(self) -> int:
-        return len(self.binary) + len(self.numeric) + N_POSITIONAL
-
     @classmethod
     def empty(cls) -> "QuestionSet":
         """The ultrasound-only configuration: no text questions at all."""

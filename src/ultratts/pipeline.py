@@ -13,12 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from math import floor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,13 +137,6 @@ def load_split(run: RunPaths) -> DatasetSplit:
     )
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -164,13 +155,11 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
     else:
         questions = labels.QuestionSet.empty()
 
-    def prepare_one(utt_id: str) -> None:
+    for utt_id in split.all_ids:
         streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
         labels.save_features(ling, run.ling(utt_id))
-
-    _map_ordered(prepare_one, split.all_ids, cfg.workers)
     run.splits.write_text(
         json.dumps(
             {"train": split.train, "dev": split.dev, "test": split.test},
@@ -180,16 +169,12 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
     )
 
 
-def _frame_count(run: RunPaths, utt_id: str) -> int:
-    return labels.frame_count(run.ling(utt_id))
-
-
 def utterance_frames(
     cfg: ExperimentConfig, run: RunPaths, utt_id: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The utterance's distinct resized frames and the target-clock index into them."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
-    n = _frame_count(run, utt_id)
+    n = labels.frame_count(run.ling(utt_id))
     return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
 
 
@@ -199,7 +184,7 @@ def train_frame_matrix(
     """The training block's distinct ultrasound frames, stacked in recording
     order; how many target frames each row stands for; and each utterance's
     rows (a view of the stack) with its target-clock index into them."""
-    resized = _map_ordered(partial(utterance_frames, cfg, run), split.train, cfg.workers)
+    resized = [utterance_frames(cfg, run, utt_id) for utt_id in split.train]
     frames = np.vstack([rows for rows, _ in resized])
     counts = np.concatenate([np.bincount(index, minlength=len(rows)) for rows, index in resized])
     bounds = np.cumsum([len(rows) for rows, _ in resized])[:-1]
@@ -346,15 +331,13 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
     for variant in VARIANTS:
         run.generated(variant, "x", "mgc").parent.mkdir(parents=True, exist_ok=True)
 
-    def generate_one(utt_id: str) -> None:
+    for utt_id in split.dev + split.test:
         x = acoustic.apply_normalization(input_stats, utterance_inputs(cfg, run, utt_id))
         by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
             acoustic.save_stream(streams.bap, run.generated(variant, utt_id, "bap"))
             acoustic.save_stream(streams.lf0[:, None], run.generated(variant, utt_id, "lf0"))
-
-    _map_ordered(generate_one, split.dev + split.test, cfg.workers)
 
 
 def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.EvaluationReport]:
@@ -393,12 +376,10 @@ def stage_misalign(cfg: ExperimentConfig, run: RunPaths) -> misalign.BlockSummar
     """Pairwise mean-image MSE over the whole session at raw resolution."""
     split = load_split(run)
     ids = split.all_ids
-
-    def one_mean(utt_id: str) -> np.ndarray:
+    images = []
+    for utt_id in ids:
         seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
-        return misalign.mean_image(seq)
-
-    images = _map_ordered(one_mean, ids, cfg.workers)
+        images.append(misalign.mean_image(seq))
     matrix = misalign.build_matrix(images, ids)
     summary = misalign.block_summary(matrix, len(split.train), len(split.dev), len(split.test))
     out = run.misalign_dir

@@ -194,14 +194,6 @@ def resize_stack(frames: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray
     return _resize_axis(_resize_axis(frames, out_cols, axis=2), out_rows, axis=1)
 
 
-def resize_bicubic(frame: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Resize one 2-D image; ``resize_stack`` of a stack of one."""
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise ArgumentError(f"input must be a 2-D image of at least 2x2, got shape {frame.shape}")
-    return resize_stack(frame[None], out_rows, out_cols)[0]
-
-
 def resample_to_frame_clock(
     seq: UltrasoundSequence, frame_shift: float, n_target: int
 ) -> np.ndarray:

@@ -45,7 +45,10 @@ class TestParseQuestions:
     def test_empty_file_is_the_ultrasound_only_configuration(self):
         qs = labels.parse_questions("")
         assert qs.binary == () and qs.numeric == ()
-        assert qs.n_features == labels.N_POSITIONAL
+        labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c")]
+        feats = labels.extract_features(labs, qs, 0.005, 10)
+        assert feats.answers.shape[1] == 0
+        assert feats.positional.shape == (10, labels.N_POSITIONAL)
 
     def test_numeric_extraction(self):
         qs = labels.parse_questions('CQS "Pos" {*@(\\d+)+*}\n')

@@ -13,6 +13,12 @@ from ultratts.config import PATH_FIELDS, SYSTEMS, ExperimentConfig, read_config,
 from ultratts.errors import ConfigError, StageError
 
 
+def write_config_setting_workers(cfg, path):
+    """``cfg`` written with the removed ``[experiment] workers`` key set."""
+    write_config(cfg, path)
+    path.write_text(path.read_text().replace("[experiment]\n", "[experiment]\nworkers = 2\n"))
+
+
 class TestSplitDataset:
     def test_200_utterances(self):
         ids = [f"u{i:03d}" for i in range(200)]
@@ -110,6 +116,12 @@ class TestConfig:
         (tmp_path / "exp.cfg").write_text("[data]\nwhatever = 3\n")
         with pytest.raises(ConfigError):
             read_config(tmp_path / "exp.cfg")
+
+    def test_removed_workers_key_rejected(self, tmp_path, tiny_corpus):
+        cfg_file = tmp_path / "exp.cfg"
+        write_config_setting_workers(config_for(tiny_corpus), cfg_file)
+        with pytest.raises(ConfigError, match="unknown key 'workers' in section \\[experiment\\]"):
+            read_config(cfg_file)
 
     def test_defaults_match_experiment_constants(self, tiny_corpus):
         cfg = ExperimentConfig(
@@ -436,7 +448,7 @@ class TestCli:
         run_dir = tmp_path / "run"
         code = cli.main([
             "run-all", "--config", str(cfg_file), "--output", str(run_dir),
-            "--system", "ult2wav", "--seed", "2", "--workers", "2",
+            "--system", "ult2wav", "--seed", "2", "--workers", "1",
         ])
         assert code == 0
         reports = metrics.read_report_csv(pipeline.RunPaths(run_dir).report_csv)
@@ -553,6 +565,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert finished.report_csv.exists()
         assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
+
+    def test_workers_key_leaves_a_finished_run_intact(self, tmp_path, tiny_run, capsys):
+        cfg, run = tiny_run
+        finished = pipeline.RunPaths(tmp_path / "finished")
+        shutil.copytree(run.root, finished.root)
+        before = {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()}
+        cfg_file = tmp_path / "exp.cfg"
+        write_config_setting_workers(cfg, cfg_file)
+        argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 'workers' in section [experiment]" in err
+        assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["prepare", "run-all"])
+    def test_workers_flag_accepts_only_one(self, tmp_path, capsys, command):
+        argv = [command, "--config", str(tmp_path / "exp.cfg"), "--output", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--system", "txt2wav"), ("--seed", "99"), ("--config", "x.cfg"), ("--workers", "2")]
