@@ -233,11 +233,6 @@ def _column_std(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def apply_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:
-    """Normalised copy of ``data``."""
-    return normalize_in_place(stats, np.array(data, dtype=np.float64))
-
-
 def normalize_in_place(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:
     """Overwrite the float64 array ``data`` with its normalised values; return it.
 

@@ -5,13 +5,15 @@ generator, and a report merger. ``prepare`` and ``run-all`` start a run: they
 take the config and its overrides, clear the run directory's stage outputs
 and echo the resolved config there. The other stage subcommands take only
 the run directory and run under that echo. Exit code is 0 on success, 1 with
-a stage-tagged diagnostic otherwise, and 2 for a usage error.
+an ``error:`` line otherwise (stage-tagged when a stage failed), and 2 for a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics, pipeline, synthetic
@@ -56,7 +58,7 @@ def _resolve_config(args: argparse.Namespace):
         for name in ("system", "seed")
         if getattr(args, name) is not None
     }
-    return read_config(args.config).with_overrides(**overrides)
+    return replace(read_config(args.config), **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,7 +102,9 @@ def main(argv: list[str] | None = None) -> int:
         pipeline.run_stage(args.command, args.output)
         print(f"stage {args.command} complete: {args.output}")
         return 0
-    except UltraTtsError as e:
+    # a stage wraps its own errors; an OSError outside one (an --output path
+    # under a file) gets the same one-line diagnostic
+    except (UltraTtsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,8 @@ identical record wherever it lies.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 
 from . import mlp
@@ -73,15 +74,12 @@ class ExperimentConfig:
         # written so that NaN fails too
         if not 0 < self.variance_target <= 1:
             raise ConfigError(f"variance_target must be in (0, 1], got {self.variance_target}")
-        if not self.frame_shift > 0:
-            raise ConfigError(f"frame_shift must be > 0, got {self.frame_shift}")
+        if not 0 < self.frame_shift < inf:
+            raise ConfigError(f"frame_shift must be finite and > 0, got {self.frame_shift}")
         try:
             self.schedule
         except ArgumentError as e:
             raise ConfigError(str(e)) from e
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
     @property
     def schedule(self) -> mlp.TrainingSchedule:

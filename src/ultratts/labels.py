@@ -3,6 +3,7 @@
 Label files carry one ``start end context`` line per phone with times in
 100 ns ticks. Question files declare binary ``QS`` and numeric ``CQS``
 predicates over the context strings; file order fixes feature column order.
+Features are held as ``GatheredRows``, the row type of every network input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ArgumentError, DataError, FormatError
 
 TICKS_PER_SECOND = 10_000_000
 
@@ -169,37 +170,56 @@ def _answer_label(label: FullContextLabel, questions: QuestionSet) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class LinguisticFeatures:
-    """One utterance's linguistic input, stored per label and expanded per frame.
+class GatheredRows:
+    """Rows ``hstack([table[which[i]], frames[i]])`` of a matrix held once per group.
 
-    Every question column is constant within a label, so the answers are kept
-    once per label and ``which`` names the label that answers each frame.
+    An utterance's linguistic features are one: every question column is
+    constant within a label, so the answers are kept once per label (the
+    table), ``which`` names the label that answers each frame, and the
+    positional columns are the per-frame block. A network input is another,
+    its per-frame block followed by PCA coefficients. Indexing with an index
+    array or a slice gathers those rows; ``dense`` gathers all of them.
     """
 
-    answers: np.ndarray  # (n_labels, n_binary + n_numeric)
-    which: np.ndarray  # (n_frames,) index of the label answering each frame
-    positional: np.ndarray  # (n_frames, N_POSITIONAL)
+    table: np.ndarray  # (n_groups, n_table_columns)
+    which: np.ndarray  # (n_rows,) table row of each row
+    frames: np.ndarray  # (n_rows, n_frame_columns)
+
+    def __post_init__(self):
+        if self.which.shape != (self.frames.shape[0],):
+            raise ArgumentError(
+                f"{self.which.shape[0]} table indices for {self.frames.shape[0]} frame rows"
+            )
 
     @property
-    def n_frames(self) -> int:
-        return self.which.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.frames.shape[0], self.table.shape[1] + self.frames.shape[1]
+
+    def __getitem__(self, idx: np.ndarray | slice) -> np.ndarray:
+        return np.hstack([self.table[self.which[idx]], self.frames[idx]])
 
     def dense(self) -> np.ndarray:
-        """The per-frame matrix (n_frames, n_binary + n_numeric + 4)."""
-        return np.hstack([self.answers[self.which], self.positional])
+        """The whole matrix, (n_rows, n_table_columns + n_frame_columns)."""
+        return self[slice(None)]
+
+    def astype(self, dtype, copy: bool = True) -> "GatheredRows":
+        """The same rows with ``table`` and ``frames`` in ``dtype``, cast as
+        ``np.ndarray.astype`` casts them."""
+        return GatheredRows(
+            self.table.astype(dtype, copy=copy), self.which, self.frames.astype(dtype, copy=copy)
+        )
 
 
-def save_features(features: LinguisticFeatures, path: Path) -> None:
-    """Write the three arrays as one ``.npz`` file."""
-    np.savez(
-        path, answers=features.answers, which=features.which, positional=features.positional
-    )
+def save_features(features: GatheredRows, path: Path) -> None:
+    """Write one utterance's label answers, frame-to-label index and positional
+    columns as one ``.npz`` file."""
+    np.savez(path, answers=features.table, which=features.which, positional=features.frames)
 
 
-def load_features(path: Path) -> LinguisticFeatures:
+def load_features(path: Path) -> GatheredRows:
     """The features written by ``save_features``."""
     with np.load(path) as data:
-        return LinguisticFeatures(data["answers"], data["which"], data["positional"])
+        return GatheredRows(data["answers"], data["which"], data["positional"])
 
 
 def frame_count(path: Path) -> int:
@@ -213,8 +233,9 @@ def extract_features(
     questions: QuestionSet,
     frame_shift: float,
     n_frames: int,
-) -> LinguisticFeatures:
-    """Label answers, the frame-to-label index and the positional columns.
+) -> GatheredRows:
+    """Label answers, the frame-to-label index and the positional columns, as
+    the table, ``which`` and per-frame block of one ``GatheredRows``.
 
     Frame k is answered by the label covering time k * frame_shift (the first
     label whose end lies beyond it); frames past the last label clamp to it.
@@ -244,4 +265,4 @@ def extract_features(
     positional[:, 1] = 1.0 - frac_through
     positional[:, 2] = lab_dur / shift_ticks
     positional[:, 3] = index_within
-    return LinguisticFeatures(answers, which, positional)
+    return GatheredRows(answers, which, positional)

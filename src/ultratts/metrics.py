@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .acoustic import UNVOICED_LF0, AcousticStreams
+from .acoustic import AcousticStreams
 from .config import SYSTEMS
 from .errors import ArgumentError, DataError, FormatError
 
@@ -33,18 +33,6 @@ CONVENTION_NOTES = (
     "bap_db: same formula over all coefficients, divided by 10",
     "f0 metrics: Hz scale (exponentiated), frames voiced in both streams",
 )
-
-
-def mcd(ref_mgc: np.ndarray, pred_mgc: np.ndarray) -> float:
-    """Mel-cepstral distortion in dB, averaged over frames."""
-    ref, pred = _check_pair(ref_mgc, pred_mgc)
-    return _score_alone(_alone(ref.shape[0], mgc=ref), _alone(pred.shape[0], mgc=pred)).mcd_db
-
-
-def bap_distortion(ref_bap: np.ndarray, pred_bap: np.ndarray) -> float:
-    """Band-aperiodicity distortion in dB, averaged over frames."""
-    ref, pred = _check_pair(ref_bap, pred_bap)
-    return _score_alone(_alone(ref.shape[0], bap=ref), _alone(pred.shape[0], bap=pred)).bap_db
 
 
 def _mcd_frames(ref: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -65,33 +53,6 @@ def _check_pair(ref: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if ref.shape != pred.shape:
         raise ArgumentError(f"shape mismatch: {ref.shape} vs {pred.shape}")
     return ref, pred
-
-
-def f0_metrics(ref_lf0: np.ndarray, pred_lf0: np.ndarray) -> tuple[float, float, float]:
-    """(rmse_hz, corr, vuv_error_pct) over frames voiced in both streams.
-
-    Unvoiced frames carry the LF0 sentinel. With no commonly voiced frame,
-    RMSE and correlation are NaN; correlation is also NaN when either Hz
-    series has zero variance.
-    """
-    ref_lf0, pred_lf0 = np.ravel(ref_lf0), np.ravel(pred_lf0)
-    report = _score_alone(
-        _alone(ref_lf0.size, lf0=ref_lf0), _alone(pred_lf0.size, lf0=pred_lf0)
-    )
-    return report.f0_rmse_hz, report.f0_corr, report.vuv_error_pct
-
-
-def _alone(n: int, mgc=None, bap=None, lf0=None) -> AcousticStreams:
-    """One side of a single-stream comparison: absent streams are empty or unvoiced."""
-    return AcousticStreams(
-        mgc=np.zeros((n, 0)) if mgc is None else mgc,
-        bap=np.zeros((n, 0)) if bap is None else bap,
-        lf0=np.full(n, UNVOICED_LF0) if lf0 is None else lf0,
-    )
-
-
-def _score_alone(ref: AcousticStreams, pred: AcousticStreams) -> EvaluationReport:
-    return aggregate([evaluate_utterance("", ref, pred)])
 
 
 @dataclass(frozen=True)

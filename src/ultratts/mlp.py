@@ -9,7 +9,9 @@ the pipeline trains in 32-bit): batches, targets, activations, gradients
 and updates all stay in it, while ``mse`` and the validation score are
 taken in 64-bit floats. A checkpoint is the whole trained model: the net,
 at its own float width, plus the 64-bit input and output normalisation it
-was trained under.
+was trained under. Training inputs are a matrix or any row container that
+builds a batch when indexed, such as ``labels.GatheredRows``; this module
+defines none.
 """
 
 from __future__ import annotations
@@ -68,39 +70,6 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class GatheredRows:
-    """Rows ``hstack([table[which[i]], frames[i]])`` of a matrix that is never built.
-
-    Indexing with an index array gathers those rows, so a training set whose
-    leading columns repeat per group (a label's answers over its frames)
-    is held once per group.
-    """
-
-    table: np.ndarray  # (n_groups, n_table_columns)
-    which: np.ndarray  # (n_rows,) table row of each row
-    frames: np.ndarray  # (n_rows, n_frame_columns)
-
-    def __post_init__(self):
-        if self.which.shape != (self.frames.shape[0],):
-            raise ArgumentError(
-                f"{self.which.shape[0]} table indices for {self.frames.shape[0]} frame rows"
-            )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.frames.shape[0], self.table.shape[1] + self.frames.shape[1]
-
-    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        return np.hstack([self.table[self.which[idx]], self.frames[idx]])
-
-    def astype(self, dtype) -> "GatheredRows":
-        """The same rows with ``table`` and ``frames`` in ``dtype``; no copy if they are."""
-        return GatheredRows(
-            self.table.astype(dtype, copy=False), self.which, self.frames.astype(dtype, copy=False)
-        )
-
-
-@dataclass(frozen=True)
 class TrainingSchedule:
     max_epochs: int = 25
     warmup_epochs: int = 10
@@ -113,8 +82,9 @@ class TrainingSchedule:
     def __post_init__(self):
         if not 0 <= self.warmup_epochs < self.max_epochs:
             raise ArgumentError("warmup_epochs must be >= 0 and smaller than max_epochs")
-        if not self.base_lr > 0:
-            raise ArgumentError("base_lr must be > 0")
+        # written so that NaN fails too
+        if not 0 < self.base_lr < np.inf:
+            raise ArgumentError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not 0.0 < self.decay <= 1.0:
             raise ArgumentError("decay must be in (0, 1]")
         if self.batch_size < 1 or self.patience < 1:
@@ -214,28 +184,27 @@ def backward(
 
 def train(
     model: MlpModel,
-    train_set: tuple[np.ndarray | GatheredRows, np.ndarray],
+    train_set: tuple[np.ndarray, np.ndarray],
     valid_set: tuple[np.ndarray, np.ndarray],
     schedule: TrainingSchedule,
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Plain SGD with the warm-up/decay schedule and early stopping.
 
     Batches are reshuffled each epoch with a generator seeded from the
-    schedule; the training inputs may be a ``GatheredRows``, which builds
-    each batch when it is drawn. Inputs, targets and validation inputs are
-    cast to the model's dtype once, here, so no batch is cast. Returns the
-    parameters of the best-validation epoch; stops early when validation MSE
-    has not improved for ``patience`` consecutive epochs after warm-up, and
-    when a loss overflows the model's float range, which a diverging float32
-    net reaches long before float64 would. Raises ``TrainingDiverged`` when
-    the best validation MSE exceeds ``DIVERGENCE_FACTOR`` times the MSE of
-    predicting zero, however finite its numbers are, or no epoch stayed finite.
+    schedule. The training inputs need only ``shape``, ``astype`` and row
+    indexing by an index array, so a ``labels.GatheredRows`` serves as well
+    as a matrix and builds each batch when it is drawn. Inputs, targets and
+    validation inputs are cast to the model's dtype once, here, so no batch
+    is cast. Returns the parameters of the best-validation epoch; stops
+    early when validation MSE has not improved for ``patience`` consecutive
+    epochs after warm-up, and when a loss overflows the model's float range,
+    which a diverging float32 net reaches long before float64 would. Raises
+    ``TrainingDiverged`` when the best validation MSE exceeds
+    ``DIVERGENCE_FACTOR`` times the MSE of predicting zero, however finite its
+    numbers are, or no epoch stayed finite.
     """
     train_x, train_y = train_set
-    if isinstance(train_x, GatheredRows):
-        train_x = train_x.astype(model.dtype)
-    else:
-        train_x = np.asarray(train_x, dtype=model.dtype)
+    train_x = train_x.astype(model.dtype, copy=False)
     train_y = np.asarray(train_y, dtype=model.dtype)
     valid_x = np.asarray(valid_set[0], dtype=model.dtype)
     valid_y = np.asarray(valid_set[1], dtype=np.float64)

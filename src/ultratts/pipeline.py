@@ -5,7 +5,9 @@ misalign -- and each writes only into its own subdirectory of the run, so
 individual stages can be rerun. ``start_run`` clears those subdirectories and
 echoes the resolved config to ``config.cfg`` at the run root, the only config
 the stages read. Statistics (PCA model, input/output normalization) are
-fitted on the training block only.
+fitted on the training block only. Every network input comes from
+``gathered_inputs``: train draws its batches from the gathered rows, and the
+dev set and each generated utterance expand them whole with ``dense()``.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class DatasetSplit:
     @property
     def all_ids(self) -> tuple[str, ...]:
         return self.train + self.dev + self.test
-
-    def ids_of(self, split_name: str) -> tuple[str, ...]:
-        return getattr(self, split_name)
 
 
 def split_dataset(
@@ -214,40 +213,29 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
         np.save(run.coeffs(utt_id), eigentongues.transform(model, rows)[index])
 
 
-def utterance_inputs(cfg: ExperimentConfig, run: RunPaths, utt_id: str) -> np.ndarray:
-    """Network input matrix for one utterance: the prepared linguistic features
-    expanded per frame, followed by its PCA coefficients when the system reads
-    ultrasound."""
-    ling = labels.load_features(run.ling(utt_id)).dense()
-    if not cfg.reads_ultrasound:
-        return ling
-    return np.hstack([ling, np.load(run.coeffs(utt_id))])
-
-
-def input_matrix(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> np.ndarray:
-    return np.vstack([utterance_inputs(cfg, run, u) for u in ids])
-
-
-def gathered_inputs(cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]) -> mlp.GatheredRows:
-    """The rows of ``input_matrix`` without building it: a table of the answers
+def gathered_inputs(
+    cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]
+) -> labels.GatheredRows:
+    """The network inputs of the utterances, in order: a table of the answers
     of every label that owns a frame, and a per-frame block of the positional
-    features followed by the PCA coefficients when the system reads ultrasound."""
+    features followed by the PCA coefficients when the system reads
+    ultrasound. ``dense()`` expands them to the input matrix."""
     tables, whiches, blocks = [], [], []
     n_labels = 0
     for utt_id in ids:
         ling = labels.load_features(run.ling(utt_id))
         owners, which = np.unique(ling.which, return_inverse=True)
-        tables.append(ling.answers[owners])
+        tables.append(ling.table[owners])
         whiches.append(which + n_labels)
         n_labels += owners.size
-        block = ling.positional
+        block = ling.frames
         if cfg.reads_ultrasound:
             block = np.hstack([block, np.load(run.coeffs(utt_id))])
         blocks.append(block)
-    return mlp.GatheredRows(np.vstack(tables), np.concatenate(whiches), np.vstack(blocks))
+    return labels.GatheredRows(np.vstack(tables), np.concatenate(whiches), np.vstack(blocks))
 
 
-def normalize_gathered(rows: mlp.GatheredRows) -> acoustic.NormalizationStats:
+def normalize_gathered(rows: labels.GatheredRows) -> acoustic.NormalizationStats:
     """Fit min-max statistics on the table and on the per-frame block, normalise
     each in place, and return the statistics of the whole rows.
 
@@ -283,15 +271,16 @@ def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
 def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network.
 
-    The training inputs stay gathered (``gathered_inputs``): no per-frame
-    linguistic matrix of the training block is built. Everything is
-    normalised in place in float64, then cast once to ``NET_DTYPE``, the
-    dtype of the net, and the float64 copies are dropped before training.
+    The training inputs stay gathered: no per-frame linguistic matrix of the
+    training block is built. The dev inputs are the same rows expanded whole.
+    Everything is normalised in place in float64, then cast once to
+    ``NET_DTYPE``, the dtype of the net, and the float64 copies are dropped
+    before training.
     """
     split = load_split(run)
     train_x = gathered_inputs(cfg, run, split.train)
     train_y = target_matrix(cfg, split.train)
-    dev_x = input_matrix(cfg, run, split.dev)
+    dev_x = gathered_inputs(cfg, run, split.dev).dense()
     dev_y = target_matrix(cfg, split.dev)
 
     input_stats = normalize_gathered(train_x)
@@ -324,15 +313,16 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
 def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Predict dev/test utterances and write both trajectory variants.
 
-    The net runs in its checkpointed dtype; its outputs are denormalised in
-    float64."""
+    Each utterance's gathered inputs are expanded whole and normalised in
+    float64. The net runs in its checkpointed dtype; its outputs are
+    denormalised in float64."""
     split = load_split(run)
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
     for variant in VARIANTS:
         run.generated(variant, "x", "mgc").parent.mkdir(parents=True, exist_ok=True)
 
     for utt_id in split.dev + split.test:
-        x = acoustic.apply_normalization(input_stats, utterance_inputs(cfg, run, utt_id))
+        x = acoustic.normalize_in_place(input_stats, gathered_inputs(cfg, run, [utt_id]).dense())
         by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
@@ -352,7 +342,7 @@ def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.Evaluat
     for variant in VARIANTS:
         for split_name in ("dev", "test"):
             evals = []
-            for utt_id in split.ids_of(split_name):
+            for utt_id in getattr(split, split_name):
                 pred = acoustic.read_streams(
                     run.stage_dir("generate") / variant, utt_id, cfg.mgc_dim, cfg.bap_dim
                 )

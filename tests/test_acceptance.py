@@ -6,6 +6,7 @@ ULTRATTS_TAL_DIR points at it; everything else runs on shipped synthetic
 fixtures and oracles.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -120,31 +121,41 @@ def test_criterion_4_pca_oracle_equivalence():
 
 def test_criterion_5_metric_oracles():
     """Closed-form MCD, F0 shift case, and exhaustive VUV counting."""
-    ref = np.zeros((1, 60))
-    pred = np.zeros((1, 60))
-    pred[0, 11] = 1.0
-    assert metrics.mcd(ref, pred) == pytest.approx(
+
+    def score(ref, pred):
+        return metrics.aggregate([metrics.evaluate_utterance("u", ref, pred)])
+
+    ref = acoustic.AcousticStreams(
+        mgc=np.zeros((1, 60)), bap=np.zeros((1, 5)), lf0=np.full(1, acoustic.UNVOICED_LF0)
+    )
+    pred_mgc = np.zeros((1, 60))
+    pred_mgc[0, 11] = 1.0
+    assert score(ref, dataclasses.replace(ref, mgc=pred_mgc)).mcd_db == pytest.approx(
         (10.0 / math.log(10.0)) * math.sqrt(2.0), abs=1e-9
     )
 
     hz = np.array([120.0, 180.0, 90.0, 210.0])
     vuv = np.ones(4)
-    rmse, corr, _ = metrics.f0_metrics(
-        np.where(vuv > 0, np.log(hz), acoustic.UNVOICED_LF0),
-        np.where(vuv > 0, np.log(hz + 5.0), acoustic.UNVOICED_LF0),
+    ref = acoustic.AcousticStreams(
+        mgc=np.zeros((4, 60)),
+        bap=np.zeros((4, 5)),
+        lf0=np.where(vuv > 0, np.log(hz), acoustic.UNVOICED_LF0),
     )
-    assert rmse == pytest.approx(5.0, abs=1e-9)
-    assert corr == pytest.approx(1.0, abs=1e-9)
+    report = score(
+        ref, dataclasses.replace(ref, lf0=np.where(vuv > 0, np.log(hz + 5.0), acoustic.UNVOICED_LF0))
+    )
+    assert report.f0_rmse_hz == pytest.approx(5.0, abs=1e-9)
+    assert report.f0_corr == pytest.approx(1.0, abs=1e-9)
 
     lf0 = np.log([100.0, 110.0, 120.0, 130.0])
     for ref_bits in range(16):
         for pred_bits in range(16):
             ref_vuv = np.array([(ref_bits >> i) & 1 for i in range(4)], float)
             pred_vuv = np.array([(pred_bits >> i) & 1 for i in range(4)], float)
-            _, _, err = metrics.f0_metrics(
-                np.where(ref_vuv > 0, lf0, acoustic.UNVOICED_LF0),
-                np.where(pred_vuv > 0, lf0, acoustic.UNVOICED_LF0),
-            )
+            err = score(
+                dataclasses.replace(ref, lf0=np.where(ref_vuv > 0, lf0, acoustic.UNVOICED_LF0)),
+                dataclasses.replace(ref, lf0=np.where(pred_vuv > 0, lf0, acoustic.UNVOICED_LF0)),
+            ).vuv_error_pct
             differing = sum(
                 1 for i in range(4) if ((ref_bits >> i) & 1) != ((pred_bits >> i) & 1)
             )
@@ -231,7 +242,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     assert persisted.basis.tobytes() == recomputed_pca.basis.tobytes()
 
     in_stats = acoustic.fit_normalization(
-        pipeline.input_matrix(cfg, run, split.train), "minmax"
+        pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
     )
     out_stats = acoustic.fit_normalization(
         pipeline.target_matrix(cfg, split.train), "meanvar"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_module
-from ultratts import labels
-from ultratts.errors import DataError, FormatError
+from ultratts import labels, mlp
+from ultratts.errors import ArgumentError, DataError, FormatError
 
 
 class TestParseLabels:
@@ -47,8 +47,8 @@ class TestParseQuestions:
         assert qs.binary == () and qs.numeric == ()
         labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c")]
         feats = labels.extract_features(labs, qs, 0.005, 10)
-        assert feats.answers.shape[1] == 0
-        assert feats.positional.shape == (10, labels.N_POSITIONAL)
+        assert feats.table.shape[1] == 0
+        assert feats.frames.shape == (10, labels.N_POSITIONAL)
 
     def test_numeric_extraction(self):
         qs = labels.parse_questions('CQS "Pos" {*@(\\d+)+*}\n')
@@ -92,7 +92,7 @@ def answers(question_text, context):
     through ``parse_questions`` and ``extract_features``."""
     qs = labels.parse_questions(question_text)
     feats = labels.extract_features([labels.FullContextLabel(0, 1, context)], qs, 1e-7, 1)
-    return feats.answers[0, 0] == 1.0
+    return feats.table[0, 0] == 1.0
 
 
 def compiled_match(pattern, text):
@@ -268,8 +268,8 @@ def dense_reference(labs, questions, frame_shift, n_frames):
 
 def assert_dense_matches_reference(labs, qs, frame_shift, n_frames):
     feats = labels.extract_features(labs, qs, frame_shift, n_frames)
-    assert feats.answers.shape == (len(labs), len(qs.binary) + len(qs.numeric))
-    assert feats.positional.shape == (n_frames, labels.N_POSITIONAL)
+    assert feats.table.shape == (len(labs), len(qs.binary) + len(qs.numeric))
+    assert feats.frames.shape == (n_frames, labels.N_POSITIONAL)
     dense = feats.dense()
     expect = dense_reference(labs, qs, frame_shift, n_frames)
     assert (dense.dtype, dense.shape) == (expect.dtype, expect.shape)
@@ -287,7 +287,7 @@ class TestLinguisticFeatures:
             labs = labels.parse_labels(lab_file.read_text())
             n_frames = round(labs[-1].end / 50000) + 7  # a few frames past the last label
             feats = assert_dense_matches_reference(labs, qs, 0.005, n_frames)
-            assert feats.answers[:, -1].max() > 0  # the duration CQS answers
+            assert feats.table[:, -1].max() > 0  # the duration CQS answers
 
     def test_dense_matches_per_frame_matrix_at_label_edges(self):
         qs = labels.parse_questions('QS "IsZ" {*z*}\nQS "IsB" {*b*}\nCQS "N" {*@(\\d+)}\n')
@@ -314,6 +314,61 @@ class TestLinguisticFeatures:
         back = labels.load_features(tmp_path / "u.npz")
         assert labels.frame_count(tmp_path / "u.npz") == 8
         assert back.which.dtype == np.uint8  # two labels
-        for name in ("answers", "which", "positional"):
+        for name in ("table", "which", "frames"):
             a, b = getattr(feats, name), getattr(back, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def grouped_task(n_groups=30, n=700, seed=0):
+    """Rows whose first 5 columns repeat per group, gathered and expanded."""
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, size=(n_groups, 5))
+    which = np.sort(rng.integers(0, n_groups, size=n))
+    frames = rng.uniform(-1.0, 1.0, size=(n, 2))
+    dense = np.hstack([table[which], frames])
+    y = dense @ rng.normal(size=(7, 4)) + 0.01 * rng.normal(size=(n, 4))
+    return labels.GatheredRows(table, which, frames), dense, y
+
+
+class TestGatheredRows:
+    def test_rows_are_the_expanded_rows(self):
+        rows, dense, _ = grouped_task()
+        assert rows.shape == dense.shape
+        idx = np.random.default_rng(1).permutation(dense.shape[0])[:64]
+        batch = rows[idx]
+        assert (batch.dtype, batch.shape) == (dense.dtype, (64, 7))
+        assert batch.tobytes() == dense[idx].tobytes()
+        assert rows.dense().tobytes() == dense.tobytes()
+
+    def test_astype_takes_numpys_copy_flag(self):
+        rows, _, _ = grouped_task()
+        assert rows.astype(np.float64, copy=False).table is rows.table
+        copied = rows.astype(np.float64)
+        assert copied.table is not rows.table and copied.frames is not rows.frames
+        narrow = rows.astype(np.float32, copy=False)
+        assert (narrow.table.dtype, narrow.frames.dtype) == (np.float32, np.float32)
+        assert narrow.dense().tobytes() == rows.dense().astype(np.float32).tobytes()
+
+    def test_train_matches_the_expanded_matrix_bit_for_bit(self):
+        rows, dense, y = grouped_task()
+        valid_x, valid_y = dense[-100:], y[-100:]
+        schedule = mlp.TrainingSchedule(
+            max_epochs=6, warmup_epochs=2, base_lr=0.1, decay=0.9, batch_size=64, seed=2,
+        )
+        results = [
+            mlp.train(
+                mlp.init_model(7, seed=3, hidden_sizes=(8, 8), output_dim=4),
+                (x, y), (valid_x, valid_y), schedule,
+            )
+            for x in (dense, rows)
+        ]
+        (best_dense, history_dense), (best_rows, history_rows) = results
+        assert history_rows == history_dense
+        for a, b in zip(
+            best_dense.weights + best_dense.biases, best_rows.weights + best_rows.biases
+        ):
+            assert a.tobytes() == b.tobytes()
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ArgumentError, match="table indices"):
+            labels.GatheredRows(np.zeros((2, 3)), np.zeros(5, dtype=np.intp), np.zeros((4, 1)))

@@ -17,111 +17,19 @@ def masked(lf0, vuv):
     return np.where(np.asarray(vuv) > 0, lf0, UNVOICED_LF0)
 
 
-class TestMcd:
-    def test_identical_is_zero(self):
-        x = np.random.default_rng(0).normal(size=(20, 60))
-        assert metrics.mcd(x, x) == 0.0
-
-    def test_single_difference_closed_form(self):
-        ref = np.zeros((1, 60))
-        pred = np.zeros((1, 60))
-        pred[0, 7] = 1.0
-        assert metrics.mcd(ref, pred) == pytest.approx(CLOSED_FORM_MCD, abs=1e-9)
-
-    def test_zeroth_coefficient_excluded(self):
-        ref = np.zeros((4, 60))
-        pred = np.zeros((4, 60))
-        pred[:, 0] = 99.0
-        assert metrics.mcd(ref, pred) == 0.0
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = np.random.default_rng(1)
-        a, b, c = (rng.normal(size=(10, 60)) for _ in range(3))
-        assert metrics.mcd(a, b) == metrics.mcd(b, a)
-        assert np.all(
-            metrics._mcd_frames(a, c) <= metrics._mcd_frames(a, b) + metrics._mcd_frames(b, c) + 1e-12
-        )
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ArgumentError):
-            metrics.mcd(np.zeros((3, 60)), np.zeros((4, 60)))
+def voiced_track(hz, vuv=None):
+    """Streams of an utterance with zero spectra and F0 ``hz``, voiced where
+    ``vuv`` is 1 (throughout when it is not given)."""
+    n = len(hz)
+    lf0 = np.log(np.asarray(hz, dtype=float))
+    if vuv is not None:
+        lf0 = masked(lf0, vuv)
+    return AcousticStreams(mgc=np.zeros((n, 60)), bap=np.zeros((n, 5)), lf0=lf0)
 
 
-class TestBap:
-    def test_single_difference_closed_form(self):
-        ref = np.zeros((1, 5))
-        pred = np.zeros((1, 5))
-        pred[0, 2] = 1.0
-        assert metrics.bap_distortion(ref, pred) == pytest.approx(
-            CLOSED_FORM_MCD / 10.0, abs=1e-9
-        )
-
-    def test_identical_is_zero(self):
-        x = np.random.default_rng(2).normal(size=(6, 5))
-        assert metrics.bap_distortion(x, x) == 0.0
-
-    def test_includes_all_coefficients(self):
-        ref = np.zeros((1, 5))
-        pred = np.zeros((1, 5))
-        pred[0, 0] = 1.0  # coefficient 0 counts here, unlike MCD
-        assert metrics.bap_distortion(ref, pred) > 0.0
-
-
-class TestF0Metrics:
-    def test_identical_streams(self):
-        lf0 = np.log([100.0, 120.0, 130.0])
-        vuv = np.ones(3)
-        assert metrics.f0_metrics(masked(lf0, vuv), masked(lf0, vuv)) == (0.0, 1.0, 0.0)
-
-    def test_constant_hz_shift(self):
-        hz = np.array([100.0, 150.0, 210.0, 95.0])
-        vuv = np.ones(4)
-        rmse, corr, err = metrics.f0_metrics(masked(np.log(hz), vuv), masked(np.log(hz + 5.0), vuv))
-        assert rmse == pytest.approx(5.0, abs=1e-9)
-        assert corr == pytest.approx(1.0, abs=1e-9)
-        assert err == 0.0
-
-    def test_four_frame_vuv_case(self):
-        lf0 = np.log([100.0, 100, 100, 100])
-        _, _, err = metrics.f0_metrics(
-            masked(lf0, np.array([1, 1, 0, 0])), masked(lf0, np.array([1, 0, 0, 1]))
-        )
-        assert err == 50.0
-
-    def test_exhaustive_vuv_masks_match_counting_oracle(self):
-        lf0 = np.log([100.0, 110, 120, 130])
-        for ref_bits, pred_bits in itertools.product(range(16), repeat=2):
-            ref_vuv = np.array([(ref_bits >> i) & 1 for i in range(4)], dtype=float)
-            pred_vuv = np.array([(pred_bits >> i) & 1 for i in range(4)], dtype=float)
-            _, _, err = metrics.f0_metrics(masked(lf0, ref_vuv), masked(lf0, pred_vuv))
-            expect = 100.0 * bin(ref_bits ^ pred_bits).count("1") / 4.0
-            assert err == expect
-
-    def test_no_common_voicing_gives_nan_markers(self):
-        lf0 = np.log([100.0, 110.0])
-        rmse, corr, err = metrics.f0_metrics(
-            masked(lf0, np.array([1.0, 0.0])), masked(lf0, np.array([0.0, 1.0]))
-        )
-        assert math.isnan(rmse) and math.isnan(corr)
-        assert err == 100.0
-
-    def test_zero_variance_gives_nan_corr(self):
-        lf0 = np.log([100.0, 100.0, 100.0])
-        vuv = np.ones(3)
-        rmse, corr, _ = metrics.f0_metrics(masked(lf0, vuv), masked(np.log([90.0, 95.0, 100.0]), vuv))
-        assert math.isnan(corr)
-        assert rmse > 0.0
-
-    def test_affine_invariance_of_correlation(self):
-        rng = np.random.default_rng(3)
-        hz = rng.uniform(80, 300, 50)
-        other = rng.uniform(80, 300, 50)
-        vuv = np.ones(50)
-        _, corr1, _ = metrics.f0_metrics(masked(np.log(hz), vuv), masked(np.log(other), vuv))
-        _, corr2, _ = metrics.f0_metrics(
-            masked(np.log(2.5 * hz), vuv), masked(np.log(2.5 * other), vuv)
-        )
-        assert corr1 == pytest.approx(corr2, abs=1e-9)
+def score(ref, pred):
+    """The pooled report of one utterance."""
+    return metrics.aggregate([metrics.evaluate_utterance("u", ref, pred)])
 
 
 def random_utterance(rng, n):
@@ -139,11 +47,126 @@ def evaluate_pair(rng, utt_id, n):
     return ev, (ref, pred)
 
 
-def voiced_track(hz):
-    """Streams of an utterance voiced throughout at ``hz``."""
-    n = len(hz)
-    lf0 = np.log(np.asarray(hz, dtype=float))
-    return AcousticStreams(mgc=np.zeros((n, 60)), bap=np.zeros((n, 5)), lf0=lf0)
+def numpy_oracle(refs, preds):
+    """The five measures written out in numpy over all frames of the
+    utterances together, as the report header states them."""
+    ref_mgc, pred_mgc = (np.vstack([s.mgc for s in side]) for side in (refs, preds))
+    ref_bap, pred_bap = (np.vstack([s.bap for s in side]) for side in (refs, preds))
+    ref_lf0, pred_lf0 = (np.concatenate([s.lf0 for s in side]) for side in (refs, preds))
+    ref_v, pred_v = ref_lf0 > UNVOICED_LF0, pred_lf0 > UNVOICED_LF0
+    both = ref_v & pred_v
+    ref_hz, pred_hz = np.exp(ref_lf0[both]), np.exp(pred_lf0[both])
+    log_scale = 10.0 / math.log(10.0)
+    mcd_frames = log_scale * np.sqrt(2.0 * np.sum((ref_mgc[:, 1:] - pred_mgc[:, 1:]) ** 2, axis=1))
+    bap_frames = log_scale * np.sqrt(2.0 * np.sum((ref_bap - pred_bap) ** 2, axis=1)) / 10.0
+    return {
+        "mcd_db": np.mean(mcd_frames),
+        "bap_db": np.mean(bap_frames),
+        "f0_rmse_hz": np.sqrt(np.mean((ref_hz - pred_hz) ** 2)),
+        "f0_corr": np.corrcoef(ref_hz, pred_hz)[0, 1],
+        "vuv_error_pct": 100.0 * np.mean(ref_v != pred_v),
+    }
+
+
+class TestMcd:
+    def test_identical_is_zero(self):
+        x = random_utterance(np.random.default_rng(0), 20)
+        assert score(x, x).mcd_db == 0.0
+
+    def test_single_difference_closed_form(self):
+        ref = voiced_track([100.0])
+        pred_mgc = np.zeros((1, 60))
+        pred_mgc[0, 7] = 1.0
+        assert score(ref, dataclasses.replace(ref, mgc=pred_mgc)).mcd_db == pytest.approx(
+            CLOSED_FORM_MCD, abs=1e-9
+        )
+
+    def test_zeroth_coefficient_excluded(self):
+        ref = voiced_track([100.0] * 4)
+        pred_mgc = np.zeros((4, 60))
+        pred_mgc[:, 0] = 99.0
+        assert score(ref, dataclasses.replace(ref, mgc=pred_mgc)).mcd_db == 0.0
+
+    def test_symmetry_and_triangle_inequality(self):
+        rng = np.random.default_rng(1)
+        a, b, c = (rng.normal(size=(10, 60)) for _ in range(3))
+        ref = voiced_track([100.0] * 10)
+        with_a, with_b = (dataclasses.replace(ref, mgc=m) for m in (a, b))
+        assert score(with_a, with_b).mcd_db == score(with_b, with_a).mcd_db
+        assert np.all(
+            metrics._mcd_frames(a, c) <= metrics._mcd_frames(a, b) + metrics._mcd_frames(b, c) + 1e-12
+        )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ArgumentError):
+            metrics.evaluate_utterance("u", voiced_track([100.0] * 3), voiced_track([100.0] * 4))
+
+
+class TestBap:
+    def test_single_difference_closed_form(self):
+        ref = voiced_track([100.0])
+        pred_bap = np.zeros((1, 5))
+        pred_bap[0, 2] = 1.0
+        assert score(ref, dataclasses.replace(ref, bap=pred_bap)).bap_db == pytest.approx(
+            CLOSED_FORM_MCD / 10.0, abs=1e-9
+        )
+
+    def test_identical_is_zero(self):
+        x = random_utterance(np.random.default_rng(2), 6)
+        assert score(x, x).bap_db == 0.0
+
+    def test_includes_all_coefficients(self):
+        ref = voiced_track([100.0])
+        pred_bap = np.zeros((1, 5))
+        pred_bap[0, 0] = 1.0  # coefficient 0 counts here, unlike MCD
+        assert score(ref, dataclasses.replace(ref, bap=pred_bap)).bap_db > 0.0
+
+
+class TestF0Metrics:
+    def test_identical_streams(self):
+        x = voiced_track([100.0, 120.0, 130.0])
+        report = score(x, x)
+        assert (report.f0_rmse_hz, report.f0_corr, report.vuv_error_pct) == (0.0, 1.0, 0.0)
+
+    def test_constant_hz_shift(self):
+        hz = np.array([100.0, 150.0, 210.0, 95.0])
+        report = score(voiced_track(hz), voiced_track(hz + 5.0))
+        assert report.f0_rmse_hz == pytest.approx(5.0, abs=1e-9)
+        assert report.f0_corr == pytest.approx(1.0, abs=1e-9)
+        assert report.vuv_error_pct == 0.0
+
+    def test_four_frame_vuv_case(self):
+        hz = [100.0] * 4
+        report = score(voiced_track(hz, [1, 1, 0, 0]), voiced_track(hz, [1, 0, 0, 1]))
+        assert report.vuv_error_pct == 50.0
+
+    def test_exhaustive_vuv_masks_match_counting_oracle(self):
+        hz = [100.0, 110, 120, 130]
+        for ref_bits, pred_bits in itertools.product(range(16), repeat=2):
+            ref_vuv = np.array([(ref_bits >> i) & 1 for i in range(4)], dtype=float)
+            pred_vuv = np.array([(pred_bits >> i) & 1 for i in range(4)], dtype=float)
+            err = score(voiced_track(hz, ref_vuv), voiced_track(hz, pred_vuv)).vuv_error_pct
+            expect = 100.0 * bin(ref_bits ^ pred_bits).count("1") / 4.0
+            assert err == expect
+
+    def test_no_common_voicing_gives_nan_markers(self):
+        hz = [100.0, 110.0]
+        report = score(voiced_track(hz, [1.0, 0.0]), voiced_track(hz, [0.0, 1.0]))
+        assert math.isnan(report.f0_rmse_hz) and math.isnan(report.f0_corr)
+        assert report.vuv_error_pct == 100.0
+
+    def test_zero_variance_gives_nan_corr(self):
+        report = score(voiced_track([100.0, 100.0, 100.0]), voiced_track([90.0, 95.0, 100.0]))
+        assert math.isnan(report.f0_corr)
+        assert report.f0_rmse_hz > 0.0
+
+    def test_affine_invariance_of_correlation(self):
+        rng = np.random.default_rng(3)
+        hz = rng.uniform(80, 300, 50)
+        other = rng.uniform(80, 300, 50)
+        corr1 = score(voiced_track(hz), voiced_track(other)).f0_corr
+        corr2 = score(voiced_track(2.5 * hz), voiced_track(2.5 * other)).f0_corr
+        assert corr1 == pytest.approx(corr2, abs=1e-9)
 
 
 class TestEvaluateUtterance:
@@ -161,11 +184,11 @@ class TestAggregate:
         rng = np.random.default_rng(4)
         ev, (ref, pred) = evaluate_pair(rng, "u1", 30)
         report = metrics.aggregate([ev], system="txt2wav", split="dev", variant="mlpg")
-        assert report.mcd_db == pytest.approx(metrics.mcd(ref.mgc, pred.mgc), abs=1e-12)
-        rmse, corr, err = metrics.f0_metrics(ref.lf0, pred.lf0)
-        assert report.f0_rmse_hz == pytest.approx(rmse, abs=1e-9)
-        assert report.f0_corr == pytest.approx(corr, abs=1e-9)
-        assert report.vuv_error_pct == pytest.approx(err, abs=1e-12)
+        oracle = numpy_oracle([ref], [pred])
+        assert report.mcd_db == pytest.approx(oracle["mcd_db"], abs=1e-12)
+        assert report.f0_rmse_hz == pytest.approx(oracle["f0_rmse_hz"], abs=1e-9)
+        assert report.f0_corr == pytest.approx(oracle["f0_corr"], abs=1e-9)
+        assert report.vuv_error_pct == pytest.approx(oracle["vuv_error_pct"], abs=1e-12)
 
     def test_equal_lengths_give_arithmetic_mean(self):
         rng = np.random.default_rng(5)
@@ -185,21 +208,12 @@ class TestAggregate:
             evals.append(ev)
             raw.append(streams)
         report = metrics.aggregate(evals)
-        ref_mgc = np.vstack([r[0].mgc for r in raw])
-        pred_mgc = np.vstack([r[1].mgc for r in raw])
-        assert report.mcd_db == pytest.approx(metrics.mcd(ref_mgc, pred_mgc), rel=1e-12)
-        ref_bap = np.vstack([r[0].bap for r in raw])
-        pred_bap = np.vstack([r[1].bap for r in raw])
-        assert report.bap_db == pytest.approx(
-            metrics.bap_distortion(ref_bap, pred_bap), rel=1e-12
-        )
-        pooled = metrics.f0_metrics(
-            np.concatenate([r[0].lf0 for r in raw]),
-            np.concatenate([r[1].lf0 for r in raw]),
-        )
-        assert report.f0_rmse_hz == pytest.approx(pooled[0], rel=1e-9)
-        assert report.f0_corr == pytest.approx(pooled[1], abs=1e-9)
-        assert report.vuv_error_pct == pytest.approx(pooled[2], rel=1e-12)
+        oracle = numpy_oracle([r[0] for r in raw], [r[1] for r in raw])
+        assert report.mcd_db == pytest.approx(oracle["mcd_db"], rel=1e-12)
+        assert report.bap_db == pytest.approx(oracle["bap_db"], rel=1e-12)
+        assert report.f0_rmse_hz == pytest.approx(oracle["f0_rmse_hz"], rel=1e-9)
+        assert report.f0_corr == pytest.approx(oracle["f0_corr"], abs=1e-9)
+        assert report.vuv_error_pct == pytest.approx(oracle["vuv_error_pct"], rel=1e-12)
 
     @pytest.mark.parametrize(
         "ref_hz, pred_hz",

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from test_labels import grouped_task
 from ultratts import acoustic, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError, TrainingDiverged
 
@@ -328,51 +329,6 @@ class TestTrain:
             mlp.train(model, empty, full, self.schedule)
         with pytest.raises(DataError):
             mlp.train(model, full, empty, self.schedule)
-
-
-def grouped_task(n_groups=30, n=700, seed=0):
-    """Rows whose first 5 columns repeat per group, gathered and expanded."""
-    rng = np.random.default_rng(seed)
-    table = rng.uniform(-1.0, 1.0, size=(n_groups, 5))
-    which = np.sort(rng.integers(0, n_groups, size=n))
-    frames = rng.uniform(-1.0, 1.0, size=(n, 2))
-    dense = np.hstack([table[which], frames])
-    y = dense @ rng.normal(size=(7, 4)) + 0.01 * rng.normal(size=(n, 4))
-    return mlp.GatheredRows(table, which, frames), dense, y
-
-
-class TestGatheredRows:
-    def test_rows_are_the_expanded_rows(self):
-        rows, dense, _ = grouped_task()
-        assert rows.shape == dense.shape
-        idx = np.random.default_rng(1).permutation(dense.shape[0])[:64]
-        batch = rows[idx]
-        assert (batch.dtype, batch.shape) == (dense.dtype, (64, 7))
-        assert batch.tobytes() == dense[idx].tobytes()
-
-    def test_train_matches_the_expanded_matrix_bit_for_bit(self):
-        rows, dense, y = grouped_task()
-        valid_x, valid_y = dense[-100:], y[-100:]
-        schedule = mlp.TrainingSchedule(
-            max_epochs=6, warmup_epochs=2, base_lr=0.1, decay=0.9, batch_size=64, seed=2,
-        )
-        results = [
-            mlp.train(
-                mlp.init_model(7, seed=3, hidden_sizes=(8, 8), output_dim=4),
-                (x, y), (valid_x, valid_y), schedule,
-            )
-            for x in (dense, rows)
-        ]
-        (best_dense, history_dense), (best_rows, history_rows) = results
-        assert history_rows == history_dense
-        for a, b in zip(
-            best_dense.weights + best_dense.biases, best_rows.weights + best_rows.biases
-        ):
-            assert a.tobytes() == b.tobytes()
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ArgumentError, match="table indices"):
-            mlp.GatheredRows(np.zeros((2, 3)), np.zeros(5, dtype=np.intp), np.zeros((4, 1)))
 
 
 class TestPredictUtterance:

@@ -1,7 +1,7 @@
 import os
 import re
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ class TestConfig:
             for name in PATH_FIELDS
         }
         (tmp_path / "sub").mkdir()
-        write_config(config_for(tiny_corpus).with_overrides(**relative), tmp_path / "sub" / "exp.cfg")
+        write_config(replace(config_for(tiny_corpus), **relative), tmp_path / "sub" / "exp.cfg")
         cfg = read_config(tmp_path / "sub" / "exp.cfg")
         for name, path in relative.items():
             assert getattr(cfg, name) == path.absolute()
@@ -106,11 +106,21 @@ class TestConfig:
             config_for(tiny_corpus, system="wav2txt")
 
     def test_percent_in_paths_round_trips(self, tmp_path, tiny_corpus):
-        cfg = config_for(tiny_corpus).with_overrides(
-            ultrasound_dir=tmp_path / "100%" / "ult", label_dir=tmp_path / "a%(b)s"
+        cfg = replace(
+            config_for(tiny_corpus),
+            ultrasound_dir=tmp_path / "100%" / "ult",
+            label_dir=tmp_path / "a%(b)s",
         )
         write_config(cfg, tmp_path / "exp.cfg")
         assert read_config(tmp_path / "exp.cfg") == cfg
+
+    @pytest.mark.parametrize("key", ["frame_shift", "base_lr"])
+    def test_infinite_value_rejected(self, tmp_path, tiny_corpus, key):
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(config_for(tiny_corpus), cfg_file)
+        cfg_file.write_text(re.sub(rf"^{key} = .*$", f"{key} = inf", cfg_file.read_text(), flags=re.M))
+        with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got inf"):
+            read_config(cfg_file)
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "exp.cfg").write_text("[data]\nwhatever = 3\n")
@@ -163,7 +173,7 @@ class TestInputRecipe:
         k = eigentongues.load_model(run.pca_model).n_components if cfg.reads_ultrasound else 0
         width = (n_answers + 4 if cfg.reads_questions else 4) + k
         for utt_id in pipeline.load_split(run).all_ids:
-            x = pipeline.utterance_inputs(cfg, run, utt_id)
+            x = pipeline.gathered_inputs(cfg, run, [utt_id]).dense()
             assert x.shape == (labels.frame_count(run.ling(utt_id)), width)
 
     def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
@@ -171,9 +181,10 @@ class TestInputRecipe:
         text_cfg, text_run = prepared_runs["txt2wav"]
         ult_cfg, ult_run = prepared_runs["ult2wav"]
         for utt_id in pipeline.load_split(run).all_ids:
-            coeffs = pipeline.utterance_inputs(ult_cfg, ult_run, utt_id)[:, 4:]
-            expected = np.hstack([pipeline.utterance_inputs(text_cfg, text_run, utt_id), coeffs])
-            combined = pipeline.utterance_inputs(cfg, run, utt_id)
+            coeffs = pipeline.gathered_inputs(ult_cfg, ult_run, [utt_id]).dense()[:, 4:]
+            text = pipeline.gathered_inputs(text_cfg, text_run, [utt_id]).dense()
+            expected = np.hstack([text, coeffs])
+            combined = pipeline.gathered_inputs(cfg, run, [utt_id]).dense()
             assert (combined.dtype, combined.shape) == (expected.dtype, expected.shape)
             assert combined.tobytes() == expected.tobytes()
 
@@ -183,15 +194,24 @@ class TestGatheredInputs:
     def test_rows_and_normalisation_match_the_input_matrix(self, prepared_runs, system):
         cfg, run = prepared_runs[system]
         train = pipeline.load_split(run).train
-        dense = pipeline.input_matrix(cfg, run, train)
+        # each utterance's rows: its features expanded per frame, then its
+        # coefficients when the system reads ultrasound
+        utterances = []
+        for u in train:
+            x = labels.load_features(run.ling(u)).dense()
+            if cfg.reads_ultrasound:
+                x = np.hstack([x, np.load(run.coeffs(u))])
+            utterances.append(x)
+        dense = np.vstack(utterances)
         rows = pipeline.gathered_inputs(cfg, run, train)
         everything = np.arange(dense.shape[0])
         assert rows[everything].tobytes() == dense.tobytes()
+        assert rows.dense().tobytes() == dense.tobytes()
         stats = pipeline.normalize_gathered(rows)
         dense_stats = acoustic.fit_normalization(dense, "minmax")
         assert stats.a.tobytes() == dense_stats.a.tobytes()
         assert stats.b.tobytes() == dense_stats.b.tobytes()
-        assert rows[everything].tobytes() == acoustic.apply_normalization(stats, dense).tobytes()
+        assert rows.dense().tobytes() == acoustic.normalize_in_place(stats, dense).tobytes()
 
     def test_minmax_skips_labels_that_own_no_frame(self, tiny_corpus, tmp_path):
         ids = ultra.discover_utterances(tiny_corpus.ultrasound_dir)
@@ -215,12 +235,12 @@ class TestGatheredInputs:
             pipeline.run_stage(stage, run.root)
 
         train = pipeline.load_split(run).train
-        dense = acoustic.fit_normalization(pipeline.input_matrix(cfg, run, train), "minmax")
+        dense = acoustic.fit_normalization(pipeline.gathered_inputs(cfg, run, train).dense(), "minmax")
         _, persisted, _ = mlp.load_checkpoint(run.checkpoint)
         assert persisted.a.tobytes() == dense.a.tobytes()
         assert persisted.b.tobytes() == dense.b.tobytes()
         # over every label row, the C-Dur and C-z maxima would be the new label's
-        every_label = np.vstack([labels.load_features(run.ling(u)).answers for u in train])
+        every_label = np.vstack([labels.load_features(run.ling(u)).table for u in train])
         n_questions = every_label.shape[1]
         assert np.array_equal(
             every_label.max(axis=0) > dense.b[:n_questions],
@@ -349,7 +369,7 @@ class TestRunExperiment:
         cfg, run = tiny_run
         split = pipeline.load_split(run)
         in_stats = acoustic.fit_normalization(
-            pipeline.input_matrix(cfg, run, split.train), "minmax"
+            pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
         )
         out_stats = acoustic.fit_normalization(
             pipeline.target_matrix(cfg, split.train), "meanvar"
@@ -409,9 +429,7 @@ class TestRunExperiment:
         assert [p.read_bytes() for p in generated] == before
 
     def test_missing_path_fails_before_stages(self, tiny_corpus, tmp_path):
-        cfg = config_for(tiny_corpus).with_overrides(
-            question_file=tmp_path / "missing.hed"
-        )
+        cfg = replace(config_for(tiny_corpus), question_file=tmp_path / "missing.hed")
         with pytest.raises(ConfigError):
             pipeline.run_experiment(cfg, tmp_path / "run")
 
@@ -439,7 +457,8 @@ class TestCli:
 
         # shrink the configured work before running end to end
         cfg = read_config(cfg_file)
-        cfg = cfg.with_overrides(
+        cfg = replace(
+            cfg,
             resize_rows=8, resize_cols=16, max_components=8,
             hidden_layers=1, hidden_units=16, max_epochs=3, warmup_epochs=1,
             batch_size=128,
@@ -606,7 +625,7 @@ class TestCli:
         assert cli.main(["prepare", "--config", str(cfg_file), "--output", str(run.root)]) == 0
         for stage in ("pca", "train"):
             assert cli.main([stage, "--output", str(run.root)]) == 0
-        write_config(first.with_overrides(resize_rows=8, resize_cols=8), cfg_file)
+        write_config(replace(first, resize_rows=8, resize_cols=8), cfg_file)
         assert cli.main(["prepare", "--config", str(cfg_file), "--output", str(run.root)]) == 0
         assert not run.stage_dir("pca").exists()
         assert not run.stage_dir("train").exists()
@@ -621,9 +640,10 @@ class TestCli:
             name: Path(os.path.relpath(getattr(tiny_corpus, name), tmp_path))
             for name in PATH_FIELDS
         }
-        cfg = config_for(
-            tiny_corpus, max_epochs=2, warmup_epochs=1, hidden_layers=1, hidden_units=16
-        ).with_overrides(**relative)
+        cfg = replace(
+            config_for(tiny_corpus, max_epochs=2, warmup_epochs=1, hidden_layers=1, hidden_units=16),
+            **relative,
+        )
         run = pipeline.RunPaths(pipeline.run_experiment(cfg, tmp_path / "run"))
         before = run.report_csv.read_bytes()
         assert cli.main(["evaluate", "--output", str(run.root)]) == 0
@@ -668,6 +688,24 @@ class TestCli:
         assert cli.main(["report", str(run.root)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(run.report_csv) in err and "'split'" in err
+
+    @pytest.mark.parametrize("command", ["run-all", "report", "synth-corpus"])
+    def test_output_under_a_file_is_an_error_line(
+        self, tmp_path, tiny_corpus, tiny_run, capsys, command
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(config_for(tiny_corpus), cfg_file)
+        argv = {
+            "run-all": ["run-all", "--config", str(cfg_file), "--output", str(blocker / "run")],
+            "report": ["report", str(tiny_run[1].root), "--output", str(blocker / "t.txt")],
+            "synth-corpus": ["synth-corpus", "--output", str(blocker / "c")],
+        }[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+        assert blocker.read_text() == "kept"
 
     def test_report_merges_runs(self, tmp_path, tiny_run, capsys):
         _, run = tiny_run
