@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ArgumentError, DataError, FormatError
 
@@ -271,12 +270,15 @@ def invert_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndar
 def _window_normal_terms(
     window: tuple[float, float, float], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """W'W in solveh_banded's upper form (3, n), and W' obs, for a 3-tap window.
+    """W'W in LAPACK's upper band storage (3, n), and W' obs, for a 3-tap window.
 
-    Row t of the (n, n) operator W applies the window to frames t-1, t, t+1
-    with boundary replication, so the tap that falls outside the utterance
-    folds into the edge frame's own weight. W then has ``w_prev`` below the
-    diagonal, ``w_next`` above it, and ``w_cur`` on it plus the folded taps.
+    Row 2 of the band holds the diagonal, row 1 the first superdiagonal at
+    columns 1.., and row 0 the second at columns 2..; the unused leading
+    entries are zero. Row t of the (n, n) operator W applies the window to
+    frames t-1, t, t+1 with boundary replication, so the tap that falls
+    outside the utterance folds into the edge frame's own weight. W then has
+    ``w_prev`` below the diagonal, ``w_next`` above it, and ``w_cur`` on it
+    plus the folded taps.
     """
     w_prev, w_cur, w_next = window
     n = obs.shape[0]
@@ -296,14 +298,46 @@ def _window_normal_terms(
     return gram, projected
 
 
+def _solve_pentadiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs column by column for symmetric positive definite A.
+
+    ``band`` is (3, n, c): column j's A in upper band storage, as
+    ``_window_normal_terms`` gives it, and ``rhs`` is (n, c). A = UᵀU is
+    factored with U upper triangular of bandwidth 2, then Uᵀy = rhs and
+    U x = y are solved, all frame by frame and vectorised over the columns.
+    The working arrays carry two rows of padding at each end, zeros for U's
+    off-diagonals and for x and ones before U's diagonal, so that every
+    frame runs the same recurrence.
+    """
+    n, c = rhs.shape
+    u0 = np.ones((n + 2, c))  # diagonal of U
+    u1 = np.zeros((n + 4, c))  # U[t-1, t]
+    u2 = np.zeros((n + 4, c))  # U[t-2, t]
+    x = np.zeros((n + 4, c))
+    # factor row t of U and solve Uᵀy = rhs into x
+    for t in range(n):
+        i = t + 2
+        np.divide(band[0, t], u0[i - 2], out=u2[i])
+        np.divide(band[1, t] - u1[i - 1] * u2[i], u0[i - 1], out=u1[i])
+        np.sqrt(band[2, t] - u1[i] * u1[i] - u2[i] * u2[i], out=u0[i])
+        x[i] = (rhs[t] - u1[i] * x[i - 1] - u2[i] * x[i - 2]) / u0[i]
+    # U x = y, overwriting y
+    for i in range(n + 1, 1, -1):
+        x[i] -= u1[i + 1] * x[i + 1] + u2[i + 2] * x[i + 2]
+        x[i] /= u0[i]
+    return x[2 : n + 2]
+
+
 def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Most likely static trajectory given ``[static | d | dd]`` observation means.
 
     Solves (W' S^-1 W) c = W' S^-1 mu per dimension, where W stacks the
     identity with the delta and delta-delta window operators and S is the
     diagonal of per-dimension observation variances. The normal-equation
-    matrix is pentadiagonal symmetric positive definite, so a banded Cholesky
-    solve is used.
+    matrix is pentadiagonal symmetric positive definite, so it is solved by
+    a banded Cholesky factorisation, in numpy and over all dimensions at
+    once. Dimensions do not interact, so a column's result does not depend
+    on which other columns share the call.
     """
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     variances = np.asarray(variances, dtype=np.float64).ravel()
@@ -314,20 +348,18 @@ def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
         raise ArgumentError(f"variance length {variances.shape[0]} != means width {total}")
     if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
         raise ArgumentError("variances must be positive and finite")
+    if not np.all(np.isfinite(means)):
+        raise ArgumentError("means must be finite")
     width = total // 3
 
     gram_delta, rhs_delta = _window_normal_terms(DELTA_WINDOW, means[:, width : 2 * width])
     gram_delta2, rhs_delta2 = _window_normal_terms(DELTA_DELTA_WINDOW, means[:, 2 * width :])
-    gram_static = np.zeros((3, n))
-    gram_static[2] = 1.0
-
     inv_var = 1.0 / variances
-    mu_static = means[:, :width]
+    ws, wd, wdd = inv_var[:width], inv_var[width : 2 * width], inv_var[2 * width :]
 
-    out = np.empty((n, width))
-    for d in range(width):
-        ws, wd, wdd = inv_var[d], inv_var[width + d], inv_var[2 * width + d]
-        ab = ws * gram_static + wd * gram_delta + wdd * gram_delta2
-        rhs = ws * mu_static[:, d] + wd * rhs_delta[:, d] + wdd * rhs_delta2[:, d]
-        out[:, d] = solveh_banded(ab, rhs, lower=False)
-    return out
+    band = np.zeros((3, n, width))
+    band[2] = ws
+    band += wd * gram_delta[:, :, None]
+    band += wdd * gram_delta2[:, :, None]
+    rhs = ws * means[:, :width] + wd * rhs_delta + wdd * rhs_delta2
+    return _solve_pentadiagonal(band, rhs)

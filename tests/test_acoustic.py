@@ -281,6 +281,26 @@ class TestMlpg:
         with pytest.raises(ArgumentError):
             acoustic.mlpg(np.zeros((4, 4)), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_means_rejected(self, bad):
+        means = np.zeros((6, 3))
+        means[4, 2] = bad
+        with pytest.raises(ArgumentError, match="means must be finite"):
+            acoustic.mlpg(means, np.ones(3))
+
+    def test_columns_solved_independently(self):
+        # a stream's trajectory is the same bits alone or beside other streams
+        rng = np.random.default_rng(8)
+        widths = (4, 2, 1)
+        blocks = [rng.normal(size=(40, 3 * w)) for w in widths]
+        variances = [rng.uniform(0.2, 3.0, 3 * w) for w in widths]
+        together = acoustic.mlpg(
+            np.hstack([b[:, s * w : (s + 1) * w] for s in range(3) for b, w in zip(blocks, widths)]),
+            np.concatenate([v[s * w : (s + 1) * w] for s in range(3) for v, w in zip(variances, widths)]),
+        )
+        alone = np.hstack([acoustic.mlpg(b, v) for b, v in zip(blocks, variances)])
+        assert np.array_equal(together, alone)
+
 
 class TestTargets:
     def test_width_and_vuv(self):

@@ -121,6 +121,18 @@ class TestFit:
         with pytest.raises(ArgumentError):
             et.fit_pca(np.random.default_rng(0).normal(size=(5, 4)), 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        data = gaussian_in_10d()
+        data[7, 3] = bad
+        with pytest.raises(ArgumentError, match="frames must be finite"):
+            et.fit_pca(data, 0.9)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ArgumentError, match="k_max"):
+            et.fit_pca(gaussian_in_10d(), 0.9, k_max=k_max)
+
 
 def decaying_rows(distinct, d, seed):
     """Distinct rows with a geometrically decaying spectrum, and 1-4 repeats of each."""
@@ -176,6 +188,54 @@ class TestWeightedFit:
     def test_bad_counts_rejected(self, counts):
         with pytest.raises(ArgumentError, match="counts"):
             et.fit_pca(np.random.default_rng(0).normal(size=(3, 4)), 0.9, counts=counts)
+
+
+class TestLanczosBranch:
+    """Above ``DENSE_EIGH_MAX_GRAM`` the top pairs come from scipy's eigsh; they
+    match the dense numpy solve to criterion 4's bounds."""
+
+    @pytest.fixture()
+    def eigsh_calls(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        original = scipy.sparse.linalg.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "distinct, d", [(60, 300), (300, 60)], ids=["snapshot", "scatter"]
+    )
+    def test_matches_the_dense_solve(self, monkeypatch, eigsh_calls, distinct, d):
+        rows, counts = decaying_rows(distinct, d, seed=distinct)
+        dense = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
+        monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
+        lanczos = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
+        assert eigsh_calls == [24]
+        assert lanczos.n_components == dense.n_components == 24
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=1e-6)
+        assert np.all(np.diff(lanczos.eigenvalues) <= 0.0)
+        assert np.max(subspace_angles(lanczos.basis.T, dense.basis.T)) < 1e-6
+        # the sign rule points each axis the same way
+        assert np.all(np.sum(lanczos.basis * dense.basis, axis=1) > 0.0)
+        assert lanczos.total_variance == dense.total_variance
+        again = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
+        assert np.array_equal(again.basis, lanczos.basis)
+        assert np.array_equal(again.eigenvalues, lanczos.eigenvalues)
+
+    @pytest.mark.parametrize("k_max", [None, 60, 200])
+    def test_all_pairs_fall_back_to_the_dense_solve(self, monkeypatch, eigsh_calls, k_max):
+        rows, _ = decaying_rows(60, 300, seed=60)
+        dense = et.fit_pca(rows, 1.0, k_max=k_max)
+        monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
+        model = et.fit_pca(rows, 1.0, k_max=k_max)
+        assert eigsh_calls == []
+        assert np.array_equal(model.basis, dense.basis)
 
 
 class TestTransform:
