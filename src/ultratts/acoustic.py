@@ -30,6 +30,8 @@ VOICED_THRESHOLD = -1.0e9
 # Fallback log-F0 for an utterance with no voiced frame at all.
 ALL_UNVOICED_FILL = float(np.log(100.0))
 
+# mlpg's DCT-domain solve holds only for windows that are symmetric or
+# antisymmetric about their centre tap
 DELTA_WINDOW = (-0.5, 0.0, 0.5)
 DELTA_DELTA_WINDOW = (1.0, -2.0, 1.0)
 
@@ -267,65 +269,36 @@ def invert_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndar
     return data * scale + stats.a
 
 
-def _window_normal_terms(
-    window: tuple[float, float, float], obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """W'W in LAPACK's upper band storage (3, n), and W' obs, for a 3-tap window.
+def _window_adjoint(window: tuple[float, float, float], obs: np.ndarray) -> np.ndarray:
+    """W' obs for the (n, n) operator W of a 3-tap window.
 
-    Row 2 of the band holds the diagonal, row 1 the first superdiagonal at
-    columns 1.., and row 0 the second at columns 2..; the unused leading
-    entries are zero. Row t of the (n, n) operator W applies the window to
-    frames t-1, t, t+1 with boundary replication, so the tap that falls
-    outside the utterance folds into the edge frame's own weight. W then has
-    ``w_prev`` below the diagonal, ``w_next`` above it, and ``w_cur`` on it
-    plus the folded taps.
+    Row t of W applies the window to frames t-1, t, t+1 with boundary
+    replication, so the tap that falls outside the utterance folds into the
+    edge frame's own weight. W then has ``w_prev`` below the diagonal,
+    ``w_next`` above it, and ``w_cur`` on it plus the folded taps.
     """
     w_prev, w_cur, w_next = window
-    n = obs.shape[0]
-    diag = np.full(n, w_cur)
+    diag = np.full(obs.shape[0], w_cur)
     diag[0] += w_prev
     diag[-1] += w_next
-    gram = np.zeros((3, n))
-    gram[2] = diag * diag
-    gram[2, 1:] += w_next * w_next
-    gram[2, :-1] += w_prev * w_prev
-    gram[1, 1:] = diag[:-1] * w_next + w_prev * diag[1:]
-    gram[0, 2:] = w_prev * w_next
     # column i of W has entries in rows i-1, i, i+1; sum them in ascending row order
     projected = diag[:, None] * obs
     projected[1:] += w_next * obs[:-1]
     projected[:-1] += w_prev * obs[1:]
-    return gram, projected
+    return projected
 
 
-def _solve_pentadiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs column by column for symmetric positive definite A.
+def _window_power(window: tuple[float, float, float], n: int) -> np.ndarray:
+    """Eigenvalues of W'W, W as in ``_window_adjoint``, at frequencies πk/n for k = 0..n.
 
-    ``band`` is (3, n, c): column j's A in upper band storage, as
-    ``_window_normal_terms`` gives it, and ``rhs`` is (n, c). A = UᵀU is
-    factored with U upper triangular of bandwidth 2, then Uᵀy = rhs and
-    U x = y are solved, all frame by frame and vectorised over the columns.
-    The working arrays carry two rows of padding at each end, zeros for U's
-    off-diagonals and for x and ones before U's diagonal, so that every
-    frame runs the same recurrence.
+    Boundary replication is the utterance's half-sample symmetric extension
+    to period 2n. On it a symmetric or antisymmetric window, as both of ours
+    are, is a circular convolution that keeps the symmetry, so W'W is
+    diagonal in the DCT-II basis with the window's power response |H(ω)|².
     """
-    n, c = rhs.shape
-    u0 = np.ones((n + 2, c))  # diagonal of U
-    u1 = np.zeros((n + 4, c))  # U[t-1, t]
-    u2 = np.zeros((n + 4, c))  # U[t-2, t]
-    x = np.zeros((n + 4, c))
-    # factor row t of U and solve Uᵀy = rhs into x
-    for t in range(n):
-        i = t + 2
-        np.divide(band[0, t], u0[i - 2], out=u2[i])
-        np.divide(band[1, t] - u1[i - 1] * u2[i], u0[i - 1], out=u1[i])
-        np.sqrt(band[2, t] - u1[i] * u1[i] - u2[i] * u2[i], out=u0[i])
-        x[i] = (rhs[t] - u1[i] * x[i - 1] - u2[i] * x[i - 2]) / u0[i]
-    # U x = y, overwriting y
-    for i in range(n + 1, 1, -1):
-        x[i] -= u1[i + 1] * x[i + 1] + u2[i + 2] * x[i + 2]
-        x[i] /= u0[i]
-    return x[2 : n + 2]
+    w_prev, w_cur, w_next = window
+    omega = np.pi * np.arange(n + 1) / n
+    return (w_cur + (w_prev + w_next) * np.cos(omega)) ** 2 + ((w_next - w_prev) * np.sin(omega)) ** 2
 
 
 def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -333,11 +306,12 @@ def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
 
     Solves (W' S^-1 W) c = W' S^-1 mu per dimension, where W stacks the
     identity with the delta and delta-delta window operators and S is the
-    diagonal of per-dimension observation variances. The normal-equation
-    matrix is pentadiagonal symmetric positive definite, so it is solved by
-    a banded Cholesky factorisation, in numpy and over all dimensions at
-    once. Dimensions do not interact, so a column's result does not depend
-    on which other columns share the call.
+    diagonal of per-dimension observation variances. Every term of the
+    normal-equation matrix is diagonal in the DCT-II basis (see
+    ``_window_power``), so the solve is a real FFT of the mirrored
+    right-hand side, a division by the eigenvalues and the inverse FFT, over
+    all dimensions at once. Dimensions do not interact, so a column's result
+    does not depend on which other columns share the call.
     """
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     variances = np.asarray(variances, dtype=np.float64).ravel()
@@ -352,14 +326,18 @@ def mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
         raise ArgumentError("means must be finite")
     width = total // 3
 
-    gram_delta, rhs_delta = _window_normal_terms(DELTA_WINDOW, means[:, width : 2 * width])
-    gram_delta2, rhs_delta2 = _window_normal_terms(DELTA_DELTA_WINDOW, means[:, 2 * width :])
     inv_var = 1.0 / variances
     ws, wd, wdd = inv_var[:width], inv_var[width : 2 * width], inv_var[2 * width :]
-
-    band = np.zeros((3, n, width))
-    band[2] = ws
-    band += wd * gram_delta[:, :, None]
-    band += wdd * gram_delta2[:, :, None]
-    rhs = ws * means[:, :width] + wd * rhs_delta + wdd * rhs_delta2
-    return _solve_pentadiagonal(band, rhs)
+    rhs = (
+        ws * means[:, :width]
+        + wd * _window_adjoint(DELTA_WINDOW, means[:, width : 2 * width])
+        + wdd * _window_adjoint(DELTA_DELTA_WINDOW, means[:, 2 * width :])
+    )
+    eigenvalues = (
+        ws
+        + wd * _window_power(DELTA_WINDOW, n)[:, None]
+        + wdd * _window_power(DELTA_DELTA_WINDOW, n)[:, None]
+    )
+    # the rfft of the mirrored rows holds the DCT-II coefficients (times a phase)
+    spectrum = np.fft.rfft(np.concatenate([rhs, rhs[::-1]]), axis=0) / eigenvalues
+    return np.fft.irfft(spectrum, n=2 * n, axis=0)[:n]

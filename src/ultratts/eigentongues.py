@@ -17,9 +17,12 @@ from .errors import ArgumentError, DataError, FormatError
 _MAGIC = b"ETPC"
 _VERSION = 1
 
-# Largest Gram size decomposed whole by numpy's eigh. Above it scipy's eigsh
-# for 128 pairs, with its 0.3 s import, is faster on a decaying spectrum.
+# Largest Gram size decomposed whole by numpy's eigh, and the largest share
+# of a bigger Gram's pairs that scipy's eigsh is asked for. eigsh's time grows
+# with the pairs it finds; past either limit numpy's full eigh beat eigsh and
+# its 0.3 s import on synthetic Gram matrices of m = 400 to 4000.
 DENSE_EIGH_MAX_GRAM = 2000
+EIGSH_MAX_PAIR_SHARE = 1 / 16
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,10 @@ def fit_pca(
     covers the discarded axes too.
 
     A Gram matrix of at most ``DENSE_EIGH_MAX_GRAM`` rows is decomposed
-    whole by numpy's ``eigh``. A larger one, when fewer than all its pairs
-    are asked for, gives its top min(k_max, u, d) pairs to scipy's ``eigsh``
-    (ARPACK's implicitly restarted Lanczos) from a fixed start vector, so
-    scipy is imported only there.
+    whole by numpy's ``eigh``. A larger one gives its top min(k_max, u, d)
+    pairs to scipy's ``eigsh`` (ARPACK's implicitly restarted Lanczos) from a
+    fixed start vector, so scipy is imported only there, unless that is more
+    than ``EIGSH_MAX_PAIR_SHARE`` of its pairs; then numpy's ``eigh`` is used.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -141,13 +144,16 @@ def fit_pca(
 def _top_eigenpairs(gram: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top`` largest eigenpairs of a symmetric matrix, non-increasing."""
     m = gram.shape[0]
-    if m <= DENSE_EIGH_MAX_GRAM or top == m:
+    if m <= DENSE_EIGH_MAX_GRAM or top > m * EIGSH_MAX_PAIR_SHARE:
         w, vectors = np.linalg.eigh(gram)
         w, vectors = w[m - top :], vectors[:, m - top :]
     else:
         from scipy.sparse.linalg import eigsh
 
-        w, vectors = eigsh(gram, k=top, which="LA", v0=np.ones(m), tol=0)
+        # a fixed start vector for a repeatable run; not np.ones, which CCᵀ
+        # maps to zero when the rows are unweighted (centred rows sum to zero)
+        v0 = np.random.default_rng(0).standard_normal(m)
+        w, vectors = eigsh(gram, k=top, which="LA", v0=v0, tol=0)
     # both solvers return ascending order; reverse to non-increasing
     return w[::-1], vectors[:, ::-1]
 

@@ -246,7 +246,7 @@ class TestMlpg:
         out = acoustic.mlpg(means, np.ones(3))
         assert np.allclose(out, 4.2, atol=1e-8)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 50])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 50, 401])
     def test_matches_dense_oracle(self, n):
         rng = np.random.default_rng(n)
         width = 4

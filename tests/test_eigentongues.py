@@ -191,8 +191,10 @@ class TestWeightedFit:
 
 
 class TestLanczosBranch:
-    """Above ``DENSE_EIGH_MAX_GRAM`` the top pairs come from scipy's eigsh; they
-    match the dense numpy solve to criterion 4's bounds."""
+    """Above ``DENSE_EIGH_MAX_GRAM`` the top pairs come from scipy's eigsh,
+    unless more than ``EIGSH_MAX_PAIR_SHARE`` of them are asked for; they match
+    the dense numpy solve to criterion 4's bounds. The Gram matrices here are
+    400 x 400, so eigsh may find up to 25 pairs."""
 
     @pytest.fixture()
     def eigsh_calls(self, monkeypatch):
@@ -208,11 +210,14 @@ class TestLanczosBranch:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
         return calls
 
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     @pytest.mark.parametrize(
-        "distinct, d", [(60, 300), (300, 60)], ids=["snapshot", "scatter"]
+        "distinct, d", [(400, 1200), (1200, 400)], ids=["snapshot", "scatter"]
     )
-    def test_matches_the_dense_solve(self, monkeypatch, eigsh_calls, distinct, d):
+    def test_matches_the_dense_solve(self, monkeypatch, eigsh_calls, distinct, d, weighted):
+        # unweighted snapshot rows put the all-ones vector in CCᵀ's null space
         rows, counts = decaying_rows(distinct, d, seed=distinct)
+        counts = counts if weighted else None
         dense = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
         monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
         lanczos = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
@@ -228,9 +233,9 @@ class TestLanczosBranch:
         assert np.array_equal(again.basis, lanczos.basis)
         assert np.array_equal(again.eigenvalues, lanczos.eigenvalues)
 
-    @pytest.mark.parametrize("k_max", [None, 60, 200])
-    def test_all_pairs_fall_back_to_the_dense_solve(self, monkeypatch, eigsh_calls, k_max):
-        rows, _ = decaying_rows(60, 300, seed=60)
+    @pytest.mark.parametrize("k_max", [None, 26, 400, 1000])
+    def test_many_pairs_fall_back_to_the_dense_solve(self, monkeypatch, eigsh_calls, k_max):
+        rows, _ = decaying_rows(400, 1200, seed=400)
         dense = et.fit_pca(rows, 1.0, k_max=k_max)
         monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
         model = et.fit_pca(rows, 1.0, k_max=k_max)
