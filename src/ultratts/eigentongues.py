@@ -73,11 +73,11 @@ def fit_pca(
     otherwise. The total variance is the exact trace ‖C‖²_F / (n-1), so it
     covers the discarded axes too.
 
-    A Gram matrix of at most ``DENSE_EIGH_MAX_GRAM`` rows is decomposed
-    whole by numpy's ``eigh``. A larger one gives its top min(k_max, u, d)
-    pairs to scipy's ``eigsh`` (ARPACK's implicitly restarted Lanczos) from a
-    fixed start vector, so scipy is imported only there, unless that is more
-    than ``EIGSH_MAX_PAIR_SHARE`` of its pairs; then numpy's ``eigh`` is used.
+    A Gram matrix of at most ``DENSE_EIGH_MAX_GRAM`` rows, or one asked for
+    more than ``EIGSH_MAX_PAIR_SHARE`` of its pairs, is decomposed whole by
+    numpy's ``eigh``. Otherwise its top min(k_max, u, d) pairs come from
+    scipy's ``eigsh`` (ARPACK's implicitly restarted Lanczos), started from a
+    fixed vector, so scipy is imported only there.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
