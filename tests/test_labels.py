@@ -97,7 +97,7 @@ def answers(question_text, context):
 
 def compiled_match(pattern, text):
     """Whole-string match of one glob through the regex a ``QuestionSet`` compiles."""
-    (regex,), _ = labels.QuestionSet(binary=(("Q", (pattern,)),), numeric=())._compiled
+    (regex,) = labels.QuestionSet(binary=(("Q", (pattern,)),), numeric=())._compiled.globs
     return regex.fullmatch(text) is not None
 
 
@@ -165,6 +165,74 @@ class TestCompiledQuestions:
             for c in contexts
         ]
         assert np.array_equal(feats[:, : len(binary)], np.array(expect))
+
+    @staticmethod
+    def shared_glob_questions():
+        """150 random QS over 11 globs, so every glob serves many questions;
+        one QS is ``{*}`` and another repeats a glob."""
+        rng = np.random.default_rng(2)
+        globs = ["*", "?", "a?", "?b", "*-a+*", "*-b+*", "?-?+*", "*a*", "b*?", "*+-*", "ab"]
+        binary = [("Always", ("*",)), ("Twice", ("*-a+*", "?", "*-a+*"))]
+        for q in range(148):
+            # drawn with replacement, so some questions repeat a glob
+            picks = rng.choice(len(globs), size=rng.integers(1, 6))
+            binary.append((f"Q{q}", tuple(globs[k] for k in picks)))
+        return tuple(binary)
+
+    @pytest.mark.parametrize("n_questions", [150, 0], ids=["shared-globs", "empty-set"])
+    def test_shared_globs_match_per_pattern_oracle(self, n_questions):
+        binary = self.shared_glob_questions()[:n_questions]
+        qs = labels.QuestionSet(binary=binary, numeric=())
+        assert len(qs._compiled.globs) == len({p for _, patterns in binary for p in patterns})
+        rng = np.random.default_rng(3)
+        contexts = [
+            "".join(rng.choice(list("ab-+"), size=rng.integers(1, 9))) for _ in range(80)
+        ]
+        labs = [labels.FullContextLabel(i, i + 1, c) for i, c in enumerate(contexts)]
+        feats = labels.extract_features(labs, qs, 1e-7, len(labs))
+        expect = np.array(
+            [
+                [float(any(backtrack_match(p, c) for p in patterns)) for _, patterns in binary]
+                for c in contexts
+            ]
+        ).reshape(len(contexts), n_questions)
+        assert feats.table.tobytes() == expect.tobytes()
+
+    def test_bench_set_compiles_each_distinct_glob_once(self, monkeypatch):
+        corpus = load_bench_module("corpus")
+        qs = labels.parse_questions(corpus.render_question_set(1000, np.random.default_rng(0)))
+        calls = []
+        glob_to_regex = labels._glob_to_regex
+
+        def counting(pattern):
+            calls.append(pattern)
+            return glob_to_regex(pattern)
+
+        monkeypatch.setattr(labels, "_glob_to_regex", counting)
+        labels.QuestionSet(binary=qs.binary, numeric=())._compiled
+        distinct = {p for _, patterns in qs.binary for p in patterns}
+        assert sum(len(patterns) for _, patterns in qs.binary) > 3000
+        assert sorted(calls) == sorted(distinct)
+        assert len(calls) == 65
+
+    def test_question_without_patterns_rejected(self):
+        with pytest.raises(FormatError, match="'Q' declares no patterns"):
+            labels.QuestionSet(binary=(("Q", ()),), numeric=())
+
+    @pytest.mark.parametrize(
+        "captured", ["inf", "-inf", "nan", "1e999", "abc"],
+        ids=["inf", "minus-inf", "nan", "overflow", "not-a-number"],
+    )
+    def test_cqs_capture_must_be_a_finite_number(self, captured):
+        qs = labels.parse_questions('QS "A" {*}\nCQS "C-Dur" {*@(\\S+)}\n')
+        context = f"x^x-a+b=c@{captured}"
+        labs = [
+            labels.FullContextLabel(0, 50000, "x^x-a+b=c@4"),
+            labels.FullContextLabel(50000, 100000, context),
+        ]
+        with pytest.raises(FormatError, match="not a finite number") as raised:
+            labels.extract_features(labs, qs, 0.005, 20)
+        assert "'C-Dur'" in str(raised.value) and repr(context) in str(raised.value)
 
     def test_malformed_numeric_group_raises_format_error(self):
         labs = [labels.FullContextLabel(0, 50000, "x^x-a+b=c@7+2")]
@@ -250,7 +318,7 @@ def dense_reference(labs, questions, frame_shift, n_frames):
     answers per label: every frame row written out in full."""
     n_questions = len(questions.binary) + len(questions.numeric)
     out = np.zeros((n_frames, n_questions + labels.N_POSITIONAL))
-    answers = np.stack([labels._answer_label(lab, questions) for lab in labs])
+    answers = labels._answer_labels(labs, questions)
     shift_ticks = frame_shift * labels.TICKS_PER_SECOND
     ticks = np.floor(np.arange(n_frames) * shift_ticks + 0.5)
     ends = np.array([lab.end for lab in labs], dtype=np.float64)

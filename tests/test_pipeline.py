@@ -665,6 +665,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_cqs_capturing_a_phone_fails_prepare(self, tmp_path, tiny_corpus, capsys):
+        question_file = tmp_path / "questions.hed"
+        question_file.write_text('QS "C-a" {*-a+*}\nCQS "C-Phone" {*-(\\w+)+*}\n')
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(config_for(tiny_corpus, system="txt2wav", question_file=question_file), cfg_file)
+        argv = ["prepare", "--config", str(cfg_file), "--output", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'prepare' failed: CQS 'C-Phone' captured")
+
     @pytest.mark.parametrize(
         "data",
         [b"ultrasound_dir = ult\n", b"[data]\nlabel_dir = a\nlabel_dir = b\n", b"[data]\n\xff\n"],
