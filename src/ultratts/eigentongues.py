@@ -6,6 +6,7 @@ are projected with the training model.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,34 +204,39 @@ def save_model(model: EigenTonguesModel, path: Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(model.mean.astype("<f8").tobytes())
-        fh.write(model.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.basis, dtype="<f8").tobytes())
+        # arrays go to the file through the buffer protocol, without a bytes copy
+        fh.write(np.ascontiguousarray(model.mean, dtype="<f8"))
+        fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8"))
+        fh.write(np.ascontiguousarray(model.basis, dtype="<f8"))
 
 
 def load_model(path: Path) -> EigenTonguesModel:
-    data = Path(path).read_bytes()
+    """The model written by ``save_model``. The length its header declares is
+    checked against the file's size first; the floats are then read into one
+    array, which the mean, eigenvalues and basis are views of."""
     header_size = struct.calcsize("<4sIQQdd")
-    if len(data) < header_size:
-        raise FormatError(f"model file too short: {path}")
-    magic, version, d, k, variance_target, total_variance = struct.unpack(
-        "<4sIQQdd", data[:header_size]
-    )
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic in model file: {path}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported model version {version} in {path}")
-    expected = header_size + 8 * (d + k + k * d)
-    if len(data) != expected:
-        raise FormatError(f"model file length {len(data)} != expected {expected}")
-    floats = np.frombuffer(data, dtype="<f8", offset=header_size)
-    mean = floats[:d].copy()
-    eigenvalues = floats[d : d + k].copy()
-    basis = floats[d + k :].reshape(k, d).copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < header_size:
+            raise FormatError(f"model file too short: {path}")
+        magic, version, d, k, variance_target, total_variance = struct.unpack(
+            "<4sIQQdd", fh.read(header_size)
+        )
+        if magic != _MAGIC:
+            raise FormatError(f"bad magic in model file: {path}")
+        if version != _VERSION:
+            raise FormatError(f"unsupported model version {version} in {path}")
+        count = d + k + k * d
+        expected = header_size + 8 * count
+        if size != expected:
+            raise FormatError(f"model file length {size} != expected {expected}")
+        floats = np.fromfile(fh, dtype="<f8", count=count)
+    # no copy on a little-endian machine
+    floats = floats.astype(np.float64, copy=False)
     return EigenTonguesModel(
-        mean=mean,
-        basis=basis,
-        eigenvalues=eigenvalues,
+        mean=floats[:d],
+        basis=floats[d + k :].reshape(k, d),
+        eigenvalues=floats[d : d + k],
         variance_target=variance_target,
         total_variance=total_variance,
     )

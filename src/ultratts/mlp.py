@@ -12,10 +12,19 @@ at its own float width, plus the 64-bit input and output normalisation it
 was trained under. Training inputs are a matrix or any row container that
 builds a batch when indexed, such as ``labels.GatheredRows``; this module
 defines none.
+
+Memory: training holds the net, one best-epoch snapshot (allocated once and
+refreshed in place), one step's gradients (freed as soon as they are
+applied) and the batch activations, which the backward pass overwrites with
+tanh' and frees layer by layer; besides those, only the data and the
+validation pass. A checkpoint loads in one copy: its declared length is
+checked against the file's size, then the net is read into one writable
+array that its weights and biases are views of.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,10 +152,15 @@ def _forward(
     activations = [batch] if keep_activations else []
     h = batch
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.tanh(h @ w + b)
+        # tanh(h @ w + b), each step written over the product
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         if keep_activations:
             activations.append(h)
-    return h @ model.weights[-1] + model.biases[-1], activations
+    out = h @ model.weights[-1]
+    out += model.biases[-1]
+    return out, activations
 
 
 def backward(
@@ -167,18 +181,23 @@ def backward(
     # overflow here only happens on a diverging model; the caller detects the
     # resulting non-finite loss, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        pred, activations = _forward(model, batch, keep_activations=True)
-        diff = pred - targets
-        batch_loss = float(0.5 * np.sum(diff * diff, dtype=np.float64) / diff.shape[0])
-        delta = diff / diff.shape[0]  # d loss / d pred, mean over the batch
+        delta, activations = _forward(model, batch, keep_activations=True)
+        delta -= targets  # the residual, in the prediction's buffer
+        batch_loss = float(0.5 * np.sum(delta * delta, dtype=np.float64) / delta.shape[0])
+        delta /= delta.shape[0]  # d loss / d pred, mean over the batch
         grads_w = [np.empty(0)] * len(model.weights)
         grads_b = [np.empty(0)] * len(model.biases)
         for layer in reversed(range(len(model.weights))):
-            grads_w[layer] = activations[layer].T @ delta
+            # popped, so each activation is freed once its layer is done
+            h = activations.pop()
+            grads_w[layer] = h.T @ delta
             grads_b[layer] = delta.sum(axis=0)
             if layer > 0:
-                # tanh' = 1 - tanh^2, using the stored activation
-                delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
+                # tanh' = 1 - tanh^2, written over the stored hidden activation
+                np.square(h, out=h)
+                np.subtract(1.0, h, out=h)
+                delta = delta @ model.weights[layer].T
+                delta *= h
     return grads_w, grads_b, batch_loss
 
 
@@ -197,11 +216,12 @@ def train(
     validation inputs are cast to the model's dtype once, here, so no batch
     is cast. Returns the parameters of the best-validation epoch; stops
     early when validation MSE has not improved for ``patience`` consecutive
-    epochs after warm-up, and when a loss overflows the model's float range,
-    which a diverging float32 net reaches long before float64 would. Raises
-    ``TrainingDiverged`` when the best validation MSE exceeds
-    ``DIVERGENCE_FACTOR`` times the MSE of predicting zero, however finite its
-    numbers are, or no epoch stayed finite.
+    epochs after warm-up, and when the training loss overflows the model's
+    float range, which a diverging float32 net reaches long before float64
+    would, or the validation MSE is not finite. Raises ``TrainingDiverged``
+    when the best validation MSE exceeds ``DIVERGENCE_FACTOR`` times the MSE
+    of predicting zero, however finite its numbers are, or no epoch stayed
+    finite; the message then names the value that went non-finite, if one did.
     """
     train_x, train_y = train_set
     train_x = train_x.astype(model.dtype, copy=False)
@@ -212,10 +232,13 @@ def train(
         raise DataError("train and validation sets must be non-empty")
 
     rng = np.random.default_rng(schedule.seed)
+    # the one snapshot, refreshed in place at each new best epoch
     best = model.copy()
     best_valid = np.inf
     stale_epochs = 0
     history: list[EpochRecord] = []
+    # names the value that went non-finite and stopped training, if one did
+    non_finite = ""
 
     for epoch in range(1, schedule.max_epochs + 1):
         lr = schedule.learning_rate(epoch)
@@ -232,20 +255,26 @@ def train(
                 w -= gw
                 gb *= lr
                 b -= gb
+            # freed now, not once the next backward or the validation pass has
+            # allocated alongside them
+            del grads_w, grads_b
         # an overflowed net cannot recover; the epochs before it hold the best
         if not np.isfinite(loss_sum):
+            non_finite = "the training loss"
             break
         # per-element MSE over all training rows, comparable with the
         # validation column; each batch loss is a mean over its own rows
         train_mse = 2.0 * loss_sum / (order.size * model.output_dim)
         valid_mse = mse(forward(model, valid_x), valid_y)
         if not np.isfinite(valid_mse):
+            non_finite = "the validation MSE"
             break
         history.append(EpochRecord(epoch=epoch, lr=lr, train_mse=train_mse, valid_mse=valid_mse))
 
         if valid_mse < best_valid:
             best_valid = valid_mse
-            best = model.copy()
+            for snapshot, current in zip(best.weights + best.biases, model.weights + model.biases):
+                np.copyto(snapshot, current)
             stale_epochs = 0
         elif epoch > schedule.warmup_epochs:
             stale_epochs += 1
@@ -254,10 +283,10 @@ def train(
 
     zero_mse = mse(np.zeros_like(valid_y), valid_y)
     if not best_valid <= DIVERGENCE_FACTOR * zero_mse:
-        overflow = f"; the loss overflowed at epoch {epoch}" if epoch > len(history) else ""
+        stopped = f"; {non_finite} went non-finite at epoch {epoch}" if non_finite else ""
         raise TrainingDiverged(
             f"best validation MSE {best_valid:.4g} exceeds {DIVERGENCE_FACTOR:g} x "
-            f"{zero_mse:.4g}, the MSE of predicting zero{overflow}"
+            f"{zero_mse:.4g}, the MSE of predicting zero{stopped}"
         )
     return best, history
 
@@ -358,43 +387,53 @@ def save_checkpoint(
             struct.pack(_CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION, width, len(model.layer_sizes))
         )
         fh.write(struct.pack(f"<{len(model.layer_sizes)}Q", *model.layer_sizes))
+        # arrays go to the file through the buffer protocol, without a bytes copy
         for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype=f"<f{width}").tobytes())
-            fh.write(b.astype(f"<f{width}").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype=f"<f{width}"))
+            fh.write(np.ascontiguousarray(b, dtype=f"<f{width}"))
         for vector in (input_stats.a, input_stats.b, output_stats.a, output_stats.b):
-            fh.write(vector.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(vector, dtype="<f8"))
 
 
 def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, NormalizationStats]:
     """The model written by ``save_checkpoint``, in its stored dtype, with its
-    input and output stats."""
-    data = Path(path).read_bytes()
-    offset = struct.calcsize(_CKPT_HEADER)
-    try:
-        magic, version, width, n_sizes = struct.unpack_from(_CKPT_HEADER, data)
-        if (
-            magic != _CKPT_MAGIC
-            or version != _CKPT_VERSION
-            or width not in _CKPT_NET_DTYPES
-            or n_sizes < 2
-        ):
-            raise FormatError(f"not a recognized checkpoint: {path}")
-        sizes = struct.unpack_from(f"<{n_sizes}Q", data, offset)
+    input and output stats.
+
+    The length the header declares is checked against the file's size before
+    anything is allocated; the net is then read straight into one writable
+    array, which its weights and biases are views of."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = struct.calcsize(_CKPT_HEADER)
+        try:
+            magic, version, width, n_sizes = struct.unpack(_CKPT_HEADER, fh.read(offset))
+            if (
+                magic != _CKPT_MAGIC
+                or version != _CKPT_VERSION
+                or width not in _CKPT_NET_DTYPES
+                or n_sizes < 2
+            ):
+                raise FormatError(f"not a recognized checkpoint: {path}")
+        except struct.error as e:
+            raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
         offset += 8 * n_sizes
-    except struct.error as e:
-        raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
-    pairs = list(zip(sizes[:-1], sizes[1:]))
-    net_counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
-    stats_counts = [sizes[0], sizes[0], sizes[-1], sizes[-1]]
-    stats_offset = offset + width * sum(net_counts)
-    expected = stats_offset + 8 * sum(stats_counts)
-    if len(data) != expected:
-        raise FormatError(f"checkpoint length {len(data)} != expected {expected}: {path}")
-    net = np.frombuffer(data, dtype=f"<f{width}", count=sum(net_counts), offset=offset)
-    parts = np.split(net.astype(_CKPT_NET_DTYPES[width]), np.cumsum(net_counts)[:-1])
+        if offset > size:
+            raise FormatError(f"checkpoint header declares {n_sizes} layers in {size} bytes: {path}")
+        sizes = struct.unpack(f"<{n_sizes}Q", fh.read(8 * n_sizes))
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        net_counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
+        stats_counts = [sizes[0], sizes[0], sizes[-1], sizes[-1]]
+        expected = offset + width * sum(net_counts) + 8 * sum(stats_counts)
+        if size != expected:
+            raise FormatError(f"checkpoint length {size} != expected {expected}: {path}")
+        net = np.fromfile(fh, dtype=f"<f{width}", count=sum(net_counts))
+        stats = np.fromfile(fh, dtype="<f8", count=sum(stats_counts))
+    # no copy on a little-endian machine
+    net = net.astype(_CKPT_NET_DTYPES[width], copy=False)
+    parts = np.split(net, np.cumsum(net_counts)[:-1])
     weights = [w.reshape(shape) for w, shape in zip(parts[0::2], pairs)]
     model = MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=parts[1::2])
-    stats = np.frombuffer(data, dtype="<f8", offset=stats_offset).astype(np.float64)
+    stats = stats.astype(np.float64, copy=False)
     in_min, in_max, out_mean, out_std = np.split(stats, np.cumsum(stats_counts)[:-1])
     return (
         model,

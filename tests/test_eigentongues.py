@@ -1,9 +1,12 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
 from ultratts import eigentongues as et
-from ultratts.errors import ArgumentError, DataError
+from ultratts.errors import ArgumentError, DataError, FormatError
 
 
 def gaussian_in_10d(n=200, seed=0):
@@ -314,6 +317,37 @@ class TestSerialization:
         assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
         assert loaded.variance_target == model.variance_target
         assert loaded.total_variance == model.total_variance
+
+    def test_load_reads_one_writable_copy(self, tmp_path):
+        rng = np.random.default_rng(11)
+        model = et.fit_pca(rng.normal(size=(40, 2000)), 0.9)
+        path = tmp_path / "model.bin"
+        et.save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded = et.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size
+        for a in (loaded.mean, loaded.basis, loaded.eigenvalues):
+            assert a.flags.writeable
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        model = et.fit_pca(np.random.default_rng(12).normal(size=(40, 2000)), 0.9)
+        path = tmp_path / "model.bin"
+        et.save_model(model, path)
+        data = path.read_bytes()
+        # the component count k follows the magic, the version and d
+        path.write_bytes(data[:16] + struct.pack("<Q", 1 << 40) + data[24:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="length"):
+                et.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) / 10
 
     def test_truncated_file_rejected(self, tmp_path):
         model = et.fit_pca(gaussian_in_10d(), 0.8)

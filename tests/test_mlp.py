@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,67 @@ class TestBackward:
         model = mlp.init_model(4, seed=0, hidden_sizes=(6,), output_dim=2)
         with pytest.raises(ArgumentError):
             mlp.backward(model, np.zeros((3, 4)), np.zeros((3, 5)))
+
+
+def reference_forward(model, x):
+    """The net's output and its layer inputs, one new array per step."""
+    activations = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    return activations[-1] @ model.weights[-1] + model.biases[-1], activations
+
+
+def reference_backward(model, x, y):
+    """Backprop written out of place, one new array per step, in the model's dtype."""
+    pred, activations = reference_forward(model, x)
+    diff = pred - y
+    loss = float(0.5 * np.sum(diff * diff, dtype=np.float64) / diff.shape[0])
+    delta = diff / diff.shape[0]
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+    for layer in reversed(range(len(model.weights))):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
+    return grads_w, grads_b, loss
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_out_of_place_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        model = mlp.init_model(13, seed=6, hidden_sizes=(24, 17, 9), output_dim=5, dtype=dtype)
+        for b in model.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(size=(33, 13)).astype(dtype)
+        y = rng.normal(size=(33, 5)).astype(dtype)
+        grads_w, grads_b, loss = mlp.backward(model, x, y)
+        ref_w, ref_b, ref_loss = reference_backward(model, x, y)
+        assert loss == ref_loss
+        for got, want in zip(grads_w + grads_b, ref_w + ref_b):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+        assert mlp.forward(model, x).tobytes() == reference_forward(model, x)[0].tobytes()
+
+    def test_leaves_batch_and_targets_untouched(self):
+        rng = np.random.default_rng(12)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8, 8), output_dim=3, dtype=np.float32)
+        x = rng.normal(size=(10, 6)).astype(np.float32)
+        y = rng.normal(size=(10, 3)).astype(np.float32)
+        x_before, y_before = x.copy(), y.copy()
+        mlp.backward(model, x, y)
+        assert x.tobytes() == x_before.tobytes()
+        assert y.tobytes() == y_before.tobytes()
 
 
 def _float32_twin():
@@ -321,6 +383,29 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="predicting zero"):
             mlp.train(model, train_set, valid_set, schedule)
 
+    def test_overflowing_training_loss_is_named(self, monkeypatch):
+        backward = mlp.backward
+
+        def overflowing_backward(model, batch, targets):
+            grads_w, grads_b, _ = backward(model, batch, targets)
+            return grads_w, grads_b, np.inf
+
+        monkeypatch.setattr(mlp, "backward", overflowing_backward)
+        train_set, valid_set = linear_task(seed=5)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        with pytest.raises(TrainingDiverged, match="the training loss went non-finite at epoch 1$"):
+            mlp.train(model, train_set, valid_set, self.schedule)
+
+    def test_non_finite_validation_mse_is_named(self):
+        # an infinite dev input makes the validation MSE NaN while every
+        # training batch stays finite
+        train_set, (valid_x, valid_y) = linear_task(seed=5)
+        valid_x = valid_x.copy()
+        valid_x[0] = np.inf
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        with pytest.raises(TrainingDiverged, match="the validation MSE went non-finite at epoch 1$"):
+            mlp.train(model, train_set, (valid_x, valid_y), self.schedule)
+
     def test_empty_sets_rejected(self):
         model = mlp.init_model(6, seed=0, hidden_sizes=(8,), output_dim=4)
         empty = (np.zeros((0, 6)), np.zeros((0, 4)))
@@ -329,6 +414,54 @@ class TestTrain:
             mlp.train(model, empty, full, self.schedule)
         with pytest.raises(DataError):
             mlp.train(model, full, empty, self.schedule)
+
+
+class TestTrainingMemory:
+    def test_peak_stays_under_three_nets(self):
+        # the net (2.6 MB of float32 weights) dominates everything else that
+        # training holds: the snapshot, one step's gradients and the small batches
+        model = mlp.init_model(32, seed=0, hidden_sizes=(512,) * 3, output_dim=199, dtype=np.float32)
+        net_bytes = sum(a.nbytes for a in model.weights + model.biases)
+        rng = np.random.default_rng(3)
+        train_set = (rng.normal(size=(256, 32)).astype(np.float32),
+                     rng.normal(size=(256, 199)).astype(np.float32))
+        valid_set = (rng.normal(size=(64, 32)).astype(np.float32), rng.normal(size=(64, 199)))
+        schedule = mlp.TrainingSchedule(
+            max_epochs=4, warmup_epochs=1, base_lr=0.01, batch_size=64, patience=5, seed=1,
+        )
+        (_, history), peak = traced_peak(mlp.train, model, train_set, valid_set, schedule)
+        assert len(history) == schedule.max_epochs
+        assert peak < 3 * net_bytes
+
+    def test_best_is_a_separate_copy_of_the_best_epoch(self, monkeypatch):
+        # validation targets that oppose the training mapping get worse as the
+        # net learns, so the best epoch is an early one and the net moves on
+        train_set, (valid_x, valid_y) = linear_task(seed=3)
+        train_set = tuple(a.astype(np.float32) for a in train_set)
+        valid_set = (valid_x.astype(np.float32), -valid_y)
+        given = [a.copy() for a in train_set + valid_set]
+        at_validation = []
+        forward = mlp.forward
+
+        def recording_forward(model, batch):
+            at_validation.append([a.copy() for a in model.weights + model.biases])
+            return forward(model, batch)
+
+        monkeypatch.setattr(mlp, "forward", recording_forward)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4, dtype=np.float32)
+        schedule = mlp.TrainingSchedule(
+            max_epochs=6, warmup_epochs=1, base_lr=0.1, batch_size=64, patience=10, seed=4,
+        )
+        best, history = mlp.train(model, train_set, valid_set, schedule)
+        best_epoch = min(history, key=lambda h: h.valid_mse).epoch
+        assert best_epoch < history[-1].epoch
+        trained = model.weights + model.biases
+        for kept, seen, final in zip(best.weights + best.biases, at_validation[best_epoch - 1], trained):
+            assert not np.shares_memory(kept, final)
+            assert kept.tobytes() == seen.tobytes()
+            assert kept.tobytes() != final.tobytes()
+        for after, before in zip(train_set + valid_set, given):
+            assert after.tobytes() == before.tobytes()
 
 
 class TestPredictUtterance:
@@ -471,6 +604,44 @@ class TestCheckpoint:
             path.write_bytes(_with_version(_checkpoint_bytes(tmp_path), version))
             with pytest.raises(FormatError):
                 mlp.load_checkpoint(path)
+
+
+class TestCheckpointMemory:
+    def saved(self, tmp_path):
+        model = mlp.init_model(64, seed=3, hidden_sizes=(256, 256), output_dim=199, dtype=np.float32)
+        path = tmp_path / "model.bin"
+        mlp.save_checkpoint(model, *_fitted_stats(model), path)
+        return model, path
+
+    def test_load_reads_one_writable_copy(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        (loaded, in_stats, out_stats), peak = traced_peak(mlp.load_checkpoint, path)
+        assert peak <= 1.25 * path.stat().st_size
+        arrays = loaded.weights + loaded.biases + [in_stats.a, in_stats.b, out_stats.a, out_stats.b]
+        assert all(a.flags.writeable for a in arrays)
+        for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert a.tobytes() == b.tobytes()
+
+    def test_oversized_layer_is_rejected_before_allocating(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        data = path.read_bytes()
+        # the middle of the 4 layer sizes, which follow the 20-byte header
+        path.write_bytes(data[:28] + struct.pack("<Q", 1 << 40) + data[36:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="length"):
+                mlp.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) / 10
+
+    def test_header_declaring_more_sizes_than_the_file_holds(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:12] + struct.pack("<Q", 1 << 60) + data[20:])
+        with pytest.raises(FormatError, match="layers"):
+            mlp.load_checkpoint(path)
 
 
 def _checkpoint_bytes(tmp_path):
