@@ -1,5 +1,10 @@
 """Experiment configuration: line-oriented ``key = value`` sections.
 
+Each section holds the ``ExperimentConfig`` fields that ``SECTIONS`` lists
+for it, keyed by field name less any ``_ratio`` suffix. A key's type is its
+field's annotation; the defaults of the stream shapes, the network, the SGD
+schedule and the component cap are the constants of the modules that use them.
+
 Values are taken literally: ``%`` is an ordinary character, not
 interpolation syntax. A file that is not a valid config (no section header,
 a key given twice, bytes that are not UTF-8) raises ConfigError.
@@ -17,8 +22,9 @@ import configparser
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
+from typing import get_type_hints
 
-from . import mlp
+from . import acoustic, eigentongues, mlp
 from .errors import ArgumentError, ConfigError
 
 SYSTEMS = ("ult2wav", "txt2wav", "txt+ult2wav")
@@ -44,18 +50,18 @@ class ExperimentConfig:
     resize_rows: int = 64
     resize_cols: int = 128
     variance_target: float = 0.70
-    max_components: int = 128
-    frame_shift: float = 0.005
-    mgc_dim: int = 60
-    bap_dim: int = 5
-    hidden_layers: int = 6
-    hidden_units: int = 1024
-    max_epochs: int = 25
-    warmup_epochs: int = 10
-    base_lr: float = 0.002
-    lr_decay: float = 0.5
-    batch_size: int = 256
-    patience: int = 5
+    max_components: int = eigentongues.MAX_COMPONENTS
+    frame_shift: float = acoustic.FRAME_SHIFT
+    mgc_dim: int = acoustic.MGC_DIM
+    bap_dim: int = acoustic.BAP_DIM
+    hidden_layers: int = len(mlp.DEFAULT_HIDDEN)
+    hidden_units: int = mlp.DEFAULT_HIDDEN[0]
+    max_epochs: int = mlp.TrainingSchedule.max_epochs
+    warmup_epochs: int = mlp.TrainingSchedule.warmup_epochs
+    base_lr: float = mlp.TrainingSchedule.base_lr
+    lr_decay: float = mlp.TrainingSchedule.decay
+    batch_size: int = mlp.TrainingSchedule.batch_size
+    patience: int = mlp.TrainingSchedule.patience
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
@@ -112,51 +118,22 @@ class ExperimentConfig:
         return self.system != "txt2wav"
 
 
-_SCHEMA = {
-    "data": {
-        "ultrasound_dir": ("ultrasound_dir", Path),
-        "label_dir": ("label_dir", Path),
-        "acoustic_dir": ("acoustic_dir", Path),
-        "question_file": ("question_file", Path),
-    },
-    "experiment": {
-        "speaker": ("speaker", str),
-        "system": ("system", str),
-        "seed": ("seed", int),
-    },
-    "split": {
-        "train": ("train_ratio", float),
-        "dev": ("dev_ratio", float),
-        "test": ("test_ratio", float),
-    },
-    "ultrasound": {
-        "resize_rows": ("resize_rows", int),
-        "resize_cols": ("resize_cols", int),
-    },
-    "pca": {
-        "variance_target": ("variance_target", float),
-        "max_components": ("max_components", int),
-    },
-    "acoustic": {
-        "frame_shift": ("frame_shift", float),
-        "mgc_dim": ("mgc_dim", int),
-        "bap_dim": ("bap_dim", int),
-    },
-    "network": {
-        "hidden_layers": ("hidden_layers", int),
-        "hidden_units": ("hidden_units", int),
-    },
-    "training": {
-        "max_epochs": ("max_epochs", int),
-        "warmup_epochs": ("warmup_epochs", int),
-        "base_lr": ("base_lr", float),
-        "lr_decay": ("lr_decay", float),
-        "batch_size": ("batch_size", int),
-        "patience": ("patience", int),
-    },
+# The config file's sections, in file order, and the fields each one holds;
+# a field's key is its name less any "_ratio" suffix.
+SECTIONS = {
+    "data": ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file"),
+    "experiment": ("speaker", "system", "seed"),
+    "split": ("train_ratio", "dev_ratio", "test_ratio"),
+    "ultrasound": ("resize_rows", "resize_cols"),
+    "pca": ("variance_target", "max_components"),
+    "acoustic": ("frame_shift", "mgc_dim", "bap_dim"),
+    "network": ("hidden_layers", "hidden_units"),
+    "training": ("max_epochs", "warmup_epochs", "base_lr", "lr_decay", "batch_size", "patience"),
 }
 
-PATH_FIELDS = ("ultrasound_dir", "label_dir", "acoustic_dir", "question_file")
+PATH_FIELDS = SECTIONS["data"]
+
+_CASTS = get_type_hints(ExperimentConfig)
 
 
 def read_config(path: Path) -> ExperimentConfig:
@@ -170,14 +147,15 @@ def read_config(path: Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}")
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
+        fields = {field.removesuffix("_ratio"): field for field in SECTIONS[section]}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in fields:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field, cast = _SCHEMA[section][key]
+            field = fields[key]
             try:
-                values[field] = cast(raw)
+                values[field] = _CASTS[field](raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from e
     missing = [k for k in PATH_FIELDS if k not in values]
@@ -195,10 +173,11 @@ def read_config(path: Path) -> ExperimentConfig:
 
 def write_config(cfg: ExperimentConfig, path: Path) -> None:
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
+    for section, fields in SECTIONS.items():
         parser.add_section(section)
-        for key, (field, _) in keys.items():
+        for field in fields:
             value = getattr(cfg, field)
+            key = field.removesuffix("_ratio")
             parser.set(section, key, str(Path(value).absolute() if field in PATH_FIELDS else value))
     with open(path, "w") as fh:
         parser.write(fh)

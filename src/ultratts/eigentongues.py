@@ -25,6 +25,9 @@ _VERSION = 1
 DENSE_EIGH_MAX_GRAM = 2000
 EIGSH_MAX_PAIR_SHARE = 1 / 16
 
+# The paper keeps at most this many coefficients per frame.
+MAX_COMPONENTS = 128
+
 
 @dataclass(frozen=True)
 class EigenTonguesModel:
@@ -51,7 +54,7 @@ class EigenTonguesModel:
 def fit_pca(
     frames: np.ndarray,
     variance_target: float,
-    k_max: int | None = 128,
+    k_max: int | None = MAX_COMPONENTS,
     counts: np.ndarray | None = None,
 ) -> EigenTonguesModel:
     """Fit the compressor on flattened frames (one row per frame).

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic
+from .errors import ArgumentError
 from .ultra import UltrasoundMetadata, serialize_metadata
 
 VOICED_PHONES = ("a", "e", "i", "o", "u", "m", "n", "l")
@@ -69,6 +70,9 @@ def generate_corpus(
     drift_fraction: float = 0.15,
 ) -> CorpusLayout:
     """Write a complete corpus under ``root`` and return its layout."""
+    # a NaN offset would cast to frames of 0 and an infinite one to 255
+    if not np.isfinite(drift_magnitude):
+        raise ArgumentError(f"drift_magnitude must be finite, got {drift_magnitude}")
     layout = CorpusLayout(root=Path(root))
     for d in (layout.ultrasound_dir, layout.label_dir, layout.acoustic_dir):
         d.mkdir(parents=True, exist_ok=True)

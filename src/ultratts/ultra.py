@@ -11,16 +11,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError, MetadataError
 
+# Each sidecar key, in the order written, and the metadata field it holds.
 _REQUIRED_KEYS = {
-    "NumVectors": ("num_vectors", int),
-    "PixPerVector": ("pix_per_vector", int),
-    "FramesPerSec": ("frame_rate", float),
-    "TimeInSecsOfFirstFrame": ("first_frame_offset", float),
+    "NumVectors": "num_vectors",
+    "PixPerVector": "pix_per_vector",
+    "FramesPerSec": "frame_rate",
+    "TimeInSecsOfFirstFrame": "first_frame_offset",
 }
 
 
@@ -37,8 +39,9 @@ class UltrasoundMetadata:
                 f"frame geometry must be positive, got "
                 f"{self.num_vectors}x{self.pix_per_vector}"
             )
-        if not self.frame_rate > 0:
-            raise MetadataError(f"FramesPerSec must be > 0, got {self.frame_rate}")
+        # written so that NaN fails too
+        if not 0 < self.frame_rate < math.inf:
+            raise MetadataError(f"FramesPerSec must be finite and > 0, got {self.frame_rate}")
         if not math.isfinite(self.first_frame_offset):
             raise MetadataError("TimeInSecsOfFirstFrame must be finite")
 
@@ -46,6 +49,9 @@ class UltrasoundMetadata:
     def frame_size(self) -> int:
         """Bytes per frame in the raw file."""
         return self.num_vectors * self.pix_per_vector
+
+
+_CASTS = get_type_hints(UltrasoundMetadata)
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,12 @@ def parse_metadata(text: str) -> UltrasoundMetadata:
         key = key.strip()
         if key not in _REQUIRED_KEYS:
             continue
-        field, cast = _REQUIRED_KEYS[key]
+        field = _REQUIRED_KEYS[key]
         try:
-            values[field] = cast(value.strip())
+            values[field] = _CASTS[field](value.strip())
         except ValueError as e:
             raise MetadataError(f"line {lineno}: cannot parse {key}={value.strip()!r}") from e
-    for key, (field, _) in _REQUIRED_KEYS.items():
+    for key, field in _REQUIRED_KEYS.items():
         if field not in values:
             raise MetadataError(f"{key} missing")
     return UltrasoundMetadata(**values)
@@ -86,12 +92,7 @@ def parse_metadata(text: str) -> UltrasoundMetadata:
 
 def serialize_metadata(meta: UltrasoundMetadata) -> str:
     """Render metadata back into the sidecar ``Key=Value`` format."""
-    return (
-        f"NumVectors={meta.num_vectors}\n"
-        f"PixPerVector={meta.pix_per_vector}\n"
-        f"FramesPerSec={meta.frame_rate!r}\n"
-        f"TimeInSecsOfFirstFrame={meta.first_frame_offset!r}\n"
-    )
+    return "".join(f"{key}={getattr(meta, field)}\n" for key, field in _REQUIRED_KEYS.items())
 
 
 def load_sequence(data: bytes, meta: UltrasoundMetadata) -> UltrasoundSequence:

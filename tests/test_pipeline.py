@@ -9,7 +9,9 @@ import pytest
 
 from conftest import config_for
 from ultratts import acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, ultra
-from ultratts.config import PATH_FIELDS, SYSTEMS, ExperimentConfig, read_config, write_config
+from ultratts.config import (
+    PATH_FIELDS, SECTIONS, SYSTEMS, ExperimentConfig, read_config, write_config,
+)
 from ultratts.errors import ConfigError, StageError
 
 
@@ -50,6 +52,34 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         write_config(cfg, path)
         assert read_config(path) == cfg
+
+    def test_every_field_sits_in_exactly_one_section(self):
+        listed = [name for names in SECTIONS.values() for name in names]
+        assert sorted(listed) == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_every_field_round_trips_at_a_non_default_value(self, tmp_path):
+        values = dict(
+            ultrasound_dir=tmp_path / "ult", label_dir=tmp_path / "lab",
+            acoustic_dir=tmp_path / "ac", question_file=tmp_path / "q.hed",
+            speaker="fkms", system="ult2wav", seed=4,
+            train_ratio=0.7, dev_ratio=0.2, test_ratio=0.1,
+            resize_rows=8, resize_cols=16, variance_target=0.9, max_components=12,
+            frame_shift=0.01, mgc_dim=40, bap_dim=3, hidden_layers=2, hidden_units=32,
+            max_epochs=9, warmup_epochs=2, base_lr=0.05, lr_decay=0.8, batch_size=64, patience=3,
+        )
+        assert set(values) == {f.name for f in fields(ExperimentConfig)}
+        for f in fields(ExperimentConfig):
+            assert values[f.name] != f.default, f.name
+        cfg = ExperimentConfig(**values)
+        write_config(cfg, tmp_path / "exp.cfg")
+        assert read_config(tmp_path / "exp.cfg") == cfg
+
+    def test_written_layout(self, tmp_path, tiny_corpus):
+        write_config(config_for(tiny_corpus, seed=3), tmp_path / "exp.cfg")
+        text = (tmp_path / "exp.cfg").read_text()
+        assert re.findall(r"^\[(\w+)\]$", text, flags=re.M) == list(SECTIONS)
+        assert "[split]\ntrain = 0.85\ndev = 0.1\ntest = 0.05\n\n" in text
+        assert "[experiment]\nspeaker = spk\nsystem = txt+ult2wav\nseed = 3\n\n" in text
 
     def test_relative_paths_resolve_against_config_location(self, tmp_path):
         for sub in ("ult", "lab", "ac"):
@@ -698,6 +728,13 @@ class TestCli:
         assert cli.main(["report", str(run.root)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(run.report_csv) in err and "'split'" in err
+
+    @pytest.mark.parametrize("drift", ["nan", "inf", "-inf"])
+    def test_non_finite_drift_is_an_error_before_anything_is_written(self, tmp_path, capsys, drift):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth-corpus", "--output", str(corpus), f"--drift={drift}"]) == 1
+        assert capsys.readouterr().err == f"error: drift_magnitude must be finite, got {drift}\n"
+        assert not corpus.exists()
 
     @pytest.mark.parametrize("command", ["run-all", "report", "synth-corpus"])
     def test_output_under_a_file_is_an_error_line(

@@ -37,6 +37,17 @@ class TestMetadata:
         meta = ultra.parse_metadata(PARAM_TEXT)
         assert ultra.parse_metadata(ultra.serialize_metadata(meta)) == meta
 
+    def test_serialized_text_is_pinned(self):
+        assert ultra.serialize_metadata(ultra.UltrasoundMetadata(64, 842, 81.5, 0.0)) == PARAM_TEXT
+        assert ultra.serialize_metadata(ultra.UltrasoundMetadata(4, 6, 100 / 3, -0.125)) == (
+            "NumVectors=4\nPixPerVector=6\nFramesPerSec=33.333333333333336\n"
+            "TimeInSecsOfFirstFrame=-0.125\n"
+        )
+
+    def test_numpy_scalars_serialize_as_plain_numbers(self):
+        meta = ultra.UltrasoundMetadata(np.int64(64), np.int64(842), np.float64(81.5), np.float64(0.0))
+        assert ultra.serialize_metadata(meta) == PARAM_TEXT
+
     def test_invalid_values_rejected(self):
         with pytest.raises(MetadataError):
             ultra.UltrasoundMetadata(0, 842, 81.5, 0.0)
@@ -44,6 +55,12 @@ class TestMetadata:
             ultra.UltrasoundMetadata(64, 842, 0.0, 0.0)
         with pytest.raises(MetadataError):
             ultra.UltrasoundMetadata(64, 842, 81.5, math.nan)
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_frame_rate_rejected(self, rate):
+        text = PARAM_TEXT.replace("FramesPerSec=81.5", f"FramesPerSec={rate}")
+        with pytest.raises(MetadataError, match=f"FramesPerSec must be finite and > 0, got {rate}"):
+            ultra.parse_metadata(text)
 
 
 class TestLoadSequence:
