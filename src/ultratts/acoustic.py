@@ -113,6 +113,14 @@ def read_streams(
     )
 
 
+def save_streams(streams: AcousticStreams, directory: Path, utt_id: str) -> None:
+    """Write ``<id>.mgc/.bap/.lf0`` into a directory, the files ``read_streams`` loads."""
+    directory = Path(directory)
+    save_stream(streams.mgc, directory / f"{utt_id}.mgc")
+    save_stream(streams.bap, directory / f"{utt_id}.bap")
+    save_stream(streams.lf0[:, None], directory / f"{utt_id}.lf0")
+
+
 def interpolate_lf0(lf0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous log-F0 plus the binary voicing flag.
 
@@ -257,16 +265,14 @@ def normalize_in_place(stats: NormalizationStats, data: np.ndarray) -> np.ndarra
 
 
 def invert_normalization(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:
+    """De-normalise network outputs, ``x * std + mean``; only outputs are ever
+    inverted, and they are mean-variance normalised."""
+    if stats.kind != "meanvar":
+        raise ArgumentError(f"output stats must be mean-variance normalized, got {stats.kind!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.shape[-1] != stats.n_columns:
         raise ArgumentError(f"column count {data.shape[-1]} != stats columns {stats.n_columns}")
-    const = stats.constant_columns
-    if stats.kind == "minmax":
-        out = stats.a + (data - MINMAX_LO) * (stats.b - stats.a) / (MINMAX_HI - MINMAX_LO)
-        out[..., const] = np.broadcast_to(stats.a, data.shape)[..., const]
-        return out
-    scale = np.where(const, 1.0, stats.b)
-    return data * scale + stats.a
+    return data * np.where(stats.constant_columns, 1.0, stats.b) + stats.a
 
 
 def _window_adjoint(window: tuple[float, float, float], obs: np.ndarray) -> np.ndarray:

@@ -142,15 +142,7 @@ def parse_questions(text: str) -> QuestionSet:
 
 
 def _glob_to_regex(pattern: str) -> str:
-    out = []
-    for ch in pattern:
-        if ch == "*":
-            out.append(".*")
-        elif ch == "?":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return "".join(out)
+    return re.escape(pattern).replace(r"\*", ".*").replace(r"\?", ".")
 
 
 def _numeric_regex(pattern: str) -> re.Pattern:
@@ -268,12 +260,6 @@ def load_features(path: Path) -> GatheredRows:
     """The features written by ``save_features``."""
     with np.load(path) as data:
         return GatheredRows(data["answers"], data["which"], data["positional"])
-
-
-def frame_count(path: Path) -> int:
-    """The frame count of saved features, read from ``which`` alone."""
-    with np.load(path) as data:
-        return data["which"].shape[0]
 
 
 def extract_features(

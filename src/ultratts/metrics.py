@@ -35,24 +35,14 @@ CONVENTION_NOTES = (
 )
 
 
-def _mcd_frames(ref: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    ref, pred = _check_pair(ref, pred)
-    diff = ref[:, 1:] - pred[:, 1:]
-    return _LOG_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
-
-
-def _bap_frames(ref: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    ref, pred = _check_pair(ref, pred)
-    diff = ref - pred
-    return _LOG_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1)) / 10.0
-
-
-def _check_pair(ref: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distortion_frames(ref: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Per-frame (10/ln10)*sqrt(2*sum(diff^2)) over all columns of two equal-shape matrices."""
     ref = np.atleast_2d(np.asarray(ref, dtype=np.float64))
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     if ref.shape != pred.shape:
         raise ArgumentError(f"shape mismatch: {ref.shape} vs {pred.shape}")
-    return ref, pred
+    diff = ref - pred
+    return _LOG_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
 
 
 @dataclass(frozen=True)
@@ -79,11 +69,9 @@ class UtteranceEval:
 def evaluate_utterance(utt_id: str, ref: AcousticStreams, pred: AcousticStreams) -> UtteranceEval:
     """Error sums for one utterance; no time warping is applied. Voicing is
     read from each stream's LF0 sentinel."""
-    mcd_frames = _mcd_frames(ref.mgc, pred.mgc)
-    bap_frames = _bap_frames(ref.bap, pred.bap)
+    mcd_frames = _distortion_frames(ref.mgc[:, 1:], pred.mgc[:, 1:])
+    bap_frames = _distortion_frames(ref.bap, pred.bap) / 10.0
     n = ref.n_frames
-    if pred.n_frames != n:
-        raise ArgumentError(f"frame count mismatch for {utt_id}")
     ref_voiced, pred_voiced = ref.voiced, pred.voiced
     both = ref_voiced & pred_voiced
     return UtteranceEval(

@@ -317,10 +317,6 @@ def predict_utterance(
     shared by both and lives only in their LF0 streams, as the unvoiced
     sentinel. Returns the streams keyed by variant name (``VARIANTS`` order).
     """
-    if output_stats.kind != "meanvar":
-        raise ArgumentError(
-            f"output stats must be mean-variance normalized, got {output_stats.kind!r}"
-        )
     if output_stats.n_columns != acoustic.target_width(mgc_dim, bap_dim):
         raise ArgumentError(
             f"output stats have {output_stats.n_columns} columns, expected "

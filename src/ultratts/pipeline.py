@@ -113,8 +113,8 @@ class RunPaths:
     def history(self) -> Path:
         return self.root / "train" / "history.csv"
 
-    def generated(self, variant: str, utt_id: str, ext: str) -> Path:
-        return self.root / "generate" / variant / f"{utt_id}.{ext}"
+    def generated(self, variant: str) -> Path:
+        return self.root / "generate" / variant
 
     @property
     def report_csv(self) -> Path:
@@ -171,9 +171,10 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
 def utterance_frames(
     cfg: ExperimentConfig, run: RunPaths, utt_id: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The utterance's distinct resized frames and the target-clock index into them."""
+    """The utterance's distinct resized frames and the target-clock index into
+    them, one per frame of the corpus's acoustic streams."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
-    n = labels.frame_count(run.ling(utt_id))
+    n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
     return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
 
 
@@ -196,8 +197,9 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
 
     Only distinct source frames are resized, fitted (weighted by how many
     target frames repeat each) and projected; each coefficient file holds one
-    row per target frame. When the system does not read ultrasound no input
-    uses the coefficients, so the stage only checks that prepare has run.
+    row per target frame. Only the corpus and prepare's splits are read. When
+    the system does not read ultrasound no input uses the coefficients, so the
+    stage only checks that prepare has run.
     """
     split = load_split(run)
     if not cfg.reads_ultrasound:
@@ -319,15 +321,13 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
     split = load_split(run)
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
     for variant in VARIANTS:
-        run.generated(variant, "x", "mgc").parent.mkdir(parents=True, exist_ok=True)
+        run.generated(variant).mkdir(parents=True, exist_ok=True)
 
     for utt_id in split.dev + split.test:
         x = acoustic.normalize_in_place(input_stats, gathered_inputs(cfg, run, [utt_id]).dense())
         by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
-            acoustic.save_stream(streams.mgc, run.generated(variant, utt_id, "mgc"))
-            acoustic.save_stream(streams.bap, run.generated(variant, utt_id, "bap"))
-            acoustic.save_stream(streams.lf0[:, None], run.generated(variant, utt_id, "lf0"))
+            acoustic.save_streams(streams, run.generated(variant), utt_id)
 
 
 def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.EvaluationReport]:
@@ -343,9 +343,7 @@ def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.Evaluat
         for split_name in ("dev", "test"):
             evals = []
             for utt_id in getattr(split, split_name):
-                pred = acoustic.read_streams(
-                    run.stage_dir("generate") / variant, utt_id, cfg.mgc_dim, cfg.bap_dim
-                )
+                pred = acoustic.read_streams(run.generated(variant), utt_id, cfg.mgc_dim, cfg.bap_dim)
                 evals.append(metrics.evaluate_utterance(utt_id, references[utt_id], pred))
             reports.append(
                 metrics.aggregate(

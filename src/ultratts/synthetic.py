@@ -21,6 +21,7 @@ import numpy as np
 
 from . import acoustic
 from .errors import ArgumentError
+from .labels import TICKS_PER_SECOND
 from .ultra import UltrasoundMetadata, serialize_metadata
 
 VOICED_PHONES = ("a", "e", "i", "o", "u", "m", "n", "l")
@@ -33,6 +34,10 @@ _EMBED_DIM = 8
 _TEXT_SCALE = 0.20
 _ARTIC_SCALE = 0.16
 _NOISE_SCALE = 0.06
+
+# native ultrasound frame rate, and the share of the session that drift_magnitude offsets
+FRAME_RATE = 81.5
+DRIFT_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -60,16 +65,18 @@ def generate_corpus(
     root: Path,
     n_utterances: int = 30,
     seed: int = 0,
-    frame_shift: float = acoustic.FRAME_SHIFT,
-    frame_rate: float = 81.5,
     num_vectors: int = 16,
     pix_per_vector: int = 64,
     min_frames: int = 120,
     max_frames: int = 180,
     drift_magnitude: float = 0.0,
-    drift_fraction: float = 0.15,
 ) -> CorpusLayout:
     """Write a complete corpus under ``root`` and return its layout."""
+    # checked before any directory is made, so a rejected call leaves nothing behind
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    if n_utterances < 1:
+        raise ArgumentError(f"n_utterances must be >= 1, got {n_utterances}")
     # a NaN offset would cast to frames of 0 and an infinite one to 255
     if not np.isfinite(drift_magnitude):
         raise ArgumentError(f"drift_magnitude must be finite, got {drift_magnitude}")
@@ -91,15 +98,15 @@ def generate_corpus(
     mode_image -= mode_image.mean()
     mode_image /= np.sqrt(np.mean(mode_image**2))
 
-    meta = UltrasoundMetadata(num_vectors, pix_per_vector, frame_rate, 0.0)
-    drift_start = n_utterances - int(np.ceil(drift_fraction * n_utterances))
+    meta = UltrasoundMetadata(num_vectors, pix_per_vector, FRAME_RATE, 0.0)
+    drift_start = n_utterances - int(np.ceil(DRIFT_FRACTION * n_utterances))
     for u in range(n_utterances):
         utt_id = f"utt{u:04d}"
         n_frames = int(rng.integers(min_frames, max_frames + 1))
         phones, phone_of_frame = _phone_plan(rng, n_frames)
         artic = _latent_trajectory(rng)
 
-        times = np.arange(n_frames) * frame_shift
+        times = np.arange(n_frames) * acoustic.FRAME_SHIFT
         a_frames = artic(times)
         e_frames = np.stack([embed[PHONES[p]] for p in phone_of_frame])
         voiced = np.array([PHONES[p] in VOICED_PHONES for p in phone_of_frame])
@@ -123,18 +130,15 @@ def generate_corpus(
             acoustic.UNVOICED_LF0,
         )
 
-        acoustic.save_stream(mgc, layout.acoustic_dir / f"{utt_id}.mgc")
-        acoustic.save_stream(bap, layout.acoustic_dir / f"{utt_id}.bap")
-        acoustic.save_stream(lf0[:, None], layout.acoustic_dir / f"{utt_id}.lf0")
-
-        (layout.label_dir / f"{utt_id}.lab").write_text(
-            _render_labels(phones, frame_shift)
+        acoustic.save_streams(
+            acoustic.AcousticStreams(mgc=mgc, bap=bap, lf0=lf0), layout.acoustic_dir, utt_id
         )
+        (layout.label_dir / f"{utt_id}.lab").write_text(_render_labels(phones))
 
         drift = drift_magnitude if u >= drift_start and drift_magnitude else 0.0
-        duration = n_frames * frame_shift
-        n_native = int(np.ceil(duration * frame_rate)) + 1
-        native_times = np.arange(n_native) / frame_rate
+        duration = n_frames * acoustic.FRAME_SHIFT
+        n_native = int(np.ceil(duration * FRAME_RATE)) + 1
+        native_times = np.arange(n_native) / FRAME_RATE
         a_native = artic(native_times)
         frames = (
             base_image[None, :, :]
@@ -200,8 +204,8 @@ def _phone_plan(rng: np.random.Generator, n_frames: int) -> tuple[list[tuple[str
     return segments, phone_of_frame
 
 
-def _render_labels(segments: list[tuple[str, int, int]], frame_shift: float) -> str:
-    ticks_per_frame = int(round(frame_shift * 1e7))
+def _render_labels(segments: list[tuple[str, int, int]]) -> str:
+    ticks_per_frame = int(round(acoustic.FRAME_SHIFT * TICKS_PER_SECOND))
     names = [p for p, _, _ in segments]
     lines = []
     for i, (phone, start, end) in enumerate(segments):

@@ -117,10 +117,10 @@ class TestMatchQuestion:
         # an empty pattern or context cannot be declared in a question file
         # or a label, so these pairs go to the compiled regex directly
         rng = np.random.default_rng(0)
-        alphabet = list("ab*?-+")
+        alphabet = list("ab*?-+\\.([")
         for _ in range(1000):
             pattern = "".join(rng.choice(alphabet, size=rng.integers(0, 7)))
-            text = "".join(rng.choice(list("ab-+"), size=rng.integers(0, 8)))
+            text = "".join(rng.choice(list("ab-+\\.(["), size=rng.integers(0, 8)))
             assert compiled_match(pattern, text) == backtrack_match(pattern, text)
 
 
@@ -380,7 +380,6 @@ class TestLinguisticFeatures:
         feats = labels.extract_features(labs, qs, 0.005, 8)
         labels.save_features(feats, tmp_path / "u.npz")
         back = labels.load_features(tmp_path / "u.npz")
-        assert labels.frame_count(tmp_path / "u.npz") == 8
         assert back.which.dtype == np.uint8  # two labels
         for name in ("table", "which", "frames"):
             a, b = getattr(feats, name), getattr(back, name)

@@ -93,9 +93,8 @@ class TestMcd:
         ref = voiced_track([100.0] * 10)
         with_a, with_b = (dataclasses.replace(ref, mgc=m) for m in (a, b))
         assert score(with_a, with_b).mcd_db == score(with_b, with_a).mcd_db
-        assert np.all(
-            metrics._mcd_frames(a, c) <= metrics._mcd_frames(a, b) + metrics._mcd_frames(b, c) + 1e-12
-        )
+        d = metrics._distortion_frames
+        assert np.all(d(a, c) <= d(a, b) + d(b, c) + 1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ArgumentError):

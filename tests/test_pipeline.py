@@ -204,7 +204,7 @@ class TestInputRecipe:
         width = (n_answers + 4 if cfg.reads_questions else 4) + k
         for utt_id in pipeline.load_split(run).all_ids:
             x = pipeline.gathered_inputs(cfg, run, [utt_id]).dense()
-            assert x.shape == (labels.frame_count(run.ling(utt_id)), width)
+            assert x.shape == (acoustic.frame_count(cfg.acoustic_dir, utt_id), width)
 
     def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
         cfg, run = prepared_runs["txt+ult2wav"]
@@ -735,6 +735,36 @@ class TestCli:
         assert cli.main(["synth-corpus", "--output", str(corpus), f"--drift={drift}"]) == 1
         assert capsys.readouterr().err == f"error: drift_magnitude must be finite, got {drift}\n"
         assert not corpus.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--seed=-1", "seed must be >= 0, got -1"),
+            ("--utterances=-4", "n_utterances must be >= 1, got -4"),
+            ("--utterances=0", "n_utterances must be >= 1, got 0"),
+        ],
+        ids=["negative-seed", "negative-utterances", "zero-utterances"],
+    )
+    def test_bad_seed_or_utterance_count_is_an_error_before_anything_is_written(
+        self, tmp_path, capsys, flag, message
+    ):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth-corpus", "--output", str(corpus), flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not corpus.exists()
+
+    def test_pca_needs_only_the_corpus_and_splits(self, tmp_path, tiny_run):
+        _, run = tiny_run
+        copy = pipeline.RunPaths(tmp_path / "run")
+        shutil.copytree(run.root, copy.root)
+        shutil.rmtree(copy.ling("x").parent)
+        shutil.rmtree(copy.stage_dir("pca"))
+        assert cli.main(["pca", "--output", str(copy.root)]) == 0
+        expect = sorted(p.relative_to(run.root) for p in run.stage_dir("pca").rglob("*"))
+        assert sorted(p.relative_to(copy.root) for p in copy.stage_dir("pca").rglob("*")) == expect
+        for rel in expect:
+            if (run.root / rel).is_file():
+                assert (copy.root / rel).read_bytes() == (run.root / rel).read_bytes(), rel
 
     @pytest.mark.parametrize("command", ["run-all", "report", "synth-corpus"])
     def test_output_under_a_file_is_an_error_line(
