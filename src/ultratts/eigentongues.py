@@ -6,17 +6,13 @@ are projected with the training model.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import arrayfile
 from .errors import ArgumentError, DataError, FormatError
-
-_MAGIC = b"ETPC"
-_VERSION = 1
 
 # Largest Gram size decomposed whole by numpy's eigh, and the largest share
 # of a bigger Gram's pairs that scipy's eigsh is asked for. eigsh's time grows
@@ -195,51 +191,19 @@ def reconstruction_mse(model: EigenTonguesModel, frames: np.ndarray) -> float:
 
 
 def save_model(model: EigenTonguesModel, path: Path) -> None:
-    """Write the model as a little-endian binary block with a versioned header."""
-    header = struct.pack(
-        "<4sIQQdd",
-        _MAGIC,
-        _VERSION,
-        model.dim,
-        model.n_components,
-        model.variance_target,
-        model.total_variance,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # arrays go to the file through the buffer protocol, without a bytes copy
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f8"))
-        fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8"))
-        fh.write(np.ascontiguousarray(model.basis, dtype="<f8"))
+    """Write the model as four float64 records: the mean, the eigenvalues, the
+    basis, and ``[variance_target, total_variance]``."""
+    scalars = np.array([model.variance_target, model.total_variance])
+    arrayfile.save(path, [model.mean, model.eigenvalues, model.basis, scalars])
 
 
 def load_model(path: Path) -> EigenTonguesModel:
-    """The model written by ``save_model``. The length its header declares is
-    checked against the file's size first; the floats are then read into one
-    array, which the mean, eigenvalues and basis are views of."""
-    header_size = struct.calcsize("<4sIQQdd")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < header_size:
-            raise FormatError(f"model file too short: {path}")
-        magic, version, d, k, variance_target, total_variance = struct.unpack(
-            "<4sIQQdd", fh.read(header_size)
-        )
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic in model file: {path}")
-        if version != _VERSION:
-            raise FormatError(f"unsupported model version {version} in {path}")
-        count = d + k + k * d
-        expected = header_size + 8 * count
-        if size != expected:
-            raise FormatError(f"model file length {size} != expected {expected}")
-        floats = np.fromfile(fh, dtype="<f8", count=count)
-    # no copy on a little-endian machine
-    floats = floats.astype(np.float64, copy=False)
-    return EigenTonguesModel(
-        mean=floats[:d],
-        basis=floats[d + k :].reshape(k, d),
-        eigenvalues=floats[d : d + k],
-        variance_target=variance_target,
-        total_variance=total_variance,
-    )
+    """The model written by ``save_model``, each array read in one copy. A file
+    of another record count, dtype or shape chain is a ``FormatError``."""
+    records = arrayfile.load(path)
+    d, k = (records[0].size, records[1].size) if len(records) == 4 else (0, 0)
+    expected = [(np.float64, shape) for shape in ((d,), (k,), (k, d), (2,))]
+    if [(r.dtype, r.shape) for r in records] != expected:
+        raise FormatError(f"not a PCA model (mean, eigenvalues, basis, scalars): {path}")
+    mean, eigenvalues, basis, scalars = records
+    return EigenTonguesModel(mean, basis, eigenvalues, *scalars.tolist())

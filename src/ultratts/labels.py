@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import arrayfile
 from .errors import ArgumentError, DataError, FormatError
 
 TICKS_PER_SECOND = 10_000_000
@@ -252,14 +253,18 @@ class GatheredRows:
 
 def save_features(features: GatheredRows, path: Path) -> None:
     """Write one utterance's label answers, frame-to-label index and positional
-    columns as one ``.npz`` file."""
-    np.savez(path, answers=features.table, which=features.which, positional=features.frames)
+    columns as the three records of one array file."""
+    arrayfile.save(path, [features.table, features.which, features.frames])
 
 
 def load_features(path: Path) -> GatheredRows:
-    """The features written by ``save_features``."""
-    with np.load(path) as data:
-        return GatheredRows(data["answers"], data["which"], data["positional"])
+    """The features written by ``save_features``. A file of another record
+    count, dtype or shape chain is a ``FormatError``."""
+    records = arrayfile.load(path)
+    kinds = [(r.dtype.kind, r.ndim) for r in records]
+    if kinds != [("f", 2), ("u", 1), ("f", 2)] or len(records[1]) != len(records[2]):
+        raise FormatError(f"not linguistic features (answers, which, positional): {path}")
+    return GatheredRows(*records)
 
 
 def extract_features(

@@ -17,21 +17,19 @@ Memory: training holds the net, one best-epoch snapshot (allocated once and
 refreshed in place), one step's gradients (freed as soon as they are
 applied) and the batch activations, which the backward pass overwrites with
 tanh' and frees layer by layer; besides those, only the data and the
-validation pass. A checkpoint loads in one copy: its declared length is
-checked against the file's size, then the net is read into one writable
-array that its weights and biases are views of.
+validation pass. A checkpoint loads in one copy: ``arrayfile.load`` checks
+each record's declared size against what is left of the file, then reads
+every weight, bias and statistic into its own writable array.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import acoustic
+from . import acoustic, arrayfile
 from .acoustic import AcousticStreams, NormalizationStats
 from .errors import ArgumentError, DataError, FormatError, TrainingDiverged
 
@@ -44,11 +42,8 @@ VARIANTS = ("mlpg", "static")
 # the MSE of predicting zero (about 1 for mean-variance normalised targets)
 DIVERGENCE_FACTOR = 10.0
 
-_CKPT_MAGIC = b"MLPC"
-_CKPT_VERSION = 3
-# magic, version, float width of the net in bytes, layer count
-_CKPT_HEADER = "<4sIIQ"
-_CKPT_NET_DTYPES = {4: np.float32, 8: np.float64}
+# the float types a checkpoint stores a net in
+_NET_DTYPES = (np.float32, np.float64)
 
 
 @dataclass
@@ -359,14 +354,12 @@ def save_checkpoint(
 ) -> None:
     """Write the whole trained model: the net and the normalisation it was trained under.
 
-    After the magic, version, the net's float width (4 or 8 bytes) and the
-    layer count come the layer sizes, each layer's weights and biases at
-    that width, and the input min/max and output mean/std as float64, all
-    little-endian. The normalisation kinds are fixed by role (min-max
-    inputs, mean-variance outputs), so no kind code is stored.
+    The records are the int64 layer sizes, then each layer's weights and
+    biases at the net's own float width (32 or 64 bits), then the input
+    min/max and output mean/std in float64. The normalisation kinds are fixed
+    by role (min-max inputs, mean-variance outputs), so no kind is stored.
     """
-    width = model.dtype.itemsize
-    if model.dtype.kind != "f" or width not in _CKPT_NET_DTYPES:
+    if model.dtype not in _NET_DTYPES:
         raise ArgumentError(f"cannot checkpoint a net of dtype {model.dtype}")
     for role, stats, kind, n_columns in (
         ("input", input_stats, "minmax", model.input_dim),
@@ -378,61 +371,30 @@ def save_checkpoint(
             raise ArgumentError(
                 f"{role} stats have {stats.n_columns} columns, model {role} has {n_columns}"
             )
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(_CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION, width, len(model.layer_sizes))
-        )
-        fh.write(struct.pack(f"<{len(model.layer_sizes)}Q", *model.layer_sizes))
-        # arrays go to the file through the buffer protocol, without a bytes copy
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype=f"<f{width}"))
-            fh.write(np.ascontiguousarray(b, dtype=f"<f{width}"))
-        for vector in (input_stats.a, input_stats.b, output_stats.a, output_stats.b):
-            fh.write(np.ascontiguousarray(vector, dtype="<f8"))
+    net = [a for pair in zip(model.weights, model.biases) for a in pair]
+    stats = [input_stats.a, input_stats.b, output_stats.a, output_stats.b]
+    arrayfile.save(path, [np.array(model.layer_sizes, dtype=np.int64), *net, *stats])
 
 
 def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, NormalizationStats]:
     """The model written by ``save_checkpoint``, in its stored dtype, with its
-    input and output stats.
-
-    The length the header declares is checked against the file's size before
-    anything is allocated; the net is then read straight into one writable
-    array, which its weights and biases are views of."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        offset = struct.calcsize(_CKPT_HEADER)
-        try:
-            magic, version, width, n_sizes = struct.unpack(_CKPT_HEADER, fh.read(offset))
-            if (
-                magic != _CKPT_MAGIC
-                or version != _CKPT_VERSION
-                or width not in _CKPT_NET_DTYPES
-                or n_sizes < 2
-            ):
-                raise FormatError(f"not a recognized checkpoint: {path}")
-        except struct.error as e:
-            raise FormatError(f"truncated or corrupt checkpoint header in {path}: {e}") from e
-        offset += 8 * n_sizes
-        if offset > size:
-            raise FormatError(f"checkpoint header declares {n_sizes} layers in {size} bytes: {path}")
-        sizes = struct.unpack(f"<{n_sizes}Q", fh.read(8 * n_sizes))
-        pairs = list(zip(sizes[:-1], sizes[1:]))
-        net_counts = [n for fan_in, fan_out in pairs for n in (fan_in * fan_out, fan_out)]
-        stats_counts = [sizes[0], sizes[0], sizes[-1], sizes[-1]]
-        expected = offset + width * sum(net_counts) + 8 * sum(stats_counts)
-        if size != expected:
-            raise FormatError(f"checkpoint length {size} != expected {expected}: {path}")
-        net = np.fromfile(fh, dtype=f"<f{width}", count=sum(net_counts))
-        stats = np.fromfile(fh, dtype="<f8", count=sum(stats_counts))
-    # no copy on a little-endian machine
-    net = net.astype(_CKPT_NET_DTYPES[width], copy=False)
-    parts = np.split(net, np.cumsum(net_counts)[:-1])
-    weights = [w.reshape(shape) for w, shape in zip(parts[0::2], pairs)]
-    model = MlpModel(layer_sizes=tuple(sizes), weights=weights, biases=parts[1::2])
-    stats = stats.astype(np.float64, copy=False)
-    in_min, in_max, out_mean, out_std = np.split(stats, np.cumsum(stats_counts)[:-1])
+    input and output stats, each array read in one writable copy. A file of
+    another record count, dtype or shape chain is a ``FormatError``."""
+    records = arrayfile.load(path)
+    sizes = records[0] if records else np.empty(0)
+    if sizes.dtype != np.int64 or sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
+        raise FormatError(f"checkpoint does not start with the layer sizes: {path}")
+    sizes = tuple(int(n) for n in sizes)
+    net_dtype = records[1].dtype if len(records) > 1 else None
+    expected = [(np.int64, (len(sizes),))]
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        expected += [(net_dtype, (fan_in, fan_out)), (net_dtype, (fan_out,))]
+    expected += [(np.float64, (n,)) for n in (sizes[0], sizes[0], sizes[-1], sizes[-1])]
+    if net_dtype not in _NET_DTYPES or [(r.dtype, r.shape) for r in records] != expected:
+        raise FormatError(f"checkpoint records do not follow layer sizes {sizes}: {path}")
+    _, *net, in_min, in_max, out_mean, out_std = records
     return (
-        model,
+        MlpModel(sizes, weights=net[0::2], biases=net[1::2]),
         NormalizationStats("minmax", a=in_min, b=in_max),
         NormalizationStats("meanvar", a=out_mean, b=out_std),
     )

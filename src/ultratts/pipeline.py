@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import acoustic, eigentongues, labels, metrics, misalign, mlp, ultra
+from . import acoustic, arrayfile, eigentongues, labels, metrics, misalign, mlp, ultra
 from .config import PATH_FIELDS, ExperimentConfig, read_config, write_config
-from .errors import ConfigError, StageError
+from .errors import ConfigError, FormatError, StageError
 
 STAGES = ("prepare", "pca", "train", "generate", "evaluate", "misalign")
 VARIANTS = mlp.VARIANTS
@@ -96,7 +96,7 @@ class RunPaths:
         return self.root / "prepare" / "splits.json"
 
     def ling(self, utt_id: str) -> Path:
-        return self.root / "prepare" / "ling" / f"{utt_id}.npz"
+        return self.root / "prepare" / "ling" / f"{utt_id}.bin"
 
     @property
     def pca_model(self) -> Path:
@@ -168,9 +168,7 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
     )
 
 
-def utterance_frames(
-    cfg: ExperimentConfig, run: RunPaths, utt_id: str
-) -> tuple[np.ndarray, np.ndarray]:
+def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
     """The utterance's distinct resized frames and the target-clock index into
     them, one per frame of the corpus's acoustic streams."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
@@ -179,12 +177,12 @@ def utterance_frames(
 
 
 def train_frame_matrix(
-    cfg: ExperimentConfig, run: RunPaths, split: DatasetSplit
+    cfg: ExperimentConfig, split: DatasetSplit
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The training block's distinct ultrasound frames, stacked in recording
     order; how many target frames each row stands for; and each utterance's
     rows (a view of the stack) with its target-clock index into them."""
-    resized = [utterance_frames(cfg, run, utt_id) for utt_id in split.train]
+    resized = [utterance_frames(cfg, utt_id) for utt_id in split.train]
     frames = np.vstack([rows for rows, _ in resized])
     counts = np.concatenate([np.bincount(index, minlength=len(rows)) for rows, index in resized])
     bounds = np.cumsum([len(rows) for rows, _ in resized])[:-1]
@@ -204,15 +202,15 @@ def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
     split = load_split(run)
     if not cfg.reads_ultrasound:
         return
-    frames, counts, train_utterances = train_frame_matrix(cfg, run, split)
+    frames, counts, train_utterances = train_frame_matrix(cfg, split)
     model = eigentongues.fit_pca(frames, cfg.variance_target, cfg.max_components, counts=counts)
     run.coeffs("x").parent.mkdir(parents=True, exist_ok=True)
     eigentongues.save_model(model, run.pca_model)
     for utt_id, (rows, index) in zip(split.train, train_utterances):
-        np.save(run.coeffs(utt_id), eigentongues.transform(model, rows)[index])
+        arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])
     for utt_id in split.dev + split.test:
-        rows, index = utterance_frames(cfg, run, utt_id)
-        np.save(run.coeffs(utt_id), eigentongues.transform(model, rows)[index])
+        rows, index = utterance_frames(cfg, utt_id)
+        arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])
 
 
 def gathered_inputs(
@@ -232,7 +230,11 @@ def gathered_inputs(
         n_labels += owners.size
         block = ling.frames
         if cfg.reads_ultrasound:
-            block = np.hstack([block, np.load(run.coeffs(utt_id))])
+            path = run.coeffs(utt_id)
+            coeffs = arrayfile.load(path)
+            if [c.ndim for c in coeffs] != [2] or len(coeffs[0]) != len(block):
+                raise FormatError(f"{path} is not one 2-D record of {len(block)} frames")
+            block = np.hstack([block, coeffs[0]])
         blocks.append(block)
     return labels.GatheredRows(np.vstack(tables), np.concatenate(whiches), np.vstack(blocks))
 
@@ -389,12 +391,14 @@ _STAGE_FUNCTIONS = {
 
 
 def start_run(cfg: ExperimentConfig, run_dir: Path) -> RunPaths:
-    """Check the data paths, clear every stage's outputs, and echo ``cfg`` with
-    absolute data paths as the one config that the run's stages read."""
+    """Check the data paths and that the corpus splits under ``cfg``'s ratios,
+    then clear every stage's outputs and echo ``cfg`` with absolute data paths
+    as the one config that the run's stages read."""
     for name in PATH_FIELDS:
         path = Path(getattr(cfg, name)).absolute()
         if not path.exists():
             raise ConfigError(f"{name} does not exist: {path}")
+    split_dataset(ultra.discover_utterances(cfg.ultrasound_dir), cfg.ratios)
     run = RunPaths(run_dir)
     for stage in STAGES:
         if run.stage_dir(stage).exists():

@@ -232,7 +232,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     run = pipeline.RunPaths(run_dir)
     split = pipeline.load_split(run)
 
-    frames, counts, _ = pipeline.train_frame_matrix(cfg, run, split)
+    frames, counts, _ = pipeline.train_frame_matrix(cfg, split)
     recomputed_pca = eigentongues.fit_pca(
         frames, cfg.variance_target, cfg.max_components, counts=counts
     )

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from test_arrayfile import with_declared_shape
+from ultratts import arrayfile
 from ultratts import eigentongues as et
 from ultratts.errors import ArgumentError, DataError, FormatError
 
@@ -312,11 +314,21 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         et.save_model(model, path)
         loaded = et.load_model(path)
-        assert np.array_equal(loaded.mean, model.mean)
-        assert np.array_equal(loaded.basis, model.basis)
-        assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
+        for name in ("mean", "basis", "eigenvalues"):
+            a, b = getattr(loaded, name), getattr(model, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert loaded.variance_target == model.variance_target
         assert loaded.total_variance == model.total_variance
+
+    def test_file_is_four_float64_records(self, tmp_path):
+        model = et.fit_pca(gaussian_in_10d(seed=10), 0.8)
+        path = tmp_path / "model.bin"
+        et.save_model(model, path)
+        mean, eigenvalues, basis, scalars = arrayfile.load(path)
+        assert mean.tobytes() == model.mean.tobytes()
+        assert eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        assert basis.tobytes() == model.basis.tobytes()
+        assert scalars.tolist() == [model.variance_target, model.total_variance]
 
     def test_load_reads_one_writable_copy(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -338,11 +350,12 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         et.save_model(model, path)
         data = path.read_bytes()
-        # the component count k follows the magic, the version and d
-        path.write_bytes(data[:16] + struct.pack("<Q", 1 << 40) + data[24:])
+        k = model.n_components
+        # the basis record declares 2^40 components
+        path.write_bytes(with_declared_shape(data, (k, 2000), (1 << 40, 2000)))
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="length"):
+            with pytest.raises(FormatError, match="declares"):
                 et.load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -354,5 +367,40 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         et.save_model(model, path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="model.bin"):
+            et.load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r[:3],
+            lambda r: [*r, r[3]],
+            lambda r: [r[0], r[1], r[2].T.copy(), r[3]],
+            lambda r: [r[0], r[1][:-1], r[2], r[3]],
+            lambda r: [r[0].astype(np.float32), *r[1:]],
+            lambda r: [*r[:3], r[3][:1]],
+        ],
+        ids=["no-scalars", "extra-record", "transposed-basis", "short-eigenvalues",
+             "float32-mean", "one-scalar"],
+    )
+    def test_other_records_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        et.save_model(et.fit_pca(gaussian_in_10d(), 0.8), path)
+        arrayfile.save(path, edit(arrayfile.load(path)))
+        with pytest.raises(FormatError, match="model.bin"):
+            et.load_model(path)
+
+    def test_hand_rolled_version_1_model_rejected(self, tmp_path):
+        # the earlier ETPC layout: magic, version, d, k, variance target and
+        # total variance, then the mean, eigenvalues and basis as float64
+        model = et.fit_pca(gaussian_in_10d(), 0.8)
+        header = struct.pack(
+            "<4sIQQdd", b"ETPC", 1, model.dim, model.n_components,
+            model.variance_target, model.total_variance,
+        )
+        path = tmp_path / "model.bin"
+        path.write_bytes(
+            header + model.mean.tobytes() + model.eigenvalues.tobytes() + model.basis.tobytes()
+        )
+        with pytest.raises(FormatError, match="model.bin"):
             et.load_model(path)

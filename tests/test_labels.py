@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_module
-from ultratts import labels, mlp
+from ultratts import arrayfile, labels, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError
 
 
@@ -378,12 +378,46 @@ class TestLinguisticFeatures:
         qs = labels.parse_questions('QS "IsB" {*b*}\nCQS "N" {*@(\\d+)}\n')
         labs = labels.parse_labels("0 200000 a@4\n200000 300000 b@2\n")
         feats = labels.extract_features(labs, qs, 0.005, 8)
-        labels.save_features(feats, tmp_path / "u.npz")
-        back = labels.load_features(tmp_path / "u.npz")
+        labels.save_features(feats, tmp_path / "u.bin")
+        back = labels.load_features(tmp_path / "u.bin")
         assert back.which.dtype == np.uint8  # two labels
         for name in ("table", "which", "frames"):
             a, b = getattr(feats, name), getattr(back, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r[:2],
+            lambda r: [*r, r[2]],
+            lambda r: [r[0], r[1].astype(np.int64), r[2]],
+            lambda r: [r[0], r[1][:-1], r[2]],
+            lambda r: [r[0].ravel(), r[1], r[2]],
+            lambda r: [r[0], r[1], r[2].astype(np.uint8)],
+        ],
+        ids=["two-records", "four-records", "signed-which", "short-which", "flat-answers",
+             "integer-positional"],
+    )
+    def test_other_records_rejected(self, tmp_path, edit):
+        feats = two_label_features()
+        path = tmp_path / "u.bin"
+        arrayfile.save(path, edit([feats.table, feats.which, feats.frames]))
+        with pytest.raises(FormatError, match="u.bin"):
+            labels.load_features(path)
+
+    def test_npz_features_rejected(self, tmp_path):
+        # the earlier layout: one np.savez zip of answers, which and positional
+        feats = two_label_features()
+        path = tmp_path / "u.npz"
+        np.savez(path, answers=feats.table, which=feats.which, positional=feats.frames)
+        with pytest.raises(FormatError, match="u.npz"):
+            labels.load_features(path)
+
+
+def two_label_features():
+    """The features of an 8-frame, two-label utterance under one question."""
+    labs = labels.parse_labels("0 200000 a@4\n200000 300000 b@2\n")
+    return labels.extract_features(labs, labels.parse_questions('QS "IsB" {*b*}'), 0.005, 8)
 
 
 def grouped_task(n_groups=30, n=700, seed=0):

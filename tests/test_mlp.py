@@ -1,9 +1,11 @@
+import io
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_arrayfile import traced_peak, with_declared_shape
 from test_labels import grouped_task
 from ultratts import acoustic, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError, TrainingDiverged
@@ -147,16 +149,6 @@ def reference_backward(model, x, y):
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
     return grads_w, grads_b, loss
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes it allocated, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestInPlaceBackward:
@@ -572,10 +564,23 @@ class TestCheckpoint:
     def test_file_holds_the_net_at_its_own_width(self, tmp_path):
         model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3, dtype=np.float32)
         path = tmp_path / "model.bin"
-        mlp.save_checkpoint(model, *_fitted_stats(model), path)
+        in_stats, out_stats = _fitted_stats(model)
+        mlp.save_checkpoint(model, in_stats, out_stats, path)
+        records = _records(path.read_bytes())
+        assert [(r.dtype, r.shape) for r in records] == [
+            (np.int64, (3,)),
+            (np.float32, (9, 5)), (np.float32, (5,)), (np.float32, (5, 3)), (np.float32, (3,)),
+            (np.float64, (9,)), (np.float64, (9,)), (np.float64, (3,)), (np.float64, (3,)),
+        ]
+        assert records[0].tolist() == [9, 5, 3]
+        for a, b in zip(records[1:], [model.weights[0], model.biases[0], model.weights[1],
+                                      model.biases[1], in_stats.a, in_stats.b, out_stats.a,
+                                      out_stats.b]):
+            assert a.tobytes() == b.tobytes()
+        # each record is its data after one 128-byte header
         n_net = 9 * 5 + 5 + 5 * 3 + 3
         n_stats = 2 * 9 + 2 * 3
-        assert path.stat().st_size == 20 + 8 * 3 + 4 * n_net + 8 * n_stats
+        assert path.stat().st_size == 128 * 9 + 8 * 3 + 4 * n_net + 8 * n_stats
 
     def test_save_rejects_a_net_of_another_width(self, tmp_path):
         model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2, dtype=np.float16)
@@ -598,11 +603,12 @@ class TestCheckpoint:
             mlp.save_checkpoint(model, *stats, tmp_path / "model.bin")
 
     def test_version_1_checkpoint_is_format_error(self, tmp_path):
-        # versions 1 and 2 held the net in float64 without a width field
+        # the earlier hand-rolled MLPC checkpoints: versions 1 and 2 held the
+        # net in float64 without a width field, version 3 added it
         path = tmp_path / "model.bin"
-        for version in (1, 2):
-            path.write_bytes(_with_version(_checkpoint_bytes(tmp_path), version))
-            with pytest.raises(FormatError):
+        for version in (1, 2, 3):
+            path.write_bytes(_mlpc_bytes(tmp_path, version))
+            with pytest.raises(FormatError, match="model.bin"):
                 mlp.load_checkpoint(path)
 
 
@@ -625,11 +631,11 @@ class TestCheckpointMemory:
     def test_oversized_layer_is_rejected_before_allocating(self, tmp_path):
         _, path = self.saved(tmp_path)
         data = path.read_bytes()
-        # the middle of the 4 layer sizes, which follow the 20-byte header
-        path.write_bytes(data[:28] + struct.pack("<Q", 1 << 40) + data[36:])
+        # the middle layer's weights declare 2^40 outputs
+        path.write_bytes(with_declared_shape(data, (256, 256), (256, 1 << 40)))
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="length"):
+            with pytest.raises(FormatError, match="declares"):
                 mlp.load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -639,8 +645,8 @@ class TestCheckpointMemory:
     def test_header_declaring_more_sizes_than_the_file_holds(self, tmp_path):
         _, path = self.saved(tmp_path)
         data = path.read_bytes()
-        path.write_bytes(data[:12] + struct.pack("<Q", 1 << 60) + data[20:])
-        with pytest.raises(FormatError, match="layers"):
+        path.write_bytes(with_declared_shape(data, (4,), (1 << 60,)))
+        with pytest.raises(FormatError, match="declares"):
             mlp.load_checkpoint(path)
 
 
@@ -651,30 +657,67 @@ def _checkpoint_bytes(tmp_path):
     return path.read_bytes()
 
 
-def _with_version(data, version):
-    # the 4-byte version follows the 4-byte magic
-    return data[:4] + struct.pack("<I", version) + data[8:]
+def _records(data: bytes) -> list[np.ndarray]:
+    """The ``.npy`` records of ``data``, read by numpy's own reader."""
+    buffer = io.BytesIO(data)
+    records = []
+    while buffer.tell() < len(data):
+        records.append(np.lib.format.read_array(buffer, allow_pickle=False))
+    return records
 
 
-# The header is the magic (4 bytes), the version (4), the float width (4) and
-# the layer count (8), followed by the 3 layer sizes (24): 3 bytes cut inside
-# the magic, 20 keep the fixed header but no size, 40 cut inside the sizes.
+def _npy(*arrays) -> bytes:
+    """The arrays as ``.npy`` records, written by numpy's own writer."""
+    buffer = io.BytesIO()
+    for a in arrays:
+        np.lib.format.write_array(buffer, a, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _mlpc_bytes(tmp_path, version):
+    """A 9-5-3 float64 net and its stats in the hand-rolled MLPC layout: the
+    magic, version, float width and layer count, then the layer sizes, the
+    net and the stats."""
+    sizes, *arrays = _records(_checkpoint_bytes(tmp_path))
+    header = struct.pack("<4sIIQ", b"MLPC", version, 8, sizes.size)
+    return header + struct.pack("<3Q", *sizes) + b"".join(a.tobytes() for a in arrays)
+
+
+def _edited(data, edit):
+    """The checkpoint ``data`` with its records passed through ``edit``."""
+    return _npy(*edit(_records(data)))
+
+
+# The first record, the 3 layer sizes, is a 128-byte header and 24 bytes of
+# data: 3 bytes cut inside its magic, 20 and 40 inside its header.
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda d: d[:3],
         lambda d: d[:20],
         lambda d: d[:40],
+        lambda d: d[:140],
         lambda d: d[:-3],
         lambda d: d + b"x",
-        lambda d: d[:12] + struct.pack("<Q", 0) + d[20:],
-        lambda d: d[:8] + struct.pack("<I", 2) + d[12:],
+        lambda d: d + d[:152],
+        lambda d: _edited(d, lambda r: [r[0][:0], *r[1:]]),
+        lambda d: _edited(d, lambda r: [r[0][:1], *r[1:]]),
+        lambda d: _edited(d, lambda r: [np.array([9, 0, 3]), *r[1:]]),
+        lambda d: _edited(d, lambda r: [r[0].astype(np.float64), *r[1:]]),
+        lambda d: _edited(d, lambda r: [r[0], *(a.astype(np.float16) for a in r[1:5]), *r[5:]]),
+        lambda d: _edited(d, lambda r: [r[0], r[1].astype(np.float32), *r[2:]]),
+        lambda d: _edited(d, lambda r: [*r[:5], *(a.astype(np.float32) for a in r[5:])]),
+        lambda d: _edited(d, lambda r: [r[0], r[1].T.copy(), *r[2:]]),
+        lambda d: _edited(d, lambda r: r[:-1]),
+        lambda d: _edited(d, lambda r: [*r, r[-1]]),
     ],
-    ids=["ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes", "ckpt-3-short", "ckpt-1-long",
-         "ckpt-0-layers", "ckpt-width-2"],
+    ids=["ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes", "ckpt-inside-sizes", "ckpt-3-short",
+         "ckpt-1-long", "ckpt-extra-sizes", "ckpt-0-layers", "ckpt-1-layer", "ckpt-zero-width",
+         "ckpt-float-sizes", "ckpt-width-2", "ckpt-mixed-width", "ckpt-float32-stats",
+         "ckpt-transposed-weights", "ckpt-missing-stat", "ckpt-extra-stat"],
 )
 def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, corrupt):
     path = tmp_path / "corrupt.bin"
     path.write_bytes(corrupt(_checkpoint_bytes(tmp_path)))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="corrupt.bin"):
         mlp.load_checkpoint(path)

@@ -303,7 +303,7 @@ class TestRunExperiment:
         prepared = {p.name for p in run.stage_dir("prepare").iterdir()}
         assert prepared == {run.splits.name, run.ling("x").parent.name}
         ling = sorted(p.name for p in run.ling("x").parent.iterdir())
-        assert ling == sorted(f"{u}.npz" for u in pipeline.load_split(run).all_ids)
+        assert ling == sorted(f"{u}.bin" for u in pipeline.load_split(run).all_ids)
 
     def test_trained_model_is_one_file_and_voicing_lives_in_lf0(self, tiny_run):
         _, run = tiny_run
@@ -320,8 +320,9 @@ class TestRunExperiment:
         sizes = model.layer_sizes
         n_net = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
         n_stats = 2 * (sizes[0] + sizes[-1])
-        header = 20 + 8 * len(sizes)
-        assert run.checkpoint.stat().st_size == header + 4 * n_net + 8 * n_stats
+        # one 128-byte header per record: the sizes, two per layer, four stats
+        headers = 128 * (1 + 2 * (len(sizes) - 1) + 4)
+        assert run.checkpoint.stat().st_size == headers + 8 * len(sizes) + 4 * n_net + 8 * n_stats
 
     def test_resolved_config_echo_reparses_identically(self, tiny_run):
         cfg, run = tiny_run
@@ -337,7 +338,7 @@ class TestRunExperiment:
     def test_pca_fitted_on_train_block_only(self, tiny_run):
         cfg, run = tiny_run
         split = pipeline.load_split(run)
-        frames, counts, _ = pipeline.train_frame_matrix(cfg, run, split)
+        frames, counts, _ = pipeline.train_frame_matrix(cfg, split)
         recomputed = eigentongues.fit_pca(
             frames,
             cfg.variance_target,
@@ -353,7 +354,7 @@ class TestRunExperiment:
         cfg, run = tiny_run
         model = eigentongues.load_model(run.pca_model)
         for utt_id in pipeline.load_split(run).all_ids:
-            frames, index = pipeline.utterance_frames(cfg, run, utt_id)
+            frames, index = pipeline.utterance_frames(cfg, utt_id)
             own = eigentongues.transform(model, frames)[index]
             assert np.load(run.coeffs(utt_id)).tobytes() == own.tobytes(), utt_id
 
@@ -573,6 +574,31 @@ class TestCli:
         assert finished.report_csv.exists()
         assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
         assert "negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ratios",
+        ["train = 0.8\ndev = 0.0\ntest = 0.2\n", "train = 0.98\ndev = 0.01\ntest = 0.01\n"],
+        ids=["no-dev", "corpus-too-small"],
+    )
+    def test_unsplittable_ratios_leave_a_finished_run_intact(
+        self, tmp_path, tiny_run, capsys, ratios
+    ):
+        cfg, run = tiny_run
+        assert len(pipeline.load_split(run).all_ids) < 100
+        finished = pipeline.RunPaths(tmp_path / "finished")
+        shutil.copytree(run.root, finished.root)
+        before = {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()}
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        old = f"train = {cfg.train_ratio}\ndev = {cfg.dev_ratio}\ntest = {cfg.test_ratio}\n"
+        text = cfg_file.read_text()
+        assert old in text
+        cfg_file.write_text(text.replace(old, ratios))
+        for command in ("run-all", "prepare"):
+            argv = [command, "--config", str(cfg_file), "--output", str(finished.root)]
+            assert cli.main(argv) == 1
+            assert "empty split block" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "key, value",
