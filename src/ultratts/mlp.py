@@ -14,18 +14,21 @@ builds a batch when indexed, such as ``labels.GatheredRows``; this module
 defines none.
 
 Memory: training holds the net, one best-epoch snapshot (allocated once and
-refreshed in place), one step's gradients (freed as soon as they are
-applied) and the batch activations, which the backward pass overwrites with
-tanh' and frees layer by layer; besides those, only the data and the
-validation pass. A checkpoint loads in one copy: ``arrayfile.load`` checks
-each record's declared size against what is left of the file, then reads
-every weight, bias and statistic into its own writable array.
+refreshed in place), one layer's gradients (the backward pass hands each
+layer's gradients to the update as soon as they are taken, and they are
+freed before the next layer's are formed) and the batch activations, which
+the backward pass overwrites with tanh' and frees layer by layer; besides
+those, only the data and the validation pass. A checkpoint loads in one
+copy: ``arrayfile.load`` checks each record's declared size against what is
+left of the file, then reads every weight, bias and statistic into its own
+writable array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -159,13 +162,22 @@ def _forward(
 
 
 def backward(
-    model: MlpModel, batch: np.ndarray, targets: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Gradients of the half-MSE loss for every weight and bias, plus the loss.
+    model: MlpModel,
+    batch: np.ndarray,
+    targets: np.ndarray,
+    apply: Callable[[int, np.ndarray, np.ndarray], None],
+) -> float:
+    """Backpropagate the half-MSE loss of one batch, handing each layer's
+    gradients to ``apply`` as soon as they are taken; return the loss.
 
     The loss is half of the batch-mean squared error, summed over output
     dimensions; it is the quantity SGD minimises, accumulated in float64.
-    Batch, targets and gradients are in the model's dtype.
+    ``apply(layer, grad_w, grad_b)`` is called once per layer, output layer
+    first, once the delta for the layer below has been formed from the
+    layer's current weights, so it may update that layer in place and
+    overwrite the gradients; they are dropped when it returns. A loss that
+    is not finite is returned before any gradient is taken, and ``apply`` is
+    not called. Batch, targets and gradients are in the model's dtype.
     """
     batch = _check_batch(model, batch)
     targets = np.atleast_2d(np.asarray(targets, dtype=model.dtype))
@@ -179,21 +191,38 @@ def backward(
         delta, activations = _forward(model, batch, keep_activations=True)
         delta -= targets  # the residual, in the prediction's buffer
         batch_loss = float(0.5 * np.sum(delta * delta, dtype=np.float64) / delta.shape[0])
+        if not np.isfinite(batch_loss):
+            return batch_loss
         delta /= delta.shape[0]  # d loss / d pred, mean over the batch
-        grads_w = [np.empty(0)] * len(model.weights)
-        grads_b = [np.empty(0)] * len(model.biases)
         for layer in reversed(range(len(model.weights))):
             # popped, so each activation is freed once its layer is done
             h = activations.pop()
-            grads_w[layer] = h.T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            grad_w = h.T @ delta
+            grad_b = delta.sum(axis=0)
             if layer > 0:
                 # tanh' = 1 - tanh^2, written over the stored hidden activation
                 np.square(h, out=h)
                 np.subtract(1.0, h, out=h)
                 delta = delta @ model.weights[layer].T
                 delta *= h
-    return grads_w, grads_b, batch_loss
+            apply(layer, grad_w, grad_b)
+            # freed now, not once the next layer's gradients are allocated
+            del grad_w, grad_b
+    return batch_loss
+
+
+def sgd_update(model: MlpModel, lr: float) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """The ``apply`` of plain SGD at rate ``lr`` for ``backward``: it steps one
+    layer's weights and biases in place, scaling the gradients in their own
+    buffers."""
+
+    def apply(layer: int, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
+        grad_w *= lr
+        model.weights[layer] -= grad_w
+        grad_b *= lr
+        model.biases[layer] -= grad_b
+
+    return apply
 
 
 def train(
@@ -237,22 +266,14 @@ def train(
 
     for epoch in range(1, schedule.max_epochs + 1):
         lr = schedule.learning_rate(epoch)
+        update = sgd_update(model, lr)
         order = rng.permutation(train_x.shape[0])
         loss_sum = 0.0
         for start in range(0, order.size, schedule.batch_size):
             idx = order[start : start + schedule.batch_size]
-            grads_w, grads_b, batch_loss = backward(model, train_x[idx], train_y[idx])
-            loss_sum += batch_loss * idx.size
+            loss_sum += backward(model, train_x[idx], train_y[idx], update) * idx.size
             if not np.isfinite(loss_sum):
                 break
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                gw *= lr
-                w -= gw
-                gb *= lr
-                b -= gb
-            # freed now, not once the next backward or the validation pass has
-            # allocated alongside them
-            del grads_w, grads_b
         # an overflowed net cannot recover; the epochs before it hold the best
         if not np.isfinite(loss_sum):
             non_finite = "the training loss"

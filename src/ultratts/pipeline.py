@@ -6,8 +6,9 @@ individual stages can be rerun. ``start_run`` clears those subdirectories and
 echoes the resolved config to ``config.cfg`` at the run root, the only config
 the stages read. Statistics (PCA model, input/output normalization) are
 fitted on the training block only. Every network input comes from
-``gathered_inputs``: train draws its batches from the gathered rows, and the
-dev set and each generated utterance expand them whole with ``dense()``.
+``gathered_inputs`` and is normalised and cast while still gathered: train
+draws its batches from the gathered rows, and the dev set and each generated
+utterance expand them whole with ``dense()``.
 """
 
 from __future__ import annotations
@@ -239,23 +240,39 @@ def gathered_inputs(
     return labels.GatheredRows(np.vstack(tables), np.concatenate(whiches), np.vstack(blocks))
 
 
-def normalize_gathered(rows: labels.GatheredRows) -> acoustic.NormalizationStats:
-    """Fit min-max statistics on the table and on the per-frame block, normalise
-    each in place, and return the statistics of the whole rows.
+def normalize_gathered(
+    rows: labels.GatheredRows,
+) -> tuple[acoustic.NormalizationStats, labels.GatheredRows]:
+    """Fit min-max statistics on the table and on the per-frame block; return
+    the statistics of the whole rows and the rows ``net_inputs`` makes under them.
 
-    They equal those of the expanded matrix, since the table holds only labels
-    that own a row and min and max are exact. Normalisation works element by
-    element, so each gathered row equals the normalised expanded row bit for bit.
+    The statistics equal those of the expanded matrix, since the table holds
+    only labels that own a row and min and max are exact.
     """
-    parts = []
-    for block in (rows.table, rows.frames):
-        parts.append(acoustic.fit_normalization(block, "minmax"))
-        acoustic.normalize_in_place(parts[-1], block)
-    return acoustic.NormalizationStats(
+    parts = [acoustic.fit_normalization(block, "minmax") for block in (rows.table, rows.frames)]
+    stats = acoustic.NormalizationStats(
         "minmax",
         a=np.concatenate([p.a for p in parts]),
         b=np.concatenate([p.b for p in parts]),
     )
+    return stats, net_inputs(stats, rows)
+
+
+def net_inputs(
+    stats: acoustic.NormalizationStats, rows: labels.GatheredRows, dtype=NET_DTYPE
+) -> labels.GatheredRows:
+    """Normalise the float64 table and per-frame block of ``rows`` in place,
+    each under its columns of ``stats``, and return them cast to ``dtype``.
+
+    Normalisation works element by element, so each gathered row, and the
+    matrix ``dense()`` expands, equal the normalised, cast expanded rows bit
+    for bit, while the float64 rows are never expanded.
+    """
+    split = rows.table.shape[1]
+    for block, columns in ((rows.table, slice(None, split)), (rows.frames, slice(split, None))):
+        part = acoustic.NormalizationStats(stats.kind, a=stats.a[columns], b=stats.b[columns])
+        acoustic.normalize_in_place(part, block)
+    return rows.astype(dtype)
 
 
 def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
@@ -276,25 +293,20 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network.
 
     The training inputs stay gathered: no per-frame linguistic matrix of the
-    training block is built. The dev inputs are the same rows expanded whole.
-    Everything is normalised in place in float64, then cast once to
+    training block is built. The dev inputs are the same rows, normalised and
+    cast while gathered and then expanded whole. The inputs and the training
+    targets are normalised in place in float64, then cast once to
     ``NET_DTYPE``, the dtype of the net, and the float64 copies are dropped
-    before training.
+    before training; the dev targets stay float64 for the validation score.
     """
     split = load_split(run)
-    train_x = gathered_inputs(cfg, run, split.train)
+    # one at a time, so each float64 array is freed once it is cast
+    input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
+    dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
     train_y = target_matrix(cfg, split.train)
-    dev_x = gathered_inputs(cfg, run, split.dev).dense()
-    dev_y = target_matrix(cfg, split.dev)
-
-    input_stats = normalize_gathered(train_x)
     output_stats = acoustic.fit_normalization(train_y, "meanvar")
-    for stats, data in ((output_stats, train_y), (input_stats, dev_x), (output_stats, dev_y)):
-        acoustic.normalize_in_place(stats, data)
-    # one at a time, so each float64 array is freed before the next is cast
-    train_x = train_x.astype(NET_DTYPE)
-    train_y = train_y.astype(NET_DTYPE)
-    dev_x = dev_x.astype(NET_DTYPE)
+    train_y = acoustic.normalize_in_place(output_stats, train_y).astype(NET_DTYPE)
+    dev_y = acoustic.normalize_in_place(output_stats, target_matrix(cfg, split.dev))
 
     model = mlp.init_model(
         train_x.shape[1],
@@ -317,8 +329,8 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
 def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
     """Predict dev/test utterances and write both trajectory variants.
 
-    Each utterance's gathered inputs are expanded whole and normalised in
-    float64. The net runs in its checkpointed dtype; its outputs are
+    Each utterance's gathered inputs are normalised in float64, cast to the
+    net's checkpointed dtype and then expanded whole; its outputs are
     denormalised in float64."""
     split = load_split(run)
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
@@ -326,7 +338,7 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
         run.generated(variant).mkdir(parents=True, exist_ok=True)
 
     for utt_id in split.dev + split.test:
-        x = acoustic.normalize_in_place(input_stats, gathered_inputs(cfg, run, [utt_id]).dense())
+        x = net_inputs(input_stats, gathered_inputs(cfg, run, [utt_id]), model.dtype).dense()
         by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_streams(streams, run.generated(variant), utt_id)

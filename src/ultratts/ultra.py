@@ -163,11 +163,15 @@ def _resize_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     return taps, weights
 
 
-def _resize_axis(images: np.ndarray, n_out: int, axis: int) -> np.ndarray:
-    """Cubic resize of ``images`` along ``axis``: a gather and a weighted sum per tap."""
+def _resize_axis(images: np.ndarray, n_out: int, axis: int, copy: bool = True) -> np.ndarray:
+    """Cubic resize of ``images`` along ``axis``: a gather and a weighted sum per tap.
+
+    An unscaled axis returns ``images`` as float64, cast as ``astype`` casts
+    with ``copy``, so ``copy=False`` hands a float64 stack back as it is.
+    """
     if images.shape[axis] == n_out:
         # an unscaled axis reads each sample at its centre, with taps 0, 1, 0, 0
-        return images.astype(np.float64)
+        return images.astype(np.float64, copy=copy)
     taps, weights = _resize_taps(images.shape[axis], n_out)
     shape = [1] * images.ndim
     shape[axis] = n_out
@@ -192,7 +196,8 @@ def resize_stack(frames: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray
         )
     if out_rows < 1 or out_cols < 1:
         raise ArgumentError(f"output dimensions must be >= 1, got {out_rows}x{out_cols}")
-    return _resize_axis(_resize_axis(frames, out_cols, axis=2), out_rows, axis=1)
+    # the column pass always makes a new array, so the row pass need not copy it
+    return _resize_axis(_resize_axis(frames, out_cols, axis=2), out_rows, axis=1, copy=False)
 
 
 def resample_to_frame_clock(

@@ -11,9 +11,21 @@ from ultratts import acoustic, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError, TrainingDiverged
 
 
+def gradients(model, x, y):
+    """Every layer's gradients, as ``backward`` hands them over, and the loss;
+    the net is left as it was."""
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+
+    def keep(layer, grad_w, grad_b):
+        grads_w[layer], grads_b[layer] = grad_w, grad_b
+
+    loss = mlp.backward(model, x, y, keep)
+    return grads_w, grads_b, loss
+
+
 def finite_difference_check(model, x, y, eps=1e-5):
     """Worst guarded relative error between backprop and central differences."""
-    grads_w, grads_b, _ = mlp.backward(model, x, y)
+    grads_w, grads_b, _ = gradients(model, x, y)
     worst = 0.0
     for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
         for arr, grad in zip(arrays, grads):
@@ -22,9 +34,9 @@ def finite_difference_check(model, x, y, eps=1e-5):
                 i = it.multi_index
                 orig = arr[i]
                 arr[i] = orig + eps
-                plus = mlp.backward(model, x, y)[2]
+                plus = gradients(model, x, y)[2]
                 arr[i] = orig - eps
-                minus = mlp.backward(model, x, y)[2]
+                minus = gradients(model, x, y)[2]
                 arr[i] = orig
                 fd = (plus - minus) / (2.0 * eps)
                 rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-4)
@@ -101,7 +113,7 @@ class TestBackward:
         model = mlp.init_model(4, seed=3, hidden_sizes=(5,), output_dim=2)
         x = np.random.default_rng(0).normal(size=(8, 4))
         y = mlp.forward(model, x)
-        grads_w, grads_b, value = mlp.backward(model, x, y)
+        grads_w, grads_b, value = gradients(model, x, y)
         assert value == 0.0
         assert all(np.allclose(g, 0.0) for g in grads_w + grads_b)
 
@@ -117,15 +129,15 @@ class TestBackward:
         model = mlp.init_model(4, seed=8, hidden_sizes=(6,), output_dim=2)
         x = rng.normal(size=(5, 4))
         y = rng.normal(size=(5, 2))
-        gw1, gb1, _ = mlp.backward(model, x, y)
-        gw2, gb2, _ = mlp.backward(model, np.vstack([x, x]), np.vstack([y, y]))
+        gw1, gb1, _ = gradients(model, x, y)
+        gw2, gb2, _ = gradients(model, np.vstack([x, x]), np.vstack([y, y]))
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             assert np.allclose(a, b, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = mlp.init_model(4, seed=0, hidden_sizes=(6,), output_dim=2)
         with pytest.raises(ArgumentError):
-            mlp.backward(model, np.zeros((3, 4)), np.zeros((3, 5)))
+            gradients(model, np.zeros((3, 4)), np.zeros((3, 5)))
 
 
 def reference_forward(model, x):
@@ -160,7 +172,7 @@ class TestInPlaceBackward:
             b[:] = rng.normal(size=b.shape)
         x = rng.normal(size=(33, 13)).astype(dtype)
         y = rng.normal(size=(33, 5)).astype(dtype)
-        grads_w, grads_b, loss = mlp.backward(model, x, y)
+        grads_w, grads_b, loss = gradients(model, x, y)
         ref_w, ref_b, ref_loss = reference_backward(model, x, y)
         assert loss == ref_loss
         for got, want in zip(grads_w + grads_b, ref_w + ref_b):
@@ -174,9 +186,74 @@ class TestInPlaceBackward:
         x = rng.normal(size=(10, 6)).astype(np.float32)
         y = rng.normal(size=(10, 3)).astype(np.float32)
         x_before, y_before = x.copy(), y.copy()
-        mlp.backward(model, x, y)
+        mlp.backward(model, x, y, mlp.sgd_update(model, 0.1))
         assert x.tobytes() == x_before.tobytes()
         assert y.tobytes() == y_before.tobytes()
+
+
+class TestPerLayerStep:
+    def test_apply_gets_each_layer_once_output_layer_first(self):
+        rng = np.random.default_rng(13)
+        model = mlp.init_model(5, seed=4, hidden_sizes=(7, 6, 8), output_dim=3)
+        steps = []
+        mlp.backward(
+            model, rng.normal(size=(9, 5)), rng.normal(size=(9, 3)),
+            lambda layer, grad_w, grad_b: steps.append((layer, grad_w.shape, grad_b.shape)),
+        )
+        sizes = model.layer_sizes
+        assert steps == [(i, (sizes[i], sizes[i + 1]), (sizes[i + 1],)) for i in (3, 2, 1, 0)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
+    def test_train_steps_equal_the_whole_net_update(self, dtype, gathered):
+        # one epoch of 700 rows in batches of 64 takes 11 steps
+        rows, dense, y = grouped_task(seed=7)
+        schedule = mlp.TrainingSchedule(
+            max_epochs=1, warmup_epochs=0, base_lr=0.1, batch_size=64, seed=3,
+        )
+        model = mlp.init_model(7, seed=8, hidden_sizes=(9, 6), output_dim=4, dtype=dtype)
+        expect = model.copy()
+        # train's batch order; every layer's gradients taken before any is applied
+        x, t = dense.astype(dtype), y.astype(dtype)
+        lr = schedule.learning_rate(1)
+        order = np.random.default_rng(schedule.seed).permutation(len(x))
+        loss_sum = 0.0
+        for start in range(0, order.size, schedule.batch_size):
+            idx = order[start : start + schedule.batch_size]
+            grads_w, grads_b, loss = reference_backward(expect, x[idx], t[idx])
+            loss_sum += loss * idx.size
+            for w, b, gw, gb in zip(expect.weights, expect.biases, grads_w, grads_b):
+                gw *= lr
+                w -= gw
+                gb *= lr
+                b -= gb
+
+        train_x = rows if gathered else dense
+        best, history = mlp.train(model, (train_x, y), (dense[-100:], y[-100:]), schedule)
+        assert history[0].train_mse == 2.0 * loss_sum / (order.size * model.output_dim)
+        for got, kept, want in zip(
+            model.weights + model.biases, best.weights + best.biases, expect.weights + expect.biases
+        ):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == kept.tobytes() == want.tobytes()
+
+    def test_non_finite_loss_leaves_the_net_untouched(self):
+        # an output bias near the float32 maximum overflows the squared residual
+        model = mlp.init_model(5, seed=3, hidden_sizes=(8, 8), output_dim=3, dtype=np.float32)
+        model.biases[-1][:] = 3e38
+        before = [a.copy() for a in model.weights + model.biases]
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 5)).astype(np.float32)
+        y = rng.normal(size=(6, 3)).astype(np.float32)
+        steps = []
+        assert mlp.backward(model, x, y, lambda *step: steps.append(step)) == np.inf
+        assert steps == []
+        assert mlp.backward(model, x, y, mlp.sgd_update(model, 0.1)) == np.inf
+        schedule = mlp.TrainingSchedule(max_epochs=2, warmup_epochs=1, batch_size=2, seed=0)
+        with pytest.raises(TrainingDiverged, match="the training loss went non-finite at epoch 1$"):
+            mlp.train(model, (x, y), (x, y), schedule)
+        for after, was in zip(model.weights + model.biases, before):
+            assert after.tobytes() == was.tobytes()
 
 
 def _float32_twin():
@@ -207,8 +284,8 @@ class TestFloat32:
         # float32-representable data, so both paths see the same numbers
         x = rng.normal(size=(6, 5)).astype(np.float32).astype(np.float64)
         y = rng.normal(size=(6, 3)).astype(np.float32).astype(np.float64)
-        grads_w32, grads_b32, loss32 = mlp.backward(narrow, x, y)
-        grads_w64, grads_b64, loss64 = mlp.backward(wide, x, y)
+        grads_w32, grads_b32, loss32 = gradients(narrow, x, y)
+        grads_w64, grads_b64, loss64 = gradients(wide, x, y)
         for g32, g64 in zip(grads_w32 + grads_b32, grads_w64 + grads_b64):
             assert g32.dtype == np.float32
             assert np.abs(g32 - g64).max() <= self.grad_rtol * np.abs(g64).max()
@@ -217,7 +294,7 @@ class TestFloat32:
     def test_float64_data_does_not_promote_backward(self):
         narrow, _ = _float32_twin()
         rng = np.random.default_rng(1)
-        grads_w, grads_b, _ = mlp.backward(narrow, rng.normal(size=(4, 5)), rng.normal(size=(4, 3)))
+        grads_w, grads_b, _ = gradients(narrow, rng.normal(size=(4, 5)), rng.normal(size=(4, 3)))
         assert {g.dtype for g in grads_w + grads_b} == {np.dtype(np.float32)}
         assert mlp.forward(narrow, rng.normal(size=(4, 5))).dtype == np.float32
 
@@ -225,13 +302,19 @@ class TestFloat32:
     def test_float64_data_does_not_promote_train(self, gathered, monkeypatch):
         rows, dense, y = grouped_task()
         assert (rows.table.dtype, dense.dtype, y.dtype) == (np.float64,) * 3
-        # train casts its data once, so every batch reaches backward in float32
+        # train casts its data once, so every batch reaches backward, and every
+        # gradient the update, in float32
         seen = set()
         backward = mlp.backward
 
-        def recording_backward(model, batch, targets):
+        def recording_backward(model, batch, targets, apply):
             seen.update((batch.dtype, targets.dtype))
-            return backward(model, batch, targets)
+
+            def recording_apply(layer, grad_w, grad_b):
+                seen.update((grad_w.dtype, grad_b.dtype))
+                apply(layer, grad_w, grad_b)
+
+            return backward(model, batch, targets, recording_apply)
 
         monkeypatch.setattr(mlp, "backward", recording_backward)
         schedule = mlp.TrainingSchedule(
@@ -352,10 +435,11 @@ class TestTrain:
         backward = mlp.backward
         calls = []
 
-        def overflowing_backward(model, batch, targets):
-            grads_w, grads_b, loss = backward(model, batch, targets)
-            calls.append(loss)
-            return grads_w, grads_b, loss if len(calls) <= 3 * 7 else np.inf
+        def overflowing_backward(model, batch, targets, apply):
+            calls.append(batch)
+            if len(calls) > 3 * 7:
+                return np.inf  # an overflowed batch takes no gradient
+            return backward(model, batch, targets, apply)
 
         monkeypatch.setattr(mlp, "backward", overflowing_backward)
         model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
@@ -376,13 +460,7 @@ class TestTrain:
             mlp.train(model, train_set, valid_set, schedule)
 
     def test_overflowing_training_loss_is_named(self, monkeypatch):
-        backward = mlp.backward
-
-        def overflowing_backward(model, batch, targets):
-            grads_w, grads_b, _ = backward(model, batch, targets)
-            return grads_w, grads_b, np.inf
-
-        monkeypatch.setattr(mlp, "backward", overflowing_backward)
+        monkeypatch.setattr(mlp, "backward", lambda model, batch, targets, apply: np.inf)
         train_set, valid_set = linear_task(seed=5)
         model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
         with pytest.raises(TrainingDiverged, match="the training loss went non-finite at epoch 1$"):
@@ -411,7 +489,7 @@ class TestTrain:
 class TestTrainingMemory:
     def test_peak_stays_under_three_nets(self):
         # the net (2.6 MB of float32 weights) dominates everything else that
-        # training holds: the snapshot, one step's gradients and the small batches
+        # training holds: the snapshot, one layer's gradients and the small batches
         model = mlp.init_model(32, seed=0, hidden_sizes=(512,) * 3, output_dim=199, dtype=np.float32)
         net_bytes = sum(a.nbytes for a in model.weights + model.biases)
         rng = np.random.default_rng(3)
@@ -424,6 +502,24 @@ class TestTrainingMemory:
         (_, history), peak = traced_peak(mlp.train, model, train_set, valid_set, schedule)
         assert len(history) == schedule.max_epochs
         assert peak < 3 * net_bytes
+
+    def test_step_holds_one_layers_gradients(self):
+        # five equal 512-wide layers: the whole net's gradients are 5.3 MB of
+        # float32, one layer's 1.05 MB, and the batch's activations 0.33 MB
+        width, n_layers, batch = 512, 5, 32
+        model = mlp.init_model(
+            width, seed=0, hidden_sizes=(width,) * (n_layers - 1), output_dim=width,
+            dtype=np.float32,
+        )
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(batch, width)).astype(np.float32)
+        y = rng.normal(size=(batch, width)).astype(np.float32)
+        row_bytes = batch * width * 4
+        layer_bytes = (width * width + width) * 4
+        loss, peak = traced_peak(mlp.backward, model, x, y, mlp.sgd_update(model, 1e-3))
+        assert np.isfinite(loss)
+        # slack: the residual's square and a delta being formed from the last one
+        assert peak < n_layers * row_bytes + layer_bytes + 2 * row_bytes
 
     def test_best_is_a_separate_copy_of_the_best_epoch(self, monkeypatch):
         # validation targets that oppose the training mapping get worse as the

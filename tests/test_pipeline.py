@@ -237,11 +237,27 @@ class TestGatheredInputs:
         everything = np.arange(dense.shape[0])
         assert rows[everything].tobytes() == dense.tobytes()
         assert rows.dense().tobytes() == dense.tobytes()
-        stats = pipeline.normalize_gathered(rows)
+        stats, net_rows = pipeline.normalize_gathered(rows)
         dense_stats = acoustic.fit_normalization(dense, "minmax")
         assert stats.a.tobytes() == dense_stats.a.tobytes()
         assert stats.b.tobytes() == dense_stats.b.tobytes()
-        assert rows.dense().tobytes() == acoustic.normalize_in_place(stats, dense).tobytes()
+        normalized = acoustic.normalize_in_place(stats, dense)
+        assert rows.dense().tobytes() == normalized.tobytes()
+        assert net_rows.dense().dtype == pipeline.NET_DTYPE
+        assert net_rows.dense().tobytes() == normalized.astype(pipeline.NET_DTYPE).tobytes()
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_net_inputs_equal_the_normalised_cast_matrix(self, prepared_runs, system, dtype):
+        cfg, run = prepared_runs[system]
+        split = pipeline.load_split(run)
+        stats, _ = pipeline.normalize_gathered(pipeline.gathered_inputs(cfg, run, split.train))
+        for ids in (split.dev, split.test[:1]):
+            dense = pipeline.gathered_inputs(cfg, run, ids).dense()
+            expect = acoustic.normalize_in_place(stats, dense).astype(dtype)
+            got = pipeline.net_inputs(stats, pipeline.gathered_inputs(cfg, run, ids), dtype).dense()
+            assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
+            assert got.tobytes() == expect.tobytes()
 
     def test_minmax_skips_labels_that_own_no_frame(self, tiny_corpus, tmp_path):
         ids = ultra.discover_utterances(tiny_corpus.ultrasound_dir)

@@ -203,6 +203,21 @@ class TestResizeStack:
             assert out.shape == expect.shape
             assert np.allclose(out, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
+    @pytest.mark.parametrize("out_shape", [(5, 6), (5, 3), (8, 6)], ids=["both", "rows", "cols"])
+    def test_unscaled_axes_never_hand_back_the_callers_array(self, out_shape):
+        frames = uint8_stack(3, 5, 6) / 3.0
+        given = frames.copy()
+        out = ultra.resize_stack(frames, *out_shape)
+        assert not np.shares_memory(out, frames)
+        out += 1.0
+        assert frames.tobytes() == given.tobytes()
+
+    def test_unscaled_row_pass_keeps_the_column_pass_array(self):
+        cols = ultra._resize_axis(uint8_stack(2, 5, 9), 4, axis=2)
+        assert ultra._resize_axis(cols, 5, axis=1, copy=False) is cols
+        copied = ultra._resize_axis(cols, 5, axis=1)
+        assert copied is not cols and copied.tobytes() == cols.tobytes()
+
     def test_rejects_non_stacks_and_degenerate_dims(self):
         with pytest.raises(ArgumentError):
             ultra.resize_stack(np.zeros((4, 4)), 2, 2)
