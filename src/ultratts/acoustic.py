@@ -101,16 +101,20 @@ def frame_count(acoustic_dir: Path, utt_id: str) -> int:
 def read_streams(
     acoustic_dir: Path, utt_id: str, mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM
 ) -> AcousticStreams:
-    """Load ``<id>.mgc/.bap/.lf0`` from a directory as float64 streams."""
+    """Load ``<id>.mgc/.bap/.lf0`` from a directory as float64 streams; files
+    that hold no frame are refused."""
     acoustic_dir = Path(acoustic_dir)
     mgc = load_stream((acoustic_dir / f"{utt_id}.mgc").read_bytes(), mgc_dim)
     bap = load_stream((acoustic_dir / f"{utt_id}.bap").read_bytes(), bap_dim)
     lf0 = load_stream((acoustic_dir / f"{utt_id}.lf0").read_bytes(), 1)
-    return AcousticStreams(
+    streams = AcousticStreams(
         mgc=mgc.astype(np.float64),
         bap=bap.astype(np.float64),
         lf0=lf0.astype(np.float64).ravel(),
     )
+    if streams.n_frames == 0:
+        raise DataError(f"{utt_id}.mgc/.bap/.lf0 in {acoustic_dir} hold no frame")
+    return streams
 
 
 def save_streams(streams: AcousticStreams, directory: Path, utt_id: str) -> None:

@@ -3,8 +3,8 @@
 One subcommand per pipeline stage plus ``run-all``, a synthetic corpus
 generator, and a report merger. ``prepare`` and ``run-all`` start a run: they
 take the config and its overrides, clear the run directory's stage outputs
-and echo the resolved config there. The other stage subcommands take only
-the run directory and run under that echo. Exit code is 0 on success, 1 with
+and write the resolved config and the split there. The other stage
+subcommands take only the run directory and run under those two files. Exit code is 0 on success, 1 with
 an ``error:`` line otherwise (stage-tagged when a stage failed), and 2 for a
 usage error.
 """

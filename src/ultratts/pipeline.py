@@ -3,12 +3,13 @@
 Stages run in a fixed order -- prepare, pca, train, generate, evaluate,
 misalign -- and each writes only into its own subdirectory of the run, so
 individual stages can be rerun. ``start_run`` clears those subdirectories and
-echoes the resolved config to ``config.cfg`` at the run root, the only config
-the stages read. Statistics (PCA model, input/output normalization) are
-fitted on the training block only. Every network input comes from
-``gathered_inputs`` and is normalised and cast while still gathered: train
-draws its batches from the gathered rows, and the dev set and each generated
-utterance expand them whole with ``dense()``.
+writes the run's two inputs at its root: the resolved config, ``config.cfg``,
+and the train/dev/test split, ``splits.json``. ``run_stage`` reads both and
+calls every stage as ``stage(cfg, split, run)``. Statistics (PCA model,
+input/output normalization) are fitted on the training block only. Every
+network input comes from ``gathered_inputs`` and is normalised and cast while
+still gathered: train draws its batches from the gathered rows, and the dev
+set and each generated utterance expand them whole with ``dense()``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import floor
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,7 +28,6 @@ from . import acoustic, arrayfile, eigentongues, labels, metrics, misalign, mlp,
 from .config import PATH_FIELDS, ExperimentConfig, read_config, write_config
 from .errors import ConfigError, FormatError, StageError
 
-STAGES = ("prepare", "pca", "train", "generate", "evaluate", "misalign")
 VARIANTS = mlp.VARIANTS
 
 CONFIG_NAME = "config.cfg"
@@ -94,7 +94,7 @@ class RunPaths:
 
     @property
     def splits(self) -> Path:
-        return self.root / "prepare" / "splits.json"
+        return self.root / "splits.json"
 
     def ling(self, utt_id: str) -> Path:
         return self.root / "prepare" / "ling" / f"{utt_id}.bin"
@@ -131,6 +131,8 @@ class RunPaths:
 
 
 def load_split(run: RunPaths) -> DatasetSplit:
+    if not run.splits.exists():
+        raise ConfigError(f"no split at {run.splits}; run prepare with --config first")
     data = json.loads(run.splits.read_text())
     return DatasetSplit(
         train=tuple(data["train"]), dev=tuple(data["dev"]), test=tuple(data["test"])
@@ -141,13 +143,11 @@ def load_split(run: RunPaths) -> DatasetSplit:
 # stages
 
 
-def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
-    """Discover utterances, split, and persist per-utterance linguistic features:
-    the answers of each label (when the system reads questions), the label of
-    each frame of the utterance's checked acoustic streams, and each frame's 4
-    positional features."""
-    ids = ultra.discover_utterances(cfg.ultrasound_dir)
-    split = split_dataset(ids, cfg.ratios)
+def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
+    """Persist per-utterance linguistic features: the answers of each label
+    (when the system reads questions), the label of each frame of the
+    utterance's checked acoustic streams, and each frame's 4 positional
+    features."""
     run.ling("x").parent.mkdir(parents=True, exist_ok=True)
 
     if cfg.reads_questions:
@@ -160,13 +160,6 @@ def stage_prepare(cfg: ExperimentConfig, run: RunPaths) -> None:
         parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
         ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
         labels.save_features(ling, run.ling(utt_id))
-    run.splits.write_text(
-        json.dumps(
-            {"train": split.train, "dev": split.dev, "test": split.test},
-            indent=2,
-        )
-        + "\n"
-    )
 
 
 def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +184,15 @@ def train_frame_matrix(
     return frames, counts, utterances
 
 
-def stage_pca(cfg: ExperimentConfig, run: RunPaths) -> None:
+def stage_pca(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Resize raw frames, fit on training frames only, project every utterance once.
 
     Only distinct source frames are resized, fitted (weighted by how many
     target frames repeat each) and projected; each coefficient file holds one
-    row per target frame. Only the corpus and prepare's splits are read. When
-    the system does not read ultrasound no input uses the coefficients, so the
-    stage only checks that prepare has run.
+    row per target frame. Only the corpus and the run's config and split are
+    read, never another stage's outputs. When the system does not read
+    ultrasound no input uses the coefficients, so the stage does nothing.
     """
-    split = load_split(run)
     if not cfg.reads_ultrasound:
         return
     frames, counts, train_utterances = train_frame_matrix(cfg, split)
@@ -289,7 +281,7 @@ def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
     return targets
 
 
-def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
+def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network.
 
     The training inputs stay gathered: no per-frame linguistic matrix of the
@@ -299,7 +291,6 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
     ``NET_DTYPE``, the dtype of the net, and the float64 copies are dropped
     before training; the dev targets stay float64 for the validation score.
     """
-    split = load_split(run)
     # one at a time, so each float64 array is freed once it is cast
     input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
     dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
@@ -326,13 +317,12 @@ def stage_train(cfg: ExperimentConfig, run: RunPaths) -> None:
             writer.writerow([rec.epoch, repr(rec.lr), repr(rec.train_mse), repr(rec.valid_mse)])
 
 
-def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
+def stage_generate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Predict dev/test utterances and write both trajectory variants.
 
     Each utterance's gathered inputs are normalised in float64, cast to the
     net's checkpointed dtype and then expanded whole; its outputs are
     denormalised in float64."""
-    split = load_split(run)
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
     for variant in VARIANTS:
         run.generated(variant).mkdir(parents=True, exist_ok=True)
@@ -344,9 +334,8 @@ def stage_generate(cfg: ExperimentConfig, run: RunPaths) -> None:
             acoustic.save_streams(streams, run.generated(variant), utt_id)
 
 
-def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.EvaluationReport]:
+def stage_evaluate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Score generated dev/test utterances against the corpus references."""
-    split = load_split(run)
     # each reference serves every variant, so read it once
     references = {
         utt_id: acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
@@ -371,12 +360,10 @@ def stage_evaluate(cfg: ExperimentConfig, run: RunPaths) -> list[metrics.Evaluat
     run.report_csv.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_report_csv(reports, run.report_csv)
     run.report_tables.write_text(metrics.render_tables(reports))
-    return reports
 
 
-def stage_misalign(cfg: ExperimentConfig, run: RunPaths) -> misalign.BlockSummary:
+def stage_misalign(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Pairwise mean-image MSE over the whole session at raw resolution."""
-    split = load_split(run)
     ids = split.all_ids
     images = []
     for utt_id in ids:
@@ -389,10 +376,10 @@ def stage_misalign(cfg: ExperimentConfig, run: RunPaths) -> misalign.BlockSummar
     misalign.write_matrix_csv(matrix, out / "matrix.csv")
     (out / "heatmap.ppm").write_bytes(misalign.render_heatmap(matrix))
     misalign.write_summary(summary, out / "summary.json")
-    return summary
 
 
-_STAGE_FUNCTIONS = {
+# every stage, in run order
+STAGES = {
     "prepare": stage_prepare,
     "pca": stage_pca,
     "train": stage_train,
@@ -403,28 +390,30 @@ _STAGE_FUNCTIONS = {
 
 
 def start_run(cfg: ExperimentConfig, run_dir: Path) -> RunPaths:
-    """Check the data paths and that the corpus splits under ``cfg``'s ratios,
-    then clear every stage's outputs and echo ``cfg`` with absolute data paths
-    as the one config that the run's stages read."""
+    """Check the data paths and split the corpus under ``cfg``'s ratios, then
+    clear every stage's outputs and write the only config and split that the
+    run's stages read: ``cfg`` with absolute data paths, and the split."""
     for name in PATH_FIELDS:
         path = Path(getattr(cfg, name)).absolute()
         if not path.exists():
             raise ConfigError(f"{name} does not exist: {path}")
-    split_dataset(ultra.discover_utterances(cfg.ultrasound_dir), cfg.ratios)
+    split = split_dataset(ultra.discover_utterances(cfg.ultrasound_dir), cfg.ratios)
     run = RunPaths(run_dir)
     for stage in STAGES:
         if run.stage_dir(stage).exists():
             shutil.rmtree(run.stage_dir(stage))
     run.root.mkdir(parents=True, exist_ok=True)
     write_config(cfg, run.config)
+    run.splits.write_text(json.dumps(asdict(split), indent=2) + "\n")
     return run
 
 
-def run_stage(stage: str, run_dir: Path):
-    """Run one stage under the run's config echo; failures are stage-tagged and
-    partial outputs are kept."""
+def run_stage(stage: str, run_dir: Path) -> None:
+    """Run one stage under the run's config and split; failures are
+    stage-tagged and partial outputs are kept."""
+    run = RunPaths(run_dir)
     try:
-        return _STAGE_FUNCTIONS[stage](load_run_config(run_dir), RunPaths(run_dir))
+        STAGES[stage](load_run_config(run_dir), load_split(run), run)
     except StageError:
         raise
     except Exception as e:

@@ -81,7 +81,11 @@ def generate_corpus(
     if not np.isfinite(drift_magnitude):
         raise ArgumentError(f"drift_magnitude must be finite, got {drift_magnitude}")
     layout = CorpusLayout(root=Path(root))
-    for d in (layout.ultrasound_dir, layout.label_dir, layout.acoustic_dir):
+    corpus_dirs = (layout.ultrasound_dir, layout.label_dir, layout.acoustic_dir)
+    # a corpus written over another would keep the utterances it does not replace
+    if any(d.is_dir() and any(d.iterdir()) for d in corpus_dirs):
+        raise ArgumentError(f"{layout.root} already holds a corpus; write to a new directory")
+    for d in corpus_dirs:
         d.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)

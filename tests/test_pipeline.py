@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import config_for
-from ultratts import acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, ultra
+from ultratts import (
+    acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, synthetic, ultra,
+)
 from ultratts.config import (
     PATH_FIELDS, SECTIONS, SYSTEMS, ExperimentConfig, read_config, write_config,
 )
@@ -315,9 +317,9 @@ class TestRunExperiment:
         assert (run.misalign_dir / "heatmap.ppm").exists()
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
-        assert not (run.stage_dir("prepare") / "ult").exists()
+        assert run.splits.parent == run.root
         prepared = {p.name for p in run.stage_dir("prepare").iterdir()}
-        assert prepared == {run.splits.name, run.ling("x").parent.name}
+        assert prepared == {run.ling("x").parent.name}
         ling = sorted(p.name for p in run.ling("x").parent.iterdir())
         assert ling == sorted(f"{u}.bin" for u in pipeline.load_split(run).all_ids)
 
@@ -482,17 +484,35 @@ class TestRunExperiment:
 
     def test_stage_failure_is_tagged(self, tiny_corpus, tmp_path):
         cfg = config_for(tiny_corpus)
-        from ultratts.errors import StageError
+        with pytest.raises(StageError, match="train"):
+            # prepare never ran, so the train stage cannot find prepare/ling
+            pipeline.run_stage("train", pipeline.start_run(cfg, tmp_path / "fresh_run").root)
 
-        with pytest.raises(StageError, match="pca"):
-            # prepare never ran, so the pca stage cannot find its inputs
-            pipeline.run_stage("pca", pipeline.start_run(cfg, tmp_path / "fresh_run").root)
+    def test_txt2wav_pca_writes_nothing(self, tiny_corpus, tmp_path):
+        run = pipeline.start_run(config_for(tiny_corpus, system="txt2wav"), tmp_path / "run")
+        pipeline.run_stage("pca", run.root)
+        assert not run.stage_dir("pca").exists()
 
-    def test_txt2wav_pca_needs_prepare(self, tiny_corpus, tmp_path):
-        with pytest.raises(StageError, match="pca"):
-            pipeline.run_stage(
-                "pca", pipeline.start_run(config_for(tiny_corpus, system="txt2wav"), tmp_path / "run").root
-            )
+    def test_split_is_drawn_once_per_run(self, tiny_corpus, tmp_path, monkeypatch):
+        calls = []
+        split_dataset = pipeline.split_dataset
+
+        def counting(*args):
+            calls.append(args)
+            return split_dataset(*args)
+
+        monkeypatch.setattr(pipeline, "split_dataset", counting)
+        cfg = config_for(tiny_corpus, system="txt2wav", max_epochs=2, warmup_epochs=1)
+        pipeline.run_experiment(cfg, tmp_path / "run")
+        assert len(calls) == 1
+
+    def test_missing_split_is_named(self, tiny_run, tmp_path):
+        _, run = tiny_run
+        copy = pipeline.RunPaths(tmp_path / "run")
+        shutil.copytree(run.root, copy.root)
+        copy.splits.unlink()
+        with pytest.raises(StageError, match="no split at .*; run prepare with --config first"):
+            pipeline.run_stage("evaluate", copy.root)
 
 
 class TestCli:
@@ -683,7 +703,7 @@ class TestCli:
         "flag, value", [("--system", "txt2wav"), ("--seed", "99"), ("--config", "x.cfg"), ("--workers", "2")]
     )
     def test_stage_subcommands_reject_run_flags(self, tmp_path, flag, value, capsys):
-        for stage in pipeline.STAGES[1:]:
+        for stage in list(pipeline.STAGES)[1:]:
             with pytest.raises(SystemExit) as exit_info:
                 cli.main([stage, "--output", str(tmp_path / "run"), flag, value])
             assert exit_info.value.code == 2, stage
@@ -795,18 +815,45 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not corpus.exists()
 
+    def test_second_corpus_into_one_directory_is_an_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth-corpus", "--output", str(corpus), "--utterances", "4", "--seed", "7"]) == 0
+        before = {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert cli.main(["synth-corpus", "--output", str(corpus), "--utterances", "3", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "already holds a corpus" in err
+        assert {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file()} == before
+
+    def test_utterance_without_frames_fails_prepare(self, tmp_path, tiny_corpus, capsys):
+        layout = synthetic.CorpusLayout(root=tmp_path / "corpus")
+        shutil.copytree(tiny_corpus.root, layout.root)
+        cfg = config_for(layout)
+        # the last utterance falls in the test block, which train never reads
+        empty = ultra.discover_utterances(cfg.ultrasound_dir)[-1]
+        for ext in ("mgc", "bap", "lf0"):
+            (layout.acoustic_dir / f"{empty}.{ext}").write_bytes(b"")
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        argv = ["prepare", "--config", str(cfg_file), "--output", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "stage 'prepare' failed" in err and f"{empty}.mgc/.bap/.lf0" in err
+
     def test_pca_needs_only_the_corpus_and_splits(self, tmp_path, tiny_run):
         _, run = tiny_run
         copy = pipeline.RunPaths(tmp_path / "run")
         shutil.copytree(run.root, copy.root)
-        shutil.rmtree(copy.ling("x").parent)
-        shutil.rmtree(copy.stage_dir("pca"))
-        assert cli.main(["pca", "--output", str(copy.root)]) == 0
-        expect = sorted(p.relative_to(run.root) for p in run.stage_dir("pca").rglob("*"))
-        assert sorted(p.relative_to(copy.root) for p in copy.stage_dir("pca").rglob("*")) == expect
-        for rel in expect:
-            if (run.root / rel).is_file():
-                assert (copy.root / rel).read_bytes() == (run.root / rel).read_bytes(), rel
+        for stage in ("prepare", "pca", "misalign"):
+            shutil.rmtree(copy.stage_dir(stage))
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        for stage in ("pca", "misalign"):
+            pipeline.run_stage(stage, copy.root)
+            assert files(copy.stage_dir(stage)) == files(run.stage_dir(stage)), stage
+        assert not copy.stage_dir("prepare").exists()
 
     @pytest.mark.parametrize("command", ["run-all", "report", "synth-corpus"])
     def test_output_under_a_file_is_an_error_line(
