@@ -206,7 +206,18 @@ _METRIC_COLUMNS = (
 
 def render_tables(reports: Sequence[EvaluationReport]) -> str:
     """Aligned text tables, one per metric: speaker rows, system columns,
-    each cell holding ``dev / test`` values."""
+    each cell holding ``dev / test`` values. Two reports for one cell (two
+    runs of one speaker and system, say) are a ``DataError``."""
+    by_cell = {}
+    for r in reports:
+        key = (r.speaker, r.system, r.split, r.variant)
+        if key in by_cell:
+            raise DataError(
+                f"two reports for speaker {r.speaker!r}, system {r.system!r}, "
+                f"{r.split} set, {r.variant} variant: a table holds one run per "
+                "speaker and system"
+            )
+        by_cell[key] = r
     lines = [f"# {note}" for note in CONVENTION_NOTES]
     variants = sorted({r.variant for r in reports})
     for variant in variants:
@@ -214,7 +225,6 @@ def render_tables(reports: Sequence[EvaluationReport]) -> str:
         speakers = sorted({r.speaker for r in subset})
         systems = [s for s in SYSTEMS if any(r.system == s for r in subset)]
         systems += sorted({r.system for r in subset} - set(SYSTEMS))
-        by_key = {(r.speaker, r.system, r.split): r for r in subset}
         for title, attr, fmt in _METRIC_COLUMNS:
             lines.append("")
             lines.append(f"{title} ({variant}) on the dev/test set")
@@ -227,7 +237,7 @@ def render_tables(reports: Sequence[EvaluationReport]) -> str:
                 for system in systems:
                     parts = []
                     for split in ("dev", "test"):
-                        r = by_key.get((speaker, system, split))
+                        r = by_cell.get((speaker, system, split, variant))
                         parts.append(fmt.format(getattr(r, attr)) if r else "-")
                     cells.append(f"{parts[0]} / {parts[1]}".center(width))
                 lines.append(speaker.ljust(8) + "".join(cells))

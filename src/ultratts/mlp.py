@@ -7,11 +7,13 @@ decay afterwards, early stopping on validation error. The net computes in
 the dtype of its weights (``init_model``'s ``dtype``, 64-bit by default;
 the pipeline trains in 32-bit): batches, targets, activations, gradients
 and updates all stay in it, while ``mse`` and the validation score are
-taken in 64-bit floats. A checkpoint is the whole trained model: the net,
-at its own float width, plus the 64-bit input and output normalisation it
-was trained under. Training inputs are a matrix or any row container that
-builds a batch when indexed, such as ``labels.GatheredRows``; this module
-defines none.
+taken in 64-bit floats. A large float32 layer product is split by output
+columns across the CPUs in the process's affinity set, and gives the same
+bytes as on one CPU, given one BLAS thread. A checkpoint is the whole
+trained model: the net, at its own float width, plus the 64-bit input and
+output normalisation it was trained under. Training inputs are a matrix or
+any row container that builds a batch when indexed, such as
+``labels.GatheredRows``; this module defines none.
 
 Memory: training holds the net, one best-epoch snapshot (allocated once and
 refreshed in place), one layer's gradients (the backward pass hands each
@@ -26,6 +28,8 @@ writable array.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -143,6 +147,74 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
         return _forward(model, batch, keep_activations=False)[0]
 
 
+# A float32 product of at least this many FLOP (2 m k n) is split by output
+# columns across the CPUs the process may run on, and no block gets less than
+# half of it. On a 2-vCPU Xeon KVM guest (AVX-512, OpenBLAS 0.3.31, one BLAS
+# thread) a two-way split ran 256x256x256 (34 MFLOP) at 0.72-1.04x the plain
+# product's speed, 400x256x256 (52 MFLOP) at 0.86-1.54x, 256x256x512
+# (67 MFLOP) at 1.08-1.80x and 256x1024x1024 (537 MFLOP) at 1.23-1.83x.
+SPLIT_MIN_FLOP = 2 * 256 * 512 * 256
+# blocks are whole panels of this many columns, the last block taking the
+# remainder: a block a few columns wide takes another BLAS kernel (one column
+# goes to matrix-vector) with other bits, and a panel edge starts a whole
+# register tile of the kernel, as in the unsplit product
+_SPLIT_COLUMNS = 64
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, which ``taskset`` restricts."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+@functools.cache
+def _pool():
+    # imported and started on the first split, so importing the module or
+    # running a net too small to split starts no thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(thread_name_prefix="ultratts-matmul")
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, bit for bit, with a large float32 product split by output
+    columns into one block per CPU, the blocks run at once.
+
+    Each block is one BLAS call, run by a pool thread, that writes its
+    columns of one ``out``. Every output column is the same dot products in
+    the same order whichever block holds it, so the result does not depend
+    on the CPU count, given one BLAS thread. The caller waits instead of
+    taking a block: with the caller on one block and a pool thread on the
+    other, a two-way split took as long as the plain product. float64 is
+    never split: OpenBLAS's dgemm computes the last ``n % 8`` columns in
+    other bits when they sit in a narrow block.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    flop = 2 * m * k * n
+    panels = n // _SPLIT_COLUMNS
+    parts = min(2 * flop // SPLIT_MIN_FLOP, panels)
+    if parts < 2 or a.dtype != np.float32 or b.dtype != np.float32:
+        return a @ b
+    parts = min(parts, _cpu_count())
+    if parts < 2:
+        return a @ b
+    out = np.empty((m, n), dtype=np.float32)
+    # each block takes its nearest whole number of panels; the last, the rest
+    edges = [_SPLIT_COLUMNS * ((panels * i + parts // 2) // parts) for i in range(parts)] + [n]
+    # worker threads do not inherit the caller's floating-point error handling
+    errors = np.geterr()
+
+    def block(lo: int, hi: int) -> None:
+        with np.errstate(**errors):
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+
+    pool = _pool()
+    futures = [pool.submit(block, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    for future in futures:
+        future.result()
+    return out
+
+
 def _forward(
     model: MlpModel, batch: np.ndarray, keep_activations: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -151,12 +223,12 @@ def _forward(
     h = batch
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         # tanh(h @ w + b), each step written over the product
-        h = h @ w
+        h = _matmul(h, w)
         h += b
         np.tanh(h, out=h)
         if keep_activations:
             activations.append(h)
-    out = h @ model.weights[-1]
+    out = _matmul(h, model.weights[-1])
     out += model.biases[-1]
     return out, activations
 
@@ -197,13 +269,13 @@ def backward(
         for layer in reversed(range(len(model.weights))):
             # popped, so each activation is freed once its layer is done
             h = activations.pop()
-            grad_w = h.T @ delta
+            grad_w = _matmul(h.T, delta)
             grad_b = delta.sum(axis=0)
             if layer > 0:
                 # tanh' = 1 - tanh^2, written over the stored hidden activation
                 np.square(h, out=h)
                 np.subtract(1.0, h, out=h)
-                delta = delta @ model.weights[layer].T
+                delta = _matmul(delta, model.weights[layer].T)
                 delta *= h
             apply(layer, grad_w, grad_b)
             # freed now, not once the next layer's gradients are allocated

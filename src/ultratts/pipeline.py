@@ -170,17 +170,34 @@ def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np
     return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
 
 
+def _distinct_frame_count(cfg: ExperimentConfig, utt_id: str) -> int:
+    """How many rows ``utterance_frames`` gives the utterance, from its sidecar,
+    the size of its ``.ult`` file and its frame count alone."""
+    meta, n_frames = ultra.read_frame_count(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
+    n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
+    # counted by bincount: numpy's plain unique imports numpy.ma, held for the run
+    index = ultra.frame_clock_index(meta, n_frames, cfg.frame_shift, n)
+    return np.count_nonzero(np.bincount(index))
+
+
 def train_frame_matrix(
     cfg: ExperimentConfig, split: DatasetSplit
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The training block's distinct ultrasound frames, stacked in recording
     order; how many target frames each row stands for; and each utterance's
-    rows (a view of the stack) with its target-clock index into them."""
-    resized = [utterance_frames(cfg, utt_id) for utt_id in split.train]
-    frames = np.vstack([rows for rows, _ in resized])
-    counts = np.concatenate([np.bincount(index, minlength=len(rows)) for rows, index in resized])
-    bounds = np.cumsum([len(rows) for rows, _ in resized])[:-1]
-    utterances = [(rows, index) for rows, (_, index) in zip(np.split(frames, bounds), resized)]
+    rows (a view of the stack) with its target-clock index into them.
+
+    The stack is sized before any frame is read, and each utterance's frames
+    are resized into their rows, so the frames are held once, besides one
+    utterance's."""
+    bounds = np.cumsum([0] + [_distinct_frame_count(cfg, utt_id) for utt_id in split.train])
+    frames = np.empty((bounds[-1], cfg.resize_rows * cfg.resize_cols))
+    counts = np.empty(bounds[-1], dtype=np.int64)
+    utterances = []
+    for utt_id, lo, hi in zip(split.train, bounds[:-1], bounds[1:]):
+        frames[lo:hi], index = utterance_frames(cfg, utt_id)
+        counts[lo:hi] = np.bincount(index, minlength=hi - lo)
+        utterances.append((frames[lo:hi], index))
     return frames, counts, utterances
 
 

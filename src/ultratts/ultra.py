@@ -95,30 +95,47 @@ def serialize_metadata(meta: UltrasoundMetadata) -> str:
     return "".join(f"{key}={getattr(meta, field)}\n" for key, field in _REQUIRED_KEYS.items())
 
 
-def load_sequence(data: bytes, meta: UltrasoundMetadata) -> UltrasoundSequence:
-    """Split a raw octet stream into frames in recording order."""
+def _frame_total(n_bytes: int, meta: UltrasoundMetadata) -> int:
+    """Frames in ``n_bytes`` of raw samples; a partial frame is a ``FormatError``."""
     frame_size = meta.frame_size
-    remainder = len(data) % frame_size
+    remainder = n_bytes % frame_size
     if remainder != 0:
         raise FormatError(
-            f"byte count {len(data)} is not a multiple of the frame size "
+            f"byte count {n_bytes} is not a multiple of the frame size "
             f"{frame_size} (remainder={remainder})"
         )
-    n = len(data) // frame_size
+    return n_bytes // frame_size
+
+
+def load_sequence(data: bytes, meta: UltrasoundMetadata) -> UltrasoundSequence:
+    """Split a raw octet stream into frames in recording order."""
+    n = _frame_total(len(data), meta)
     frames = np.frombuffer(data, dtype=np.uint8).reshape(
         n, meta.num_vectors, meta.pix_per_vector
     )
     return UltrasoundSequence(metadata=meta, frames=frames)
 
 
-def read_utterance(ult_path: Path) -> UltrasoundSequence:
-    """Load ``<id>.ult`` together with its ``<id>.param`` sidecar."""
-    ult_path = Path(ult_path)
+def _read_sidecar(ult_path: Path) -> UltrasoundMetadata:
     param_path = ult_path.with_suffix(".param")
     if not param_path.exists():
         raise MetadataError(f"sidecar file not found: {param_path}")
-    meta = parse_metadata(param_path.read_text())
+    return parse_metadata(param_path.read_text())
+
+
+def read_utterance(ult_path: Path) -> UltrasoundSequence:
+    """Load ``<id>.ult`` together with its ``<id>.param`` sidecar."""
+    ult_path = Path(ult_path)
+    meta = _read_sidecar(ult_path)
     return load_sequence(ult_path.read_bytes(), meta)
+
+
+def read_frame_count(ult_path: Path) -> tuple[UltrasoundMetadata, int]:
+    """The ``<id>.param`` sidecar of ``<id>.ult`` and the recording's frame
+    count, from the file's size; no frame is read."""
+    ult_path = Path(ult_path)
+    meta = _read_sidecar(ult_path)
+    return meta, _frame_total(ult_path.stat().st_size, meta)
 
 
 def discover_utterances(ult_dir: Path) -> list[str]:
@@ -209,19 +226,26 @@ def resample_to_frame_clock(
     round((t - first_frame_offset) * frame_rate), half up, clamped to the
     recording. A 5 ms shift realizes a 200 Hz clock.
     """
+    return frame_clock_index(seq.metadata, seq.n_frames, frame_shift, n_target)
+
+
+def frame_clock_index(
+    meta: UltrasoundMetadata, n_frames: int, frame_shift: float, n_target: int
+) -> np.ndarray:
+    """``resample_to_frame_clock`` for a recording of ``n_frames`` frames
+    known only by its metadata."""
     if not frame_shift > 0:
         raise ArgumentError(f"frame_shift must be > 0, got {frame_shift}")
     if n_target < 0:
         raise ArgumentError(f"n_target must be >= 0, got {n_target}")
-    if seq.n_frames == 0:
+    if n_frames == 0:
         if n_target > 0:
             raise DataError("cannot resample an empty ultrasound sequence")
         return np.zeros(0, dtype=np.int64)
-    meta = seq.metadata
     t = np.arange(n_target, dtype=np.float64) * frame_shift
     raw = (t - meta.first_frame_offset) * meta.frame_rate
     idx = np.floor(raw + 0.5).astype(np.int64)
-    return np.clip(idx, 0, seq.n_frames - 1)
+    return np.clip(idx, 0, n_frames - 1)
 
 
 def resampled_resized_frames(

@@ -301,6 +301,11 @@ class TestReports:
         head = path.read_text().splitlines()[:3]
         assert any("divided by 10" in line for line in head)
 
+    def test_two_reports_for_one_cell_are_an_error(self):
+        reports = self.make_reports()
+        with pytest.raises(DataError, match=r"speaker 'spk01', system 'txt2wav', test set, mlpg"):
+            metrics.render_tables(reports + [reports[3]])
+
     def test_tables_layout(self):
         text = metrics.render_tables(self.make_reports())
         assert "MCD (mlpg)" in text

@@ -1,6 +1,10 @@
 import io
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from test_arrayfile import traced_peak, with_declared_shape
 from test_labels import grouped_task
 from ultratts import acoustic, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError, TrainingDiverged
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def gradients(model, x, y):
@@ -484,6 +490,119 @@ class TestTrain:
             mlp.train(model, empty, full, self.schedule)
         with pytest.raises(DataError):
             mlp.train(model, full, empty, self.schedule)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``mlp`` see ``n`` CPUs in the process's affinity set, and return a
+    list that records each product it splits."""
+    monkeypatch.setattr(mlp, "_cpu_count", lambda: n)
+    splits = []
+    pool = mlp._pool
+    monkeypatch.setattr(mlp, "_pool", lambda: splits.append(1) or pool())
+    return splits
+
+
+# (rows, inner, columns): paper-net's layer products (1005 inputs, 1024 units,
+# 199 outputs, batches of 256 and 240 rows), a product just under, at and just
+# above the split threshold, odd column counts, and products too narrow for
+# two 64-column panels and just wide enough
+SPLIT_SHAPES = [
+    (256, 1005, 1024), (256, 1024, 1024), (256, 1024, 199), (240, 1024, 1024),
+    (240, 1024, 199), (1005, 256, 1024), (1024, 256, 199), (256, 199, 1024),
+    (240, 199, 1024), (256, 512, 255), (256, 512, 256), (256, 512, 257),
+    (512, 256, 1001), (300, 700, 333), (512, 1024, 65), (512, 1024, 127),
+    (512, 1024, 129),
+]
+
+
+class TestSplitProduct:
+    def test_cpu_count_is_the_affinity_set(self):
+        assert mlp._cpu_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("layout", ["plain", "a transposed", "b transposed"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_plain_product_bit_for_bit(self, monkeypatch, cpus, layout, dtype):
+        splits = use_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(cpus)
+        for m, k, n in SPLIT_SHAPES:
+            a = rng.normal(size=(m, k)).astype(dtype)
+            b = rng.normal(size=(k, n)).astype(dtype)
+            # a transposed operand is a view of a C-ordered matrix, as h.T
+            # and W.T are in the backward pass
+            if layout == "a transposed":
+                a = np.ascontiguousarray(a.T).T
+            elif layout == "b transposed":
+                b = np.ascontiguousarray(b.T).T
+            assert mlp._matmul(a, b).tobytes() == (a @ b).tobytes(), (m, k, n)
+        # float32 products at or above the threshold and two panels wide
+        # split; float64 never does
+        large = sum(2 * m * k * n >= mlp.SPLIT_MIN_FLOP and n >= 128 for m, k, n in SPLIT_SHAPES)
+        assert len(splits) == (large if dtype == np.float32 else 0)
+
+    def test_small_product_and_one_cpu_take_the_plain_path(self, monkeypatch):
+        a, b = np.ones((256, 512), np.float32), np.ones((512, 256), np.float32)
+        splits = use_cpus(monkeypatch, 1)
+        mlp._matmul(a, b[:, :255])
+        mlp._matmul(a, b)
+        assert splits == []
+        splits = use_cpus(monkeypatch, 2)
+        mlp._matmul(a, b[:, :255])
+        assert splits == []
+        mlp._matmul(a, b)
+        assert splits == [1]
+
+    def test_blocks_follow_the_callers_error_handling(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        a = np.full((256, 512), 1e30, np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isposinf(mlp._matmul(a, a.T)).all()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            mlp._matmul(a, a.T)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_training_on_several_cpus_equals_one_cpu_byte_for_byte(self, monkeypatch, cpus):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.0, 1.0, size=(600, 300))
+        y = np.tanh(x[:, :30] @ rng.normal(size=(30, acoustic.target_width())))
+        schedule = mlp.TrainingSchedule(
+            max_epochs=2, warmup_epochs=1, base_lr=0.01, batch_size=256, seed=1
+        )
+
+        def run(n):
+            splits = use_cpus(monkeypatch, n)
+            model = mlp.init_model(300, seed=2, hidden_sizes=(512, 512), dtype=np.float32)
+            best, history = mlp.train(model, (x[:500], y[:500]), (x[500:], y[500:]), schedule)
+            return best, history, len(splits)
+
+        one, one_history, one_splits = run(1)
+        many, many_history, many_splits = run(cpus)
+        # the products of the 512-unit layers split
+        assert one_splits == 0 and many_splits > 0
+        assert many_history == one_history
+        for a, b in zip(one.weights + one.biases, many.weights + many.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+LAZY_POOL_SCRIPT = """
+import sys, threading
+import numpy as np
+import ultratts.cli
+from ultratts import mlp
+model = mlp.init_model(20, seed=0, hidden_sizes=(64, 64), dtype=np.float32)
+mlp.forward(model, np.zeros((256, 20)))
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+
+
+def test_importing_and_a_small_net_start_no_thread():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_POOL_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "1"]
 
 
 class TestTrainingMemory:

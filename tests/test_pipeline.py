@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import config_for
+from test_arrayfile import traced_peak
 from ultratts import (
     acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, synthetic, ultra,
 )
@@ -367,6 +368,27 @@ class TestRunExperiment:
         assert persisted.mean.tobytes() == recomputed.mean.tobytes()
         assert persisted.basis.tobytes() == recomputed.basis.tobytes()
         assert persisted.eigenvalues.tobytes() == recomputed.eigenvalues.tobytes()
+
+    def test_train_frames_are_each_utterances_frames_held_once(self, tmp_path):
+        layout = synthetic.generate_corpus(
+            tmp_path / "corpus", n_utterances=40, seed=3, min_frames=60, max_frames=90
+        )
+        cfg = config_for(layout, system="ult2wav")
+        pipeline.start_run(cfg, tmp_path / "run")
+        split = pipeline.load_split(pipeline.RunPaths(tmp_path / "run"))
+        pipeline.train_frame_matrix(cfg, split)  # fills the resize caches
+        (frames, counts, utterances), peak = traced_peak(pipeline.train_frame_matrix, cfg, split)
+        own = [pipeline.utterance_frames(cfg, utt_id) for utt_id in split.train]
+        assert frames.tobytes() == np.vstack([rows for rows, _ in own]).tobytes()
+        expect = [np.bincount(index, minlength=len(rows)) for rows, index in own]
+        assert counts.tobytes() == np.concatenate(expect).tobytes()
+        for (rows, index), (own_rows, own_index) in zip(utterances, own):
+            assert np.shares_memory(rows, frames)
+            assert rows.tobytes() == own_rows.tobytes()
+            assert index.tobytes() == own_index.tobytes()
+        # the stack and one utterance's resize, not every utterance's rows
+        # besides the stack
+        assert peak < 1.5 * frames.nbytes
 
     def test_coeffs_project_each_utterance_own_frames(self, tiny_run):
         cfg, run = tiny_run
@@ -872,6 +894,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blocker) in err
         assert blocker.read_text() == "kept"
+
+    def test_report_of_two_runs_of_one_system_is_an_error_line(self, tiny_run, capsys):
+        _, run = tiny_run
+        assert cli.main(["report", str(run.root), str(run.root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: two reports for speaker")
+        assert "system 'txt+ult2wav'" in captured.err
 
     def test_report_merges_runs(self, tmp_path, tiny_run, capsys):
         _, run = tiny_run

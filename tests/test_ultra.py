@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ class TestDiscovery:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(DataError):
             ultra.discover_utterances(tmp_path)
+
+    def test_frame_count_comes_from_the_file_size(self, tmp_path, monkeypatch):
+        meta = ultra.UltrasoundMetadata(4, 6, 81.5, 0.0)
+        (tmp_path / "u1.param").write_text(ultra.serialize_metadata(meta))
+        (tmp_path / "u1.ult").write_bytes(bytes(range(3 * 24)))
+        count = ultra.read_frame_count(tmp_path / "u1.ult")
+        assert count == (meta, ultra.read_utterance(tmp_path / "u1.ult").n_frames) == (meta, 3)
+        monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail("frames read"))
+        assert ultra.read_frame_count(tmp_path / "u1.ult") == (meta, 3)
+        (tmp_path / "u1.ult").write_bytes(bytes(3 * 24 + 5))
+        with pytest.raises(FormatError, match="remainder=5"):
+            ultra.read_frame_count(tmp_path / "u1.ult")
+        (tmp_path / "u1.param").unlink()
+        with pytest.raises(MetadataError, match="sidecar"):
+            ultra.read_frame_count(tmp_path / "u1.ult")
 
     def test_read_utterance_requires_sidecar(self, tmp_path):
         (tmp_path / "u1.ult").write_bytes(bytes(24))
