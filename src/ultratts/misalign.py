@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, DataError
+from .mlp import mse
 from .ultra import UltrasoundSequence
 
 NEUTRAL_RGB = (128, 128, 128)
@@ -57,8 +58,7 @@ def build_matrix(
     """Pairwise MSE of a session's per-utterance mean images, in recording order.
 
     Each unordered pair is computed once and mirrored, so the matrix is
-    exactly symmetric. The images are stacked into one float64 copy, and each
-    row's differences take at most one more of that size.
+    exactly symmetric.
     """
     images = [np.asarray(img, dtype=np.float64) for img in session]
     n = len(images)
@@ -72,14 +72,10 @@ def build_matrix(
     for uid, img in zip(utterance_ids, images):
         if img.shape != shape:
             raise DataError(f"utterance {uid!r} has image shape {img.shape}, expected {shape}")
-    flat = np.stack([img.ravel() for img in images])
     values = np.full((n, n), np.nan)
-    for i in range(n - 1):
-        # row i's pairs at once: each is the mean of one pair's squared
-        # differences, the same sum in the same order as a per-pair MSE
-        diff = flat[i + 1 :] - flat[i]
-        np.square(diff, out=diff)
-        values[i, i + 1 :] = values[i + 1 :, i] = diff.mean(axis=1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = mse(images[i], images[j])
     return MisalignmentMatrix(values=values, utterance_ids=tuple(utterance_ids))
 
 

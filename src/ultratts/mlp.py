@@ -7,12 +7,12 @@ decay afterwards, early stopping on validation error. The net computes in
 the dtype of its weights (``init_model``'s ``dtype``, 64-bit by default;
 the pipeline trains in 32-bit): batches, targets, activations, gradients
 and updates all stay in it, while ``mse`` and the validation score are
-taken in 64-bit floats. A large float32 layer product is split by output
-columns across the CPUs in the process's affinity set, and gives the same
-bytes as on one CPU, given one BLAS thread. A checkpoint is the whole
-trained model: the net, at its own float width, plus the 64-bit input and
-output normalisation it was trained under. Training inputs are a matrix or
-any row container that builds a batch when indexed, such as
+taken in 64-bit floats. Under one BLAS thread, a large float32 layer
+product is split by output columns across the CPUs in the process's
+affinity set, and gives the same bytes as on one CPU. A checkpoint is the
+whole trained model: the net, at its own float width, plus the 64-bit input
+and output normalisation it was trained under. Training inputs are a matrix
+or any row container that builds a batch when indexed, such as
 ``labels.GatheredRows``; this module defines none.
 
 Memory: training holds the net, one best-epoch snapshot (allocated once and
@@ -159,10 +159,21 @@ SPLIT_MIN_FLOP = 2 * 256 * 512 * 256
 # goes to matrix-vector) with other bits, and a panel edge starts a whole
 # register tile of the kernel, as in the unsplit product
 _SPLIT_COLUMNS = 64
+# where OpenBLAS reads its thread count, in the order it reads them
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, which ``taskset`` restricts."""
+def _split_cpus() -> int:
+    """CPUs a split product may use: the process's affinity set, which
+    ``taskset`` restricts, when OpenBLAS runs on one thread; otherwise one,
+    since a threaded BLAS spreads a large product over the CPUs itself.
+
+    OpenBLAS takes its thread count from the first of its variables that
+    holds a positive number, and uses every CPU when none does.
+    """
+    values = (os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARIABLES)
+    if next((int(v) for v in values if v.isdecimal() and int(v) > 0), None) != 1:
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
 
@@ -180,14 +191,17 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, bit for bit, with a large float32 product split by output
     columns into one block per CPU, the blocks run at once.
 
-    Each block is one BLAS call, run by a pool thread, that writes its
-    columns of one ``out``. Every output column is the same dot products in
-    the same order whichever block holds it, so the result does not depend
-    on the CPU count, given one BLAS thread. The caller waits instead of
-    taking a block: with the caller on one block and a pool thread on the
-    other, a two-way split took as long as the plain product. float64 is
-    never split: OpenBLAS's dgemm computes the last ``n % 8`` columns in
-    other bits when they sit in a narrow block.
+    Each block is one BLAS call that writes its columns of one ``out``.
+    Every output column is the same dot products in the same order whichever
+    block holds it, so the result does not depend on the CPU count, given
+    one BLAS thread. One pool thread is started per block, and each takes
+    whichever blocks are left until none is: when a thread starts late (its
+    CPU busy, or taken by the host), the threads already running take its
+    block, and the late one finds none. The caller waits instead of taking a
+    block: with the caller on one block and a pool thread on the other, a
+    two-way split took as long as the plain product. float64 is never split:
+    OpenBLAS's dgemm computes the last ``n % 8`` columns in other bits when
+    they sit in a narrow block.
     """
     (m, k), n = a.shape, b.shape[1]
     flop = 2 * m * k * n
@@ -195,23 +209,48 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     parts = min(2 * flop // SPLIT_MIN_FLOP, panels)
     if parts < 2 or a.dtype != np.float32 or b.dtype != np.float32:
         return a @ b
-    parts = min(parts, _cpu_count())
+    parts = min(parts, _split_cpus())
     if parts < 2:
         return a @ b
+    # imported here, as the pool is: at import it would add 0.25 MB to every
+    # process that imports the package
+    import queue
+
     out = np.empty((m, n), dtype=np.float32)
     # each block takes its nearest whole number of panels; the last, the rest
     edges = [_SPLIT_COLUMNS * ((panels * i + parts // 2) // parts) for i in range(parts)] + [n]
+    blocks = queue.SimpleQueue()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        blocks.put((lo, hi))
+    # one entry per block: None once it is written, or what it raised
+    finished = queue.SimpleQueue()
     # worker threads do not inherit the caller's floating-point error handling
     errors = np.geterr()
 
-    def block(lo: int, hi: int) -> None:
-        with np.errstate(**errors):
-            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    def work() -> None:
+        while True:
+            try:
+                lo, hi = blocks.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                with np.errstate(**errors):
+                    np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+            except BaseException as exc:
+                # raised again by the caller, which would otherwise wait for
+                # this block for ever
+                finished.put(exc)
+            else:
+                finished.put(None)
 
     pool = _pool()
-    futures = [pool.submit(block, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    for future in futures:
-        future.result()
+    # the futures are not read: work() hands every exception over itself,
+    # and a late thread's future would make the caller wait for that thread
+    for _ in range(parts):
+        pool.submit(work)
+    for _ in range(parts):
+        if (error := finished.get()) is not None:
+            raise error
     return out
 
 

@@ -162,22 +162,25 @@ def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> 
         labels.save_features(ling, run.ling(utt_id))
 
 
-def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
+def utterance_frames(
+    cfg: ExperimentConfig, utt_id: str, selection: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The utterance's distinct resized frames and the target-clock index into
-    them, one per frame of the corpus's acoustic streams."""
+    them, one per frame of the corpus's acoustic streams. ``selection`` is its
+    ``frame_selection``, when the caller has taken it already."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
+    return ultra.resampled_resized_frames(
+        seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols, selection
+    )
 
 
-def _distinct_frame_count(cfg: ExperimentConfig, utt_id: str) -> int:
-    """How many rows ``utterance_frames`` gives the utterance, from its sidecar,
-    the size of its ``.ult`` file and its frame count alone."""
+def frame_selection(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """The utterance's ``ultra.frame_clock_selection`` on the acoustic frame
+    clock, from its sidecar and the size of its ``.ult`` file: no frame is read."""
     meta, n_frames = ultra.read_frame_count(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    # counted by bincount: numpy's plain unique imports numpy.ma, held for the run
-    index = ultra.frame_clock_index(meta, n_frames, cfg.frame_shift, n)
-    return np.count_nonzero(np.bincount(index))
+    return ultra.frame_clock_selection(meta, n_frames, cfg.frame_shift, n)
 
 
 def train_frame_matrix(
@@ -187,17 +190,19 @@ def train_frame_matrix(
     order; how many target frames each row stands for; and each utterance's
     rows (a view of the stack) with its target-clock index into them.
 
-    The stack is sized before any frame is read, and each utterance's frames
-    are resized into their rows, so the frames are held once, besides one
-    utterance's."""
-    bounds = np.cumsum([0] + [_distinct_frame_count(cfg, utt_id) for utt_id in split.train])
+    Every utterance's frame selection is taken before any frame is read, so
+    the stack is allocated once at its size and each utterance's frames are
+    resized into their rows: the frames are held once, besides one utterance's."""
+    selections = [frame_selection(cfg, utt_id) for utt_id in split.train]
+    bounds = np.cumsum([0] + [unique.size for unique, _ in selections])
     frames = np.empty((bounds[-1], cfg.resize_rows * cfg.resize_cols))
-    counts = np.empty(bounds[-1], dtype=np.int64)
     utterances = []
-    for utt_id, lo, hi in zip(split.train, bounds[:-1], bounds[1:]):
-        frames[lo:hi], index = utterance_frames(cfg, utt_id)
-        counts[lo:hi] = np.bincount(index, minlength=hi - lo)
+    for utt_id, selection, lo, hi in zip(split.train, selections, bounds[:-1], bounds[1:]):
+        frames[lo:hi], index = utterance_frames(cfg, utt_id, selection)
         utterances.append((frames[lo:hi], index))
+    counts = np.concatenate(
+        [np.bincount(index, minlength=unique.size) for unique, index in selections]
+    )
     return frames, counts, utterances
 
 

@@ -248,16 +248,33 @@ def frame_clock_index(
     return np.clip(idx, 0, n_frames - 1)
 
 
+def frame_clock_selection(
+    meta: UltrasoundMetadata, n_frames: int, frame_shift: float, n_target: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct source frames the target clock selects from a recording
+    of ``n_frames`` frames, in recording order, and the target-clock index
+    into them: ``unique[index[k]]`` is target frame k's source frame."""
+    return np.unique(frame_clock_index(meta, n_frames, frame_shift, n_target), return_inverse=True)
+
+
 def resampled_resized_frames(
-    seq: UltrasoundSequence, frame_shift: float, n_target: int, out_rows: int, out_cols: int
+    seq: UltrasoundSequence,
+    frame_shift: float,
+    n_target: int,
+    out_rows: int,
+    out_cols: int,
+    selection: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct source frames the target clock selects, resized and
     flattened to (u, out_rows*out_cols) in recording order, and the target-clock
     index into them: row ``index[k]`` is target frame k.
 
     Each selected source frame is resized once, all of them as one stack.
+    ``selection`` is the recording's ``frame_clock_selection``, when the
+    caller has taken it already.
     """
-    indices = resample_to_frame_clock(seq, frame_shift, n_target)
-    unique, index = np.unique(indices, return_inverse=True)
+    if selection is None:
+        selection = frame_clock_selection(seq.metadata, seq.n_frames, frame_shift, n_target)
+    unique, index = selection
     resized = resize_stack(seq.frames[unique], out_rows, out_cols)
     return resized.reshape(unique.size, out_rows * out_cols), index

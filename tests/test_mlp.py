@@ -3,7 +3,9 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -495,7 +497,7 @@ class TestTrain:
 def use_cpus(monkeypatch, n):
     """Make ``mlp`` see ``n`` CPUs in the process's affinity set, and return a
     list that records each product it splits."""
-    monkeypatch.setattr(mlp, "_cpu_count", lambda: n)
+    monkeypatch.setattr(mlp, "_split_cpus", lambda: n)
     splits = []
     pool = mlp._pool
     monkeypatch.setattr(mlp, "_pool", lambda: splits.append(1) or pool())
@@ -516,8 +518,23 @@ SPLIT_SHAPES = [
 
 
 class TestSplitProduct:
-    def test_cpu_count_is_the_affinity_set(self):
-        assert mlp._cpu_count() == len(os.sched_getaffinity(0))
+    @pytest.mark.parametrize("env, one_thread", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "x"}, False),
+    ])
+    def test_cpus_are_the_affinity_set_only_under_one_blas_thread(self, monkeypatch, env, one_thread):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        expect = len(os.sched_getaffinity(0)) if one_thread else 1
+        assert mlp._split_cpus() == expect
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize("layout", ["plain", "a transposed", "b transposed"])
@@ -560,6 +577,58 @@ class TestSplitProduct:
         with pytest.raises(RuntimeWarning, match="overflow"):
             mlp._matmul(a, a.T)
 
+    def test_a_thread_that_starts_late_leaves_its_block_to_the_others(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        pool = mlp._pool()
+        release = threading.Event()
+        held = []
+
+        def submit(fn):
+            # the first thread is held back until the product is returned
+            if not held:
+                held.append(pool.submit(lambda: release.wait(60) and fn()))
+                return held[0]
+            return pool.submit(fn)
+
+        monkeypatch.setattr(mlp, "_pool", lambda: types.SimpleNamespace(submit=submit))
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(256, 512)).astype(np.float32)
+        b = rng.normal(size=(512, 1024)).astype(np.float32)
+        products = []
+        caller = threading.Thread(target=lambda: products.append(mlp._matmul(a, b)))
+        caller.start()
+        caller.join(60)
+        try:
+            assert not caller.is_alive() and products[0].tobytes() == (a @ b).tobytes()
+        finally:
+            release.set()
+        # let in, the held thread finds no block left
+        assert held[0].result(timeout=60) is None
+
+    def test_more_threads_than_cores_write_every_block_once(self, monkeypatch):
+        # eight blocks of 128 columns, threads switched as often as possible
+        use_cpus(monkeypatch, 8)
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(256, 1024)).astype(np.float32)
+        b = rng.normal(size=(1024, 1024)).astype(np.float32)
+        expect = (a @ b).tobytes()
+        products = []
+
+        def run():
+            for _ in range(20):
+                products.append(mlp._matmul(a, b).tobytes() == expect)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=run)
+            caller.start()
+            caller.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert products == [True] * 20
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_training_on_several_cpus_equals_one_cpu_byte_for_byte(self, monkeypatch, cpus):
         rng = np.random.default_rng(9)
@@ -591,7 +660,7 @@ import ultratts.cli
 from ultratts import mlp
 model = mlp.init_model(20, seed=0, hidden_sizes=(64, 64), dtype=np.float32)
 mlp.forward(model, np.zeros((256, 20)))
-print("concurrent.futures" in sys.modules, threading.active_count())
+print("concurrent.futures" in sys.modules, "queue" in sys.modules, threading.active_count())
 """
 
 
@@ -602,7 +671,7 @@ def test_importing_and_a_small_net_start_no_thread():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "1"]
+    assert done.stdout.split() == ["False", "False", "1"]
 
 
 class TestTrainingMemory:

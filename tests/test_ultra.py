@@ -239,6 +239,17 @@ class TestResampledResizedFrames:
         expect = np.stack([dense_resize(seq.frames[i], 16, 32).ravel() for i in selected])
         assert frames[index].tobytes() == expect.tobytes()
 
+    def test_selection_from_metadata_is_the_recordings_own(self):
+        meta = ultra.UltrasoundMetadata(16, 64, 81.5, 0.004)
+        seq = ultra.UltrasoundSequence(meta, uint8_stack(40, 16, 64))
+        unique, index = ultra.frame_clock_selection(meta, 40, 0.005, 90)
+        selected = ultra.resample_to_frame_clock(seq, 0.005, 90)
+        assert unique.tobytes() == np.unique(selected).tobytes()
+        assert unique[index].tobytes() == selected.tobytes()
+        own = ultra.resampled_resized_frames(seq, 0.005, 90, 16, 32)
+        given = ultra.resampled_resized_frames(seq, 0.005, 90, 16, 32, (unique, index))
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in own]
+
 
 class TestResampleToFrameClock:
     def make_seq(self, n_frames, fps=81.5, offset=0.0):
