@@ -214,15 +214,21 @@ def stage_pca(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None
     row per target frame. Only the corpus and the run's config and split are
     read, never another stage's outputs. When the system does not read
     ultrasound no input uses the coefficients, so the stage does nothing.
+    The fit centres the training stack in place, so the frames are held once.
     """
     if not cfg.reads_ultrasound:
         return
     frames, counts, train_utterances = train_frame_matrix(cfg, split)
-    model = eigentongues.fit_pca(frames, cfg.variance_target, cfg.max_components, counts=counts)
+    model = eigentongues.fit_pca(
+        frames, cfg.variance_target, cfg.max_components, counts=counts, centre_in_place=True
+    )
     run.coeffs("x").parent.mkdir(parents=True, exist_ok=True)
     eigentongues.save_model(model, run.pca_model)
+    # the fit left the stack centred, so each utterance's rows are centred too
     for utt_id, (rows, index) in zip(split.train, train_utterances):
-        arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])
+        arrayfile.save(run.coeffs(utt_id), [eigentongues.project(model, rows)[index]])
+    # release the stack before dev and test are resized
+    del frames, train_utterances, rows
     for utt_id in split.dev + split.test:
         rows, index = utterance_frames(cfg, utt_id)
         arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])

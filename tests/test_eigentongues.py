@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from test_arrayfile import with_declared_shape
+from test_arrayfile import traced_peak, with_declared_shape
 from ultratts import arrayfile
 from ultratts import eigentongues as et
 from ultratts.errors import ArgumentError, DataError, FormatError
@@ -195,57 +195,206 @@ class TestWeightedFit:
             et.fit_pca(np.random.default_rng(0).normal(size=(3, 4)), 0.9, counts=counts)
 
 
+def krylov_calls(monkeypatch):
+    """Record each block Krylov solve's outcome: its pair count, or None when
+    it hands over to the dense solve."""
+    calls = []
+    original = et._krylov_pairs
+
+    def counted(*args):
+        pairs = original(*args)
+        calls.append(None if pairs is None else len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(et, "_krylov_pairs", counted)
+    return calls
+
+
+def dense_fit(monkeypatch, *args, **kwargs):
+    """The fit with every Gram matrix decomposed whole by numpy's eigh."""
+    with monkeypatch.context() as m:
+        m.setattr(et, "KRYLOV_MAX_SHARE", 0.0)
+        return et.fit_pca(*args, **kwargs)
+
+
+def assert_matches_dense(model, dense, settled=None):
+    """Criterion 4's bounds against the dense solve: the same k, eigenvalues to
+    rtol 1e-6, subspace angles under 1e-6, each axis pointing the same way, and
+    the same exact-trace total. Only the first ``settled`` axes are compared
+    where the next one is ill-determined."""
+    settled = model.n_components if settled is None else settled
+    assert model.n_components == dense.n_components
+    assert np.allclose(model.eigenvalues, dense.eigenvalues, rtol=1e-6)
+    assert np.all(np.diff(model.eigenvalues) <= 0.0)
+    axes, oracle = model.basis[:settled], dense.basis[:settled]
+    assert np.max(subspace_angles(axes.T, oracle.T)) < 1e-6
+    # the sign rule points each axis the same way
+    assert np.all(np.sum(axes * oracle, axis=1) > 0.0)
+    assert model.total_variance == dense.total_variance
+
+
+def assert_repeats_bit_for_bit(model, *args, **kwargs):
+    again = et.fit_pca(*args, **kwargs)
+    assert again.basis.tobytes() == model.basis.tobytes()
+    assert again.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+
+
+def bench_like_rows(rows, d_rows, d_cols, seed):
+    """Frames like the bench's 96-mode recipe: a mean image plus 96 smooth
+    cosine modes with amplitudes decaying as (j + 1) ** -0.25, each driven by
+    its own unit-variance trajectory, quantised to whole grey levels."""
+    rng = np.random.default_rng(seed)
+    r = np.linspace(0.0, 1.0, d_rows)[None, :, None]
+    c = np.linspace(0.0, 1.0, d_cols)[None, None, :]
+    fr, fc = rng.uniform(0.5, 6.0, (96, 1, 1)), rng.uniform(0.5, 10.0, (96, 1, 1))
+    pr, pc = (rng.uniform(0.0, 2.0 * np.pi, (96, 1, 1)) for _ in range(2))
+    modes = np.cos(2.0 * np.pi * fr * r + pr) * np.cos(2.0 * np.pi * fc * c + pc)
+    modes = modes.reshape(96, -1)
+    modes -= modes.mean(axis=1, keepdims=True)
+    modes /= np.sqrt(np.mean(modes**2, axis=1, keepdims=True))
+    trajectory = rng.normal(size=(rows, 96)) * (14.0 * (np.arange(96) + 1.0) ** -0.25)
+    frames = 128.0 + trajectory @ modes
+    return np.floor(frames + 0.5), rng.integers(1, 4, size=rows)
+
+
 class TestLanczosBranch:
-    """Above ``DENSE_EIGH_MAX_GRAM`` the top pairs come from scipy's eigsh,
-    unless more than ``EIGSH_MAX_PAIR_SHARE`` of them are asked for; they match
-    the dense numpy solve to criterion 4's bounds. The Gram matrices here are
-    400 x 400, so eigsh may find up to 25 pairs."""
-
-    @pytest.fixture()
-    def eigsh_calls(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        calls = []
-        original = scipy.sparse.linalg.eigsh
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["k"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-        return calls
+    """A fit asking for at most a quarter of the Gram matrix's order, less one
+    block, takes its pairs from the block Krylov solve; they match the dense
+    numpy solve to criterion 4's bounds, and a solve that does not converge
+    hands over to it. The Gram matrices of the first test are 400 x 400."""
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     @pytest.mark.parametrize(
         "distinct, d", [(400, 1200), (1200, 400)], ids=["snapshot", "scatter"]
     )
-    def test_matches_the_dense_solve(self, monkeypatch, eigsh_calls, distinct, d, weighted):
+    def test_matches_the_dense_solve(self, monkeypatch, distinct, d, weighted):
         # unweighted snapshot rows put the all-ones vector in CCᵀ's null space
         rows, counts = decaying_rows(distinct, d, seed=distinct)
         counts = counts if weighted else None
-        dense = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
-        monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
-        lanczos = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
-        assert eigsh_calls == [24]
-        assert lanczos.n_components == dense.n_components == 24
-        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, rtol=1e-6)
-        assert np.all(np.diff(lanczos.eigenvalues) <= 0.0)
-        assert np.max(subspace_angles(lanczos.basis.T, dense.basis.T)) < 1e-6
-        # the sign rule points each axis the same way
-        assert np.all(np.sum(lanczos.basis * dense.basis, axis=1) > 0.0)
-        assert lanczos.total_variance == dense.total_variance
-        again = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
-        assert np.array_equal(again.basis, lanczos.basis)
-        assert np.array_equal(again.eigenvalues, lanczos.eigenvalues)
+        calls = krylov_calls(monkeypatch)
+        krylov = et.fit_pca(rows, 1.0, k_max=24, counts=counts)
+        assert calls == [24]
+        assert krylov.n_components == 24
+        assert_matches_dense(krylov, dense_fit(monkeypatch, rows, 1.0, k_max=24, counts=counts))
+        assert_repeats_bit_for_bit(krylov, rows, 1.0, k_max=24, counts=counts)
 
     @pytest.mark.parametrize("k_max", [None, 26, 400, 1000])
-    def test_many_pairs_fall_back_to_the_dense_solve(self, monkeypatch, eigsh_calls, k_max):
-        rows, _ = decaying_rows(400, 1200, seed=400)
-        dense = et.fit_pca(rows, 1.0, k_max=k_max)
-        monkeypatch.setattr(et, "DENSE_EIGH_MAX_GRAM", 30)
+    def test_many_pairs_fall_back_to_the_dense_solve(self, monkeypatch, k_max):
+        # a 160 x 160 Gram matrix: 26 pairs and a block are more than a quarter
+        rows, _ = decaying_rows(160, 1200, seed=400)
+        calls = krylov_calls(monkeypatch)
         model = et.fit_pca(rows, 1.0, k_max=k_max)
-        assert eigsh_calls == []
-        assert np.array_equal(model.basis, dense.basis)
+        assert calls == []
+        dense = dense_fit(monkeypatch, rows, 1.0, k_max=k_max)
+        assert model.basis.tobytes() == dense.basis.tobytes()
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_white_noise_converges_or_hands_over(self, monkeypatch, weighted):
+        # a flat spectrum: the top 16 of 512 pairs are separated by little
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(1500, 512))
+        counts = rng.integers(1, 4, size=1500) if weighted else None
+        calls = krylov_calls(monkeypatch)
+        model = et.fit_pca(rows, 0.7, k_max=16, counts=counts)
+        dense = dense_fit(monkeypatch, rows, 0.7, k_max=16, counts=counts)
+        assert len(calls) == 1
+        if calls == [None]:
+            assert model.basis.tobytes() == dense.basis.tobytes()
+        assert_matches_dense(model, dense)
+        assert_repeats_bit_for_bit(model, rows, 0.7, k_max=16, counts=counts)
+
+    @pytest.mark.parametrize("distinct, d", [(1500, 512), (300, 1024)], ids=["scatter", "snapshot"])
+    def test_near_degenerate_pair_on_the_k_boundary(self, monkeypatch, distinct, d):
+        # centred rows with these exact Gram eigenvalues; pairs 6 and 7 differ
+        # by 1e-9 of their size, and the target falls halfway through pair 6
+        rng = np.random.default_rng(7)
+        gram_eigenvalues = 100.0 * 0.5 ** np.arange(16)
+        gram_eigenvalues[6] = gram_eigenvalues[5] * (1.0 - 1e-9)
+        # row-space axes orthogonal to the all-ones vector, so the rows are centred
+        ones = np.full((distinct, 1), distinct**-0.5)
+        left = rng.normal(size=(distinct, 16))
+        left = np.linalg.qr(left - ones @ (ones.T @ left))[0]
+        right = np.linalg.qr(rng.normal(size=(d, 16)))[0]
+        rows = (left * np.sqrt(gram_eigenvalues)) @ right.T + 50.0
+        cumulative = np.cumsum(gram_eigenvalues) / gram_eigenvalues.sum()
+        target = (cumulative[4] + cumulative[5]) / 2
+        calls = krylov_calls(monkeypatch)
+        model = et.fit_pca(rows, target, k_max=16)
+        dense = dense_fit(monkeypatch, rows, target, k_max=16)
+        assert calls == [6]
+        assert model.n_components == 6
+        # the sixth axis is any unit vector in the plane of pairs 6 and 7
+        assert_matches_dense(model, dense, settled=5)
+        assert np.allclose(model.eigenvalues * (distinct - 1), gram_eigenvalues[:6], rtol=1e-6)
+        assert_repeats_bit_for_bit(model, rows, target, k_max=16)
+
+    @pytest.mark.parametrize(
+        "distinct, d_rows, d_cols, k_max, converges",
+        [(1500, 16, 32, 16, False), (700, 64, 128, 128, True)],
+        ids=["16x32", "64x128"],
+    )
+    def test_bench_like_decaying_spectrum(
+        self, monkeypatch, distinct, d_rows, d_cols, k_max, converges
+    ):
+        # at 16x32 the rule keeps all 16 pairs asked, and the slow decay
+        # leaves the last ones unconverged within a 128-column basis
+        rows, counts = bench_like_rows(distinct, d_rows, d_cols, seed=d_cols)
+        calls = krylov_calls(monkeypatch)
+        model = et.fit_pca(rows, 0.7, k_max=k_max, counts=counts)
+        assert calls == [model.n_components if converges else None]
+        dense = dense_fit(monkeypatch, rows, 0.7, k_max=k_max, counts=counts)
+        assert model.n_components > 1
+        assert_matches_dense(model, dense)
+        assert_repeats_bit_for_bit(model, rows, 0.7, k_max=k_max, counts=counts)
+
+
+class TestCentreInPlace:
+    """A fit handed its frames centres them in place and gives the model of
+    a fit that leaves its input as it was, bit for bit."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize(
+        "recipe", [(400, 1200), (1200, 400), None], ids=["snapshot", "scatter", "dense"]
+    )
+    def test_in_place_fit_equals_the_copying_fit(self, recipe, weighted):
+        if recipe is None:
+            rows, counts = gaussian_in_10d(), np.arange(200) % 3 + 1
+        else:
+            rows, counts = decaying_rows(*recipe, seed=recipe[0])
+        counts = counts if weighted else None
+        raw = rows.tobytes()
+        model = et.fit_pca(rows, 0.9, k_max=24, counts=counts)
+        assert rows.tobytes() == raw
+        stack = rows.copy()
+        handed = et.fit_pca(stack, 0.9, k_max=24, counts=counts, centre_in_place=True)
+        for name in ("mean", "basis", "eigenvalues"):
+            assert getattr(handed, name).tobytes() == getattr(model, name).tobytes(), name
+        assert handed.total_variance == model.total_variance
+        assert stack.tobytes() == (rows - model.mean).tobytes()
+        # the centred rows project as transform projects the raw ones
+        assert et.project(handed, stack).tobytes() == et.transform(model, rows).tobytes()
+
+    def test_in_place_fit_holds_no_frame_sized_temporary(self, monkeypatch):
+        # a 400 x 400 scatter Gram matrix, solved by the Krylov path
+        rows, counts = decaying_rows(4000, 400, seed=4)
+        calls = krylov_calls(monkeypatch)
+        model, peak = traced_peak(
+            lambda: et.fit_pca(rows, 0.9, 16, counts, centre_in_place=True)
+        )
+        assert calls == [model.n_components]
+        # the Krylov basis and products with 16 columns; a centred copy would
+        # be the frames' size
+        assert peak < 0.25 * rows.nbytes
+        rows[1234, 56] = np.nan
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArgumentError, match="frames must be finite"):
+                et.fit_pca(rows, 0.9, 16, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weighted column sums: a bool mask of the frames would be an eighth
+        assert peak < 0.01 * rows.nbytes
 
 
 class TestTransform:

@@ -1,8 +1,8 @@
-"""scipy stays off the import path of a desk-scale run.
+"""No ``ultratts`` run imports scipy: the runtime needs numpy alone.
 
-Every ``ultratts`` run is a fresh process, and importing ``scipy.linalg``
-costs it about a quarter of a second. Only a PCA fit on a Gram matrix above
-``eigentongues.DENSE_EIGH_MAX_GRAM`` may import scipy.
+scipy is a test extra, for the tests' ``subspace_angles`` oracle; the PCA fit
+takes its eigenpairs from numpy. Every ``ultratts`` run is a fresh process,
+so a child in which importing scipy raises runs ``run-all`` for each system.
 """
 
 import os
@@ -10,26 +10,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import config_for
+from ultratts.config import write_config
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import sys
-import numpy as np
-import ultratts.cli
-from ultratts import acoustic, eigentongues
 
-rng = np.random.default_rng(0)
-# sweep-desk's fit: 16x32 frames, so a 512 x 512 scatter Gram matrix
-eigentongues.fit_pca(rng.normal(size=(600, 512)), 0.7, 128)
-acoustic.mlpg(rng.normal(size=(50, 9)), np.ones(9))
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from ultratts import cli
+
+config, out = sys.argv[1:]
+for system in ("txt2wav", "ult2wav", "txt+ult2wav"):
+    argv = ["run-all", "--config", config, "--output", f"{out}/{system}", "--system", system]
+    assert cli.main(argv) == 0, system
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_desk_fit_and_mlpg_do_not_import_scipy():
+def test_run_all_needs_no_scipy(tiny_corpus, tmp_path):
+    config = tmp_path / "experiment.cfg"
+    write_config(config_for(tiny_corpus, max_epochs=2, warmup_epochs=1), config)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, str(config), str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "runs" / "txt+ult2wav" / "pca" / "model.bin").exists()

@@ -390,6 +390,26 @@ class TestRunExperiment:
         # besides the stack
         assert peak < 1.5 * frames.nbytes
 
+    def test_pca_stage_holds_the_training_frames_once(self, tmp_path):
+        layout = synthetic.generate_corpus(
+            tmp_path / "corpus", n_utterances=40, seed=3, min_frames=60, max_frames=90
+        )
+        cfg = config_for(layout, system="ult2wav")
+        run = pipeline.start_run(cfg, tmp_path / "run")
+        split = pipeline.load_split(run)
+        # the stack's size and raw rows; this also fills the resize caches
+        frames, _, utterances = pipeline.train_frame_matrix(cfg, split)
+        _, peak = traced_peak(pipeline.stage_pca, cfg, split, run)
+        # a 512 x 512 scatter Gram matrix: this reads 1.24x the stack. Fitting
+        # a centred copy, with the Gram matrix formed and given whole to eigh,
+        # read 2.94x
+        assert frames.shape[0] > frames.shape[1]
+        assert peak < 1.3 * frames.nbytes
+        model = eigentongues.load_model(run.pca_model)
+        for utt_id, (rows, index) in zip(split.train, utterances):
+            own = eigentongues.transform(model, rows)[index]
+            assert np.load(run.coeffs(utt_id)).tobytes() == own.tobytes(), utt_id
+
     def test_coeffs_project_each_utterance_own_frames(self, tiny_run):
         cfg, run = tiny_run
         model = eigentongues.load_model(run.pca_model)
