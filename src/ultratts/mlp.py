@@ -191,17 +191,16 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, bit for bit, with a large float32 product split by output
     columns into one block per CPU, the blocks run at once.
 
-    Each block is one BLAS call that writes its columns of one ``out``.
-    Every output column is the same dot products in the same order whichever
-    block holds it, so the result does not depend on the CPU count, given
-    one BLAS thread. One pool thread is started per block, and each takes
-    whichever blocks are left until none is: when a thread starts late (its
-    CPU busy, or taken by the host), the threads already running take its
-    block, and the late one finds none. The caller waits instead of taking a
-    block: with the caller on one block and a pool thread on the other, a
-    two-way split took as long as the plain product. float64 is never split:
-    OpenBLAS's dgemm computes the last ``n % 8`` columns in other bits when
-    they sit in a narrow block.
+    Each block is one BLAS call, run by a pool thread, that writes its
+    columns of one ``out``. Every output column is the same dot products in
+    the same order whichever block holds it, so the result does not depend
+    on the CPU count, given one BLAS thread. The pool's work queue hands each
+    block to a thread that is running, so a thread that starts late takes no
+    block another could run. The caller waits instead of taking a block: with
+    the caller on one block and a pool thread on the other, a two-way split
+    took as long as the plain product. float64 is never split: OpenBLAS's
+    dgemm computes the last ``n % 8`` columns in other bits when they sit in
+    a narrow block.
     """
     (m, k), n = a.shape, b.shape[1]
     flop = 2 * m * k * n
@@ -212,45 +211,21 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     parts = min(parts, _split_cpus())
     if parts < 2:
         return a @ b
-    # imported here, as the pool is: at import it would add 0.25 MB to every
-    # process that imports the package
-    import queue
-
     out = np.empty((m, n), dtype=np.float32)
     # each block takes its nearest whole number of panels; the last, the rest
     edges = [_SPLIT_COLUMNS * ((panels * i + parts // 2) // parts) for i in range(parts)] + [n]
-    blocks = queue.SimpleQueue()
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        blocks.put((lo, hi))
-    # one entry per block: None once it is written, or what it raised
-    finished = queue.SimpleQueue()
     # worker threads do not inherit the caller's floating-point error handling
     errors = np.geterr()
 
-    def work() -> None:
-        while True:
-            try:
-                lo, hi = blocks.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                with np.errstate(**errors):
-                    np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
-            except BaseException as exc:
-                # raised again by the caller, which would otherwise wait for
-                # this block for ever
-                finished.put(exc)
-            else:
-                finished.put(None)
+    def block(lo: int, hi: int) -> None:
+        with np.errstate(**errors):
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
 
     pool = _pool()
-    # the futures are not read: work() hands every exception over itself,
-    # and a late thread's future would make the caller wait for that thread
-    for _ in range(parts):
-        pool.submit(work)
-    for _ in range(parts):
-        if (error := finished.get()) is not None:
-            raise error
+    futures = [pool.submit(block, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    for future in futures:
+        # raises again whatever the block raised
+        future.result()
     return out
 
 

@@ -54,11 +54,13 @@ def split_dataset(
     """Contiguous train/dev/test blocks in recording order.
 
     Train takes the first floor(r_train * n) utterances, dev the next
-    floor(r_dev * n), test the remainder.
+    floor(r_dev * n), test the remainder. Train needs at least 2 utterances
+    (the misalignment diagnostic compares training utterances with each
+    other), dev and test at least 1 each.
     """
     n = len(utterance_ids)
-    if n < 3:
-        raise ConfigError(f"need at least 3 utterances to split, got {n}")
+    if n < 4:
+        raise ConfigError(f"need at least 4 utterances to split, got {n}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     # tiny epsilon so ratios like 0.7 * 10 do not floor down through fp dust
@@ -69,6 +71,8 @@ def split_dataset(
         raise ConfigError(
             f"empty split block: train={n_train} dev={n_dev} test={n_test} for n={n}"
         )
+    if n_train < 2:
+        raise ConfigError(f"training block of {n_train} utterance: it needs at least 2")
     ids = tuple(utterance_ids)
     return DatasetSplit(
         train=ids[:n_train],
@@ -162,25 +166,20 @@ def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> 
         labels.save_features(ling, run.ling(utt_id))
 
 
-def utterance_frames(
-    cfg: ExperimentConfig, utt_id: str, selection: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
     """The utterance's distinct resized frames and the target-clock index into
-    them, one per frame of the corpus's acoustic streams. ``selection`` is its
-    ``frame_selection``, when the caller has taken it already."""
+    them, one per frame of the corpus's acoustic streams."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return ultra.resampled_resized_frames(
-        seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols, selection
-    )
+    return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
 
 
-def frame_selection(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """The utterance's ``ultra.frame_clock_selection`` on the acoustic frame
-    clock, from its sidecar and the size of its ``.ult`` file: no frame is read."""
+def distinct_frame_count(cfg: ExperimentConfig, utt_id: str) -> int:
+    """How many distinct source frames the utterance's acoustic frame clock
+    selects, from its sidecar and the size of its ``.ult`` file: no frame is read."""
     meta, n_frames = ultra.read_frame_count(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return ultra.frame_clock_selection(meta, n_frames, cfg.frame_shift, n)
+    return ultra.frame_clock_selection(meta, n_frames, cfg.frame_shift, n)[0].size
 
 
 def train_frame_matrix(
@@ -190,19 +189,16 @@ def train_frame_matrix(
     order; how many target frames each row stands for; and each utterance's
     rows (a view of the stack) with its target-clock index into them.
 
-    Every utterance's frame selection is taken before any frame is read, so
-    the stack is allocated once at its size and each utterance's frames are
+    Every utterance's distinct frame count is taken before any frame is read,
+    so the stack is allocated once at its size and each utterance's frames are
     resized into their rows: the frames are held once, besides one utterance's."""
-    selections = [frame_selection(cfg, utt_id) for utt_id in split.train]
-    bounds = np.cumsum([0] + [unique.size for unique, _ in selections])
+    bounds = np.cumsum([0] + [distinct_frame_count(cfg, utt_id) for utt_id in split.train])
     frames = np.empty((bounds[-1], cfg.resize_rows * cfg.resize_cols))
     utterances = []
-    for utt_id, selection, lo, hi in zip(split.train, selections, bounds[:-1], bounds[1:]):
-        frames[lo:hi], index = utterance_frames(cfg, utt_id, selection)
+    for utt_id, lo, hi in zip(split.train, bounds[:-1], bounds[1:]):
+        frames[lo:hi], index = utterance_frames(cfg, utt_id)
         utterances.append((frames[lo:hi], index))
-    counts = np.concatenate(
-        [np.bincount(index, minlength=unique.size) for unique, index in selections]
-    )
+    counts = np.concatenate([np.bincount(index, minlength=len(rows)) for rows, index in utterances])
     return frames, counts, utterances
 
 

@@ -258,23 +258,14 @@ def frame_clock_selection(
 
 
 def resampled_resized_frames(
-    seq: UltrasoundSequence,
-    frame_shift: float,
-    n_target: int,
-    out_rows: int,
-    out_cols: int,
-    selection: tuple[np.ndarray, np.ndarray] | None = None,
+    seq: UltrasoundSequence, frame_shift: float, n_target: int, out_rows: int, out_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct source frames the target clock selects, resized and
     flattened to (u, out_rows*out_cols) in recording order, and the target-clock
     index into them: row ``index[k]`` is target frame k.
 
     Each selected source frame is resized once, all of them as one stack.
-    ``selection`` is the recording's ``frame_clock_selection``, when the
-    caller has taken it already.
     """
-    if selection is None:
-        selection = frame_clock_selection(seq.metadata, seq.n_frames, frame_shift, n_target)
-    unique, index = selection
+    unique, index = frame_clock_selection(seq.metadata, seq.n_frames, frame_shift, n_target)
     resized = resize_stack(seq.frames[unique], out_rows, out_cols)
     return resized.reshape(unique.size, out_rows * out_cols), index

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -577,20 +576,11 @@ class TestSplitProduct:
         with pytest.raises(RuntimeWarning, match="overflow"):
             mlp._matmul(a, a.T)
 
-    def test_a_thread_that_starts_late_leaves_its_block_to_the_others(self, monkeypatch):
+    def test_a_busy_pool_thread_holds_up_no_product(self, monkeypatch):
         use_cpus(monkeypatch, 3)
-        pool = mlp._pool()
         release = threading.Event()
-        held = []
-
-        def submit(fn):
-            # the first thread is held back until the product is returned
-            if not held:
-                held.append(pool.submit(lambda: release.wait(60) and fn()))
-                return held[0]
-            return pool.submit(fn)
-
-        monkeypatch.setattr(mlp, "_pool", lambda: types.SimpleNamespace(submit=submit))
+        # a pool thread kept busy until the product has returned
+        busy = mlp._pool().submit(release.wait, 60)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(256, 512)).astype(np.float32)
         b = rng.normal(size=(512, 1024)).astype(np.float32)
@@ -599,11 +589,11 @@ class TestSplitProduct:
         caller.start()
         caller.join(60)
         try:
-            assert not caller.is_alive() and products[0].tobytes() == (a @ b).tobytes()
+            assert not caller.is_alive() and not busy.done()
+            assert products[0].tobytes() == (a @ b).tobytes()
         finally:
             release.set()
-        # let in, the held thread finds no block left
-        assert held[0].result(timeout=60) is None
+        assert busy.result(timeout=60) is True
 
     def test_more_threads_than_cores_write_every_block_once(self, monkeypatch):
         # eight blocks of 128 columns, threads switched as often as possible

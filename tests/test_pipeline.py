@@ -44,6 +44,15 @@ class TestSplitDataset:
             with pytest.raises(ConfigError):
                 pipeline.split_dataset([f"u{i}" for i in range(10)], ratios)
 
+    def test_one_utterance_training_block_rejected(self):
+        ids = [f"u{i}" for i in range(4)]
+        with pytest.raises(ConfigError, match="training block of 1 utterance"):
+            pipeline.split_dataset(ids, (0.25, 0.25, 0.5))
+        with pytest.raises(ConfigError, match="at least 4 utterances"):
+            pipeline.split_dataset(ids[:3], (0.34, 0.33, 0.33))
+        split = pipeline.split_dataset(ids, (0.5, 0.25, 0.25))
+        assert (len(split.train), len(split.dev), len(split.test)) == (2, 1, 1)
+
     def test_bad_ratio_sum_rejected(self):
         with pytest.raises(ConfigError):
             pipeline.split_dataset([f"u{i}" for i in range(10)], (0.5, 0.1, 0.1))
@@ -654,12 +663,16 @@ class TestCli:
         assert "negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "ratios",
-        ["train = 0.8\ndev = 0.0\ntest = 0.2\n", "train = 0.98\ndev = 0.01\ntest = 0.01\n"],
-        ids=["no-dev", "corpus-too-small"],
+        "ratios, message",
+        [
+            ("train = 0.8\ndev = 0.0\ntest = 0.2\n", "empty split block"),
+            ("train = 0.98\ndev = 0.01\ntest = 0.01\n", "empty split block"),
+            ("train = 0.1\ndev = 0.1\ntest = 0.8\n", "training block of 1 utterance"),
+        ],
+        ids=["no-dev", "corpus-too-small", "one-train-utterance"],
     )
     def test_unsplittable_ratios_leave_a_finished_run_intact(
-        self, tmp_path, tiny_run, capsys, ratios
+        self, tmp_path, tiny_run, capsys, ratios, message
     ):
         cfg, run = tiny_run
         assert len(pipeline.load_split(run).all_ids) < 100
@@ -672,11 +685,14 @@ class TestCli:
         text = cfg_file.read_text()
         assert old in text
         cfg_file.write_text(text.replace(old, ratios))
+        fresh = tmp_path / "fresh"
         for command in ("run-all", "prepare"):
-            argv = [command, "--config", str(cfg_file), "--output", str(finished.root)]
-            assert cli.main(argv) == 1
-            assert "empty split block" in capsys.readouterr().err
+            for output in (finished.root, fresh):
+                argv = [command, "--config", str(cfg_file), "--output", str(output)]
+                assert cli.main(argv) == 1
+                assert message in capsys.readouterr().err
         assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
+        assert not fresh.exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -246,9 +246,6 @@ class TestResampledResizedFrames:
         selected = ultra.resample_to_frame_clock(seq, 0.005, 90)
         assert unique.tobytes() == np.unique(selected).tobytes()
         assert unique[index].tobytes() == selected.tobytes()
-        own = ultra.resampled_resized_frames(seq, 0.005, 90, 16, 32)
-        given = ultra.resampled_resized_frames(seq, 0.005, 90, 16, 32, (unique, index))
-        assert [a.tobytes() for a in given] == [a.tobytes() for a in own]
 
 
 class TestResampleToFrameClock:
