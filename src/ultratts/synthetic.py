@@ -1,4 +1,4 @@
-"""Synthetic desk-scale corpus generator.
+"""Synthetic corpus generator, at desk scale or at any raw frame geometry.
 
 Builds a corpus in the on-disk layout the pipeline consumes: raw ultrasound
 with sidecar metadata, full-context labels, acoustic feature files, and a
@@ -7,6 +7,10 @@ component recoverable from the labels and a smooth latent articulatory
 trajectory drawn per utterance and rendered into the ultrasound frames (not
 into the labels). Text-only systems can therefore explain the phone part,
 ultrasound-only systems the articulatory part, and the combined input both.
+
+Each utterance's ultrasound is made and written in blocks of whole frames of
+about 1 MB of float64 samples, so the generator's memory does not grow with
+utterance length, at desk geometry or at the paper's 64x842.
 
 A ``drift_magnitude`` offset can be added to the ultrasound frames of the
 final fraction of the session to imitate a probe shift late in a recording.
@@ -27,8 +31,13 @@ from .ultra import UltrasoundMetadata, serialize_metadata
 VOICED_PHONES = ("a", "e", "i", "o", "u", "m", "n", "l")
 UNVOICED_PHONES = ("sil", "s", "t", "k")
 PHONES = UNVOICED_PHONES + VOICED_PHONES
+_PHONE_VOICED = np.array([p in VOICED_PHONES for p in PHONES])
 
 _EMBED_DIM = 8
+
+# float64 samples in one block of ultrasound frames (1 MB, whole frames):
+# a desk utterance fits in one block, a 64x842 block holds 2 frames
+_BLOCK_SAMPLES = 2**17
 
 # Per-coefficient standard deviations of the three target components.
 _TEXT_SCALE = 0.20
@@ -77,6 +86,16 @@ def generate_corpus(
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     if n_utterances < 1:
         raise ArgumentError(f"n_utterances must be >= 1, got {n_utterances}")
+    if not 1 <= min_frames <= max_frames:
+        raise ArgumentError(
+            "frame range must satisfy 1 <= min_frames <= max_frames, "
+            f"got {min_frames}..{max_frames}"
+        )
+    # the smallest frame ultra.resize_stack takes; a 1x1 mode image has no spread to normalise
+    if num_vectors < 2 or pix_per_vector < 2:
+        raise ArgumentError(
+            f"frame geometry must be at least 2x2, got {num_vectors}x{pix_per_vector}"
+        )
     # a NaN offset would cast to frames of 0 and an infinite one to 255
     if not np.isfinite(drift_magnitude):
         raise ArgumentError(f"drift_magnitude must be finite, got {drift_magnitude}")
@@ -90,7 +109,7 @@ def generate_corpus(
 
     rng = np.random.default_rng(seed)
     # unit-variance entries keep dot products with unit rows at unit variance
-    embed = {p: rng.normal(0.0, 1.0, _EMBED_DIM) for p in PHONES}
+    embed = rng.normal(0.0, 1.0, (len(PHONES), _EMBED_DIM))  # one row per phone
     mgc_txt = _unit_rows(rng.normal(size=(acoustic.MGC_DIM - 1, _EMBED_DIM)))
     mgc_art = rng.choice([-1.0, 1.0], size=acoustic.MGC_DIM - 1)
     bap_txt = _unit_rows(rng.normal(size=(acoustic.BAP_DIM, _EMBED_DIM)))
@@ -103,6 +122,10 @@ def generate_corpus(
     mode_image /= np.sqrt(np.mean(mode_image**2))
 
     meta = UltrasoundMetadata(num_vectors, pix_per_vector, FRAME_RATE, 0.0)
+    block_frames = max(1, _BLOCK_SAMPLES // (num_vectors * pix_per_vector))
+    block = np.empty((block_frames, num_vectors, pix_per_vector))
+    noise = np.empty_like(block)
+    quantised = np.empty(block.shape, dtype=np.uint8)
     drift_start = n_utterances - int(np.ceil(DRIFT_FRACTION * n_utterances))
     for u in range(n_utterances):
         utt_id = f"utt{u:04d}"
@@ -112,8 +135,8 @@ def generate_corpus(
 
         times = np.arange(n_frames) * acoustic.FRAME_SHIFT
         a_frames = artic(times)
-        e_frames = np.stack([embed[PHONES[p]] for p in phone_of_frame])
-        voiced = np.array([PHONES[p] in VOICED_PHONES for p in phone_of_frame])
+        e_frames = embed[phone_of_frame]
+        voiced = _PHONE_VOICED[phone_of_frame]
 
         mgc = np.empty((n_frames, acoustic.MGC_DIM))
         mgc[:, 0] = 0.5 + 0.02 * rng.normal(size=n_frames)
@@ -143,15 +166,26 @@ def generate_corpus(
         duration = n_frames * acoustic.FRAME_SHIFT
         n_native = int(np.ceil(duration * FRAME_RATE)) + 1
         native_times = np.arange(n_native) / FRAME_RATE
-        a_native = artic(native_times)
-        frames = (
-            base_image[None, :, :]
-            + 28.0 * a_native[:, None, None] * mode_image[None, :, :]
-            + drift
-            + rng.normal(0.0, 4.0, size=(n_native, num_vectors, pix_per_vector))
-        )
-        frames = np.clip(np.floor(frames + 0.5), 0, 255).astype(np.uint8)
-        (layout.ultrasound_dir / f"{utt_id}.ult").write_bytes(frames.tobytes())
+        weight = 28.0 * artic(native_times)
+        # frame = round(base + weight * mode + drift + N(0, 4^2)), clipped to
+        # uint8; the noise is the utterance's last draw, taken block by block
+        with open(layout.ultrasound_dir / f"{utt_id}.ult", "wb") as ult:
+            for start in range(0, n_native, block_frames):
+                w = weight[start : start + block_frames, None, None]
+                frames, frame_noise, out = block[: len(w)], noise[: len(w)], quantised[: len(w)]
+                np.multiply(w, mode_image, out=frames)
+                np.add(base_image, frames, out=frames)
+                # base_image >= 30, so adding 0.0 would change no sample
+                if drift:
+                    frames += drift
+                rng.standard_normal(out=frame_noise)
+                frame_noise *= 4.0
+                frames += frame_noise
+                frames += 0.5
+                np.floor(frames, out=frames)
+                np.clip(frames, 0, 255, out=frames)
+                np.copyto(out, frames, casting="unsafe")
+                ult.write(out)
         (layout.ultrasound_dir / f"{utt_id}.param").write_text(serialize_metadata(meta))
 
     layout.question_file.write_text(_render_questions())
