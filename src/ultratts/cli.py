@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import metrics, pipeline, synthetic
+from . import metrics, pipeline
 from .config import SYSTEMS, ExperimentConfig, read_config, write_config
 from .errors import UltraTtsError
 
@@ -65,6 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth-corpus":
+            from . import synthetic  # only this command needs the generator
+
             # resolve so the emitted config carries absolute corpus paths
             layout = synthetic.generate_corpus(
                 args.output.resolve(),

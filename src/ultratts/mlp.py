@@ -400,7 +400,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    return float(np.mean(diff * diff))
+    np.multiply(diff, diff, out=diff)  # square in place: one temporary per call
+    return float(np.mean(diff))
 
 
 def predict_utterance(

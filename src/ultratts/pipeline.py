@@ -398,7 +398,7 @@ def stage_misalign(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
     out = run.misalign_dir
     out.mkdir(parents=True, exist_ok=True)
     misalign.write_matrix_csv(matrix, out / "matrix.csv")
-    (out / "heatmap.ppm").write_bytes(misalign.render_heatmap(matrix))
+    (out / "heatmap.png").write_bytes(misalign.render_heatmap(matrix))
     misalign.write_summary(summary, out / "summary.json")
 
 

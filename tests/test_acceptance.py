@@ -218,7 +218,7 @@ def test_criterion_8_run_all_determinism(tiny_corpus, tmp_path):
             if math.isnan(va) and math.isnan(vb):
                 continue
             assert va == pytest.approx(vb, abs=1e-9), attr
-    heatmaps = [(r.misalign_dir / "heatmap.ppm").read_bytes() for r in runs]
+    heatmaps = [(r.misalign_dir / "heatmap.png").read_bytes() for r in runs]
     assert heatmaps[0] == heatmaps[1]
 
 

@@ -3,6 +3,8 @@
 scipy is a test extra, for the tests' ``subspace_angles`` oracle; the PCA fit
 takes its eigenpairs from numpy. Every ``ultratts`` run is a fresh process,
 so a child in which importing scipy raises runs ``run-all`` for each system.
+The same child checks that ``run-all`` leaves the corpus generator, which
+only ``synth-corpus`` needs, unimported.
 """
 
 import os
@@ -33,7 +35,7 @@ config, out = sys.argv[1:]
 for system in ("txt2wav", "ult2wav", "txt+ult2wav"):
     argv = ["run-all", "--config", config, "--output", f"{out}/{system}", "--system", system]
     assert cli.main(argv) == 0, system
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "ultratts.synthetic"))
 """
 
 

@@ -1,4 +1,9 @@
 import hashlib
+import json
+import math
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from ultratts import misalign, ultra
 from ultratts.errors import ArgumentError, DataError
 
+# SHA-256 of the heatmap's pixels behind a binary PPM header ("P6\n<w> <h>\n255\n")
 GOLDEN_HEATMAP_SHA256 = "60ec7baced065f0a47d4f83adbc396ebb095631de7500cdd17757f85d7080c54"
 
 
@@ -77,6 +83,18 @@ class TestMse:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
             misalign.mse(np.zeros((3, 3)), np.zeros((3, 4)))
+
+    def test_raw_frame_images_bitwise_with_one_temporary(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(0.0, 255.0, (2, 64, 842))
+        assert misalign.mse(a, b) == float(np.mean((a - b) * (a - b)))
+        tracemalloc.start()
+        try:
+            misalign.mse(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * a.nbytes
 
 
 class TestBuildMatrix:
@@ -178,31 +196,85 @@ def fixture_matrix():
     )
 
 
+def decode_png(data):
+    """(height, width, 3) uint8 pixels of an 8-bit RGB PNG, checking its structure.
+
+    Checks the signature, every chunk's CRC, an IHDR first and an IEND last,
+    and undoes the None, Sub and Up line filters.
+    """
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        kind, body = data[pos + 4 : pos + 8], data[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
+        assert crc == zlib.crc32(kind + body), kind
+        chunks.append((kind, body))
+        pos += 12 + length
+    assert pos == len(data)
+    assert chunks[0][0] == b"IHDR" and chunks[-1] == (b"IEND", b"")
+    width, height, depth, color, compression, filtering, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1]
+    )
+    assert (depth, color, compression, filtering, interlace) == (8, 2, 0, 0, 0)
+    raw = zlib.decompress(b"".join(body for kind, body in chunks if kind == b"IDAT"))
+    stride = 3 * width
+    assert len(raw) == height * (1 + stride)
+    pixels = np.zeros((height, stride), np.uint8)
+    previous = np.zeros(stride, np.uint8)
+    for y in range(height):
+        kind, line = raw[y * (1 + stride)], raw[y * (1 + stride) + 1 : (y + 1) * (1 + stride)]
+        row = np.frombuffer(line, np.uint8).copy()
+        if kind == 1:  # each byte is stored less the byte a pixel to its left
+            row = np.cumsum(row.reshape(-1, 3), axis=0, dtype=np.uint8).reshape(-1)
+        elif kind == 2:
+            row += previous
+        else:
+            assert kind == 0, kind
+        pixels[y] = previous = row
+    return pixels.reshape(height, width, 3)
+
+
 class TestHeatmap:
     def test_dimensions_scale_with_cells(self):
         m = misalign.build_matrix(mean_images([constant_seq(0), constant_seq(10)]))
-        data = misalign.render_heatmap(m, cell_pixels=5)
-        assert data.startswith(b"P6\n10 10\n255\n")
-        assert len(data) == len(b"P6\n10 10\n255\n") + 10 * 10 * 3
+        assert decode_png(misalign.render_heatmap(m, cell_pixels=5)).shape == (10, 10, 3)
+        assert decode_png(misalign.render_heatmap(m)).shape == (32, 32, 3)
 
     def test_equal_offdiagonals_render_uniformly(self):
         m = misalign.build_matrix(
             mean_images([constant_seq(0), constant_seq(10), constant_seq(20)])
         )
         m.values[0, 2] = m.values[2, 0] = 100.0  # make all off-diagonals equal
-        data = misalign.render_heatmap(m, cell_pixels=1)
-        pixels = np.frombuffer(data.split(b"\n", 3)[3], np.uint8).reshape(3, 3, 3)
+        pixels = decode_png(misalign.render_heatmap(m, cell_pixels=1))
         off = ~np.eye(3, dtype=bool)
         assert len({tuple(p) for p in pixels[off]}) == 1
         assert tuple(pixels[0, 0]) == misalign.NEUTRAL_RGB
 
     def test_golden_bytes(self):
-        data = misalign.render_heatmap(fixture_matrix(), cell_pixels=8)
-        assert hashlib.sha256(data).hexdigest() == GOLDEN_HEATMAP_SHA256
+        pixels = decode_png(misalign.render_heatmap(fixture_matrix(), cell_pixels=8))
+        ppm = b"P6\n32 32\n255\n" + pixels.tobytes()
+        assert hashlib.sha256(ppm).hexdigest() == GOLDEN_HEATMAP_SHA256
 
     def test_deterministic(self):
         m = fixture_matrix()
         assert misalign.render_heatmap(m) == misalign.render_heatmap(m)
+
+    def test_real_session_size_stays_small(self):
+        # 400 utterances at 16 px a cell: 6400 x 6400 pixels, 122.9 MB as raw RGB
+        values = np.random.default_rng(0).uniform(0.0, 100.0, (400, 400))
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, np.nan)
+        m = misalign.MisalignmentMatrix(values, tuple(f"u{i}" for i in range(400)))
+        tracemalloc.start()
+        try:
+            data = misalign.render_heatmap(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(data) < 2 * 2**20
+        assert struct.unpack(">II", data[16:24]) == (6400, 6400)
 
 
 class TestExports:
@@ -219,8 +291,19 @@ class TestExports:
         m = fixture_matrix()
         summary = misalign.block_summary(m, 2, 1, 1)
         misalign.write_summary(summary, tmp_path / "summary.json")
-        import json
-
         loaded = json.loads((tmp_path / "summary.json").read_text())
         assert loaded["n_train"] == 2
         assert loaded["within_train_mse"] == summary.within_train_mse
+
+    def test_infinite_score_is_strict_json_null(self, tmp_path):
+        session = [constant_seq(10), constant_seq(10), constant_seq(10), constant_seq(20)]
+        summary = misalign.block_summary(misalign.build_matrix(mean_images(session)), 3, 1, 0)
+        assert summary.score == math.inf
+        misalign.write_summary(summary, tmp_path / "summary.json")
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        loaded = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert loaded["score"] is None
+        assert loaded["train_vs_heldout_mse"] == 100.0

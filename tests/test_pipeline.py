@@ -324,7 +324,7 @@ class TestRunExperiment:
         assert run.history.read_text().splitlines()[0] == "epoch,lr,train_mse,valid_mse"
         assert run.report_csv.exists()
         assert run.report_tables.exists()
-        assert (run.misalign_dir / "heatmap.ppm").exists()
+        assert (run.misalign_dir / "heatmap.png").exists()
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
         assert run.splits.parent == run.root
