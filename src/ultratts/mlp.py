@@ -15,12 +15,14 @@ and output normalisation it was trained under. Training inputs are a matrix
 or any row container that builds a batch when indexed, such as
 ``labels.GatheredRows``; this module defines none.
 
-Memory: training holds the net, one best-epoch snapshot (allocated once and
-refreshed in place), one layer's gradients (the backward pass hands each
-layer's gradients to the update as soon as they are taken, and they are
-freed before the next layer's are formed) and the batch activations, which
-the backward pass overwrites with tanh' and frees layer by layer; besides
-those, only the data and the validation pass. A checkpoint loads in one
+Memory: training holds the net, one layer's gradients (the backward pass
+hands each layer's gradients to the update as soon as they are taken, and
+they are freed before the next layer's are formed) and the batch
+activations, which the backward pass overwrites with tanh' and frees layer
+by layer; besides those, only the data and the validation pass. The best
+epoch is kept by ``train``'s ``on_best``: the pipeline writes it to a
+checkpoint file and holds no second net, while the default copies it into
+one snapshot, allocated once and refreshed in place. A checkpoint loads in one
 copy: ``arrayfile.load`` checks each record's declared size against what is
 left of the file, then reads every weight, bias and statistic into its own
 writable array.
@@ -316,7 +318,9 @@ def train(
     train_set: tuple[np.ndarray, np.ndarray],
     valid_set: tuple[np.ndarray, np.ndarray],
     schedule: TrainingSchedule,
-) -> tuple[MlpModel, list[EpochRecord]]:
+    *,
+    on_best: Callable[[MlpModel], None] | None = None,
+) -> tuple[MlpModel | None, list[EpochRecord]]:
     """Plain SGD with the warm-up/decay schedule and early stopping.
 
     Batches are reshuffled each epoch with a generator seeded from the
@@ -324,14 +328,23 @@ def train(
     indexing by an index array, so a ``labels.GatheredRows`` serves as well
     as a matrix and builds each batch when it is drawn. Inputs, targets and
     validation inputs are cast to the model's dtype once, here, so no batch
-    is cast. Returns the parameters of the best-validation epoch; stops
-    early when validation MSE has not improved for ``patience`` consecutive
-    epochs after warm-up, and when the training loss overflows the model's
-    float range, which a diverging float32 net reaches long before float64
-    would, or the validation MSE is not finite. Raises ``TrainingDiverged``
-    when the best validation MSE exceeds ``DIVERGENCE_FACTOR`` times the MSE
-    of predicting zero, however finite its numbers are, or no epoch stayed
-    finite; the message then names the value that went non-finite, if one did.
+    is cast. Stops early when validation MSE has not improved for
+    ``patience`` consecutive epochs after warm-up, and when the training loss
+    overflows the model's float range, which a diverging float32 net reaches
+    long before float64 would, or the validation MSE is not finite. Raises
+    ``TrainingDiverged`` when the best validation MSE exceeds
+    ``DIVERGENCE_FACTOR`` times the MSE of predicting zero, however finite
+    its numbers are, or no epoch stayed finite; the message then names the
+    value that went non-finite, if one did.
+
+    ``on_best(model)`` is called at each epoch that sets a new best
+    validation MSE within that bar, with the net as it stands then, so the
+    last call holds the best epoch's parameters; ``model`` trains on after
+    it returns. By default it copies them into one snapshot, allocated here
+    and refreshed in place, which is returned with the history; a caller
+    that keeps the best epoch itself, such as in a checkpoint file, passes
+    its own ``on_best``, no snapshot is allocated and ``None`` is returned
+    in its place.
     """
     train_x, train_y = train_set
     train_x = train_x.astype(model.dtype, copy=False)
@@ -341,9 +354,15 @@ def train(
     if train_x.shape[0] == 0 or valid_x.shape[0] == 0:
         raise DataError("train and validation sets must be non-empty")
 
+    zero_mse = mse(np.zeros_like(valid_y), valid_y)
+    # the divergence bar: an epoch above it is never handed to on_best
+    bar = DIVERGENCE_FACTOR * zero_mse
+    best = None
+    if on_best is None:
+        best = model.copy()
+        on_best = functools.partial(_copy_net, best)
+
     rng = np.random.default_rng(schedule.seed)
-    # the one snapshot, refreshed in place at each new best epoch
-    best = model.copy()
     best_valid = np.inf
     stale_epochs = 0
     history: list[EpochRecord] = []
@@ -375,22 +394,27 @@ def train(
 
         if valid_mse < best_valid:
             best_valid = valid_mse
-            for snapshot, current in zip(best.weights + best.biases, model.weights + model.biases):
-                np.copyto(snapshot, current)
+            if valid_mse <= bar:
+                on_best(model)
             stale_epochs = 0
         elif epoch > schedule.warmup_epochs:
             stale_epochs += 1
             if stale_epochs >= schedule.patience:
                 break
 
-    zero_mse = mse(np.zeros_like(valid_y), valid_y)
-    if not best_valid <= DIVERGENCE_FACTOR * zero_mse:
+    if not best_valid <= bar:
         stopped = f"; {non_finite} went non-finite at epoch {epoch}" if non_finite else ""
         raise TrainingDiverged(
             f"best validation MSE {best_valid:.4g} exceeds {DIVERGENCE_FACTOR:g} x "
             f"{zero_mse:.4g}, the MSE of predicting zero{stopped}"
         )
     return best, history
+
+
+def _copy_net(snapshot: MlpModel, model: MlpModel) -> None:
+    """``train``'s default ``on_best``: copy ``model``'s parameters into ``snapshot``."""
+    for kept, current in zip(snapshot.weights + snapshot.biases, model.weights + model.biases):
+        np.copyto(kept, current)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

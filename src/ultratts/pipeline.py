@@ -115,6 +115,12 @@ class RunPaths:
         return self.root / "train" / "model.bin"
 
     @property
+    def partial_checkpoint(self) -> Path:
+        """The best epoch's checkpoint while training runs; renamed over
+        ``checkpoint`` once it ends."""
+        return self.root / "train" / "model.bin.partial"
+
+    @property
     def history(self) -> Path:
         return self.root / "train" / "history.csv"
 
@@ -314,7 +320,15 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     targets are normalised in place in float64, then cast once to
     ``NET_DTYPE``, the dtype of the net, and the float64 copies are dropped
     before training; the dev targets stay float64 for the validation score.
+
+    The stage holds one net. Each epoch that sets a new best validation MSE
+    within the divergence bar is written whole to ``partial_checkpoint``,
+    and when training ends that file is renamed over ``checkpoint``, after
+    the history is written. A training that fails or is interrupted removes
+    the file, so it leaves no checkpoint, and one left by an attempt that was
+    killed is removed when the stage starts.
     """
+    run.partial_checkpoint.unlink(missing_ok=True)
     # one at a time, so each float64 array is freed once it is cast
     input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
     dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
@@ -330,15 +344,24 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
         output_dim=acoustic.target_width(cfg.mgc_dim, cfg.bap_dim),
         dtype=NET_DTYPE,
     )
-    best, history = mlp.train(model, (train_x, train_y), (dev_x, dev_y), cfg.schedule)
+
+    def keep_best(net: mlp.MlpModel) -> None:
+        mlp.save_checkpoint(net, input_stats, output_stats, run.partial_checkpoint)
 
     run.checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    mlp.save_checkpoint(best, input_stats, output_stats, run.checkpoint)
-    with open(run.history, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_mse", "valid_mse"])
-        for rec in history:
-            writer.writerow([rec.epoch, repr(rec.lr), repr(rec.train_mse), repr(rec.valid_mse)])
+    try:
+        _, history = mlp.train(
+            model, (train_x, train_y), (dev_x, dev_y), cfg.schedule, on_best=keep_best
+        )
+        with open(run.history, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "lr", "train_mse", "valid_mse"])
+            for rec in history:
+                writer.writerow([rec.epoch, repr(rec.lr), repr(rec.train_mse), repr(rec.valid_mse)])
+    except BaseException:
+        run.partial_checkpoint.unlink(missing_ok=True)
+        raise
+    run.partial_checkpoint.replace(run.checkpoint)
 
 
 def stage_generate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:

@@ -493,6 +493,81 @@ class TestTrain:
             mlp.train(model, full, empty, self.schedule)
 
 
+class TestOnBest:
+    schedule = mlp.TrainingSchedule(
+        max_epochs=12, warmup_epochs=2, base_lr=0.05, decay=0.9, batch_size=64,
+        patience=4, seed=3,
+    )
+
+    def keep_every_call(self, model, valid_set):
+        """An ``on_best``, and the list where it records, per call, whether it
+        was handed the training net, that net's validation score and a copy
+        of its parameters."""
+        calls = []
+
+        def on_best(net):
+            calls.append((
+                net is model,
+                mlp.mse(mlp.forward(net, valid_set[0]), valid_set[1]),
+                [a.copy() for a in net.weights + net.biases],
+            ))
+
+        return calls, on_best
+
+    def test_called_at_each_improving_epoch_within_the_bar(self, monkeypatch):
+        train_set, (valid_x, valid_y) = linear_task(seed=5)
+        _, history = mlp.train(
+            mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4),
+            train_set, (valid_x, valid_y), self.schedule,
+        )
+        improving = [h.valid_mse for i, h in enumerate(history)
+                     if h.valid_mse < min([np.inf] + [g.valid_mse for g in history[:i]])]
+        # a bar between the first and the best epoch's scores: the first
+        # improving epochs lie above it and are never handed over
+        bar = (improving[0] + improving[-1]) / 2
+        zero_mse = mlp.mse(np.zeros_like(valid_y), valid_y)
+        monkeypatch.setattr(mlp, "DIVERGENCE_FACTOR", bar / zero_mse)
+        within = [v for v in improving if v <= bar]
+        assert 2 <= len(within) < len(improving)
+
+        default_model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        best, default_history = mlp.train(
+            default_model, train_set, (valid_x, valid_y), self.schedule
+        )
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        calls, on_best = self.keep_every_call(model, (valid_x, valid_y))
+        kept, own_history = mlp.train(
+            model, train_set, (valid_x, valid_y), self.schedule, on_best=on_best
+        )
+        assert kept is None
+        assert own_history == default_history == history
+        assert [is_model for is_model, _, _ in calls] == [True] * len(within)
+        assert [score for _, score, _ in calls] == within
+        # the default keeper holds what the last call was handed
+        for default, last in zip(best.weights + best.biases, calls[-1][2]):
+            assert default.tobytes() == last.tobytes()
+
+    def test_no_epoch_above_the_bar_is_handed_over(self, monkeypatch):
+        monkeypatch.setattr(mlp, "DIVERGENCE_FACTOR", 1e-9)
+        train_set, valid_set = linear_task(seed=5)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        calls = []
+        with pytest.raises(TrainingDiverged, match="predicting zero"):
+            mlp.train(model, train_set, valid_set, self.schedule, on_best=calls.append)
+        assert calls == []
+
+    def test_a_caller_keeper_allocates_no_snapshot(self, monkeypatch):
+        def no_copy(model):
+            raise AssertionError("a snapshot of the net was taken")
+
+        monkeypatch.setattr(mlp.MlpModel, "copy", no_copy)
+        train_set, valid_set = linear_task(seed=5)
+        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
+        calls = []
+        kept, history = mlp.train(model, train_set, valid_set, self.schedule, on_best=calls.append)
+        assert kept is None and calls and len(history) > 1
+
+
 def use_cpus(monkeypatch, n):
     """Make ``mlp`` see ``n`` CPUs in the process's affinity set, and return a
     list that records each product it splits."""

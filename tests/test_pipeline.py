@@ -566,6 +566,153 @@ class TestRunExperiment:
             pipeline.run_stage("evaluate", copy.root)
 
 
+@pytest.fixture(scope="module")
+def prepared_for_train(tiny_corpus, tmp_path_factory):
+    """A txt2wav run after ``prepare``, whose schedule stops on patience one
+    epoch after its best: validation MSE improves at epochs 1-5 and rises at 6."""
+    cfg = config_for(
+        tiny_corpus, system="txt2wav", max_epochs=10, warmup_epochs=1, lr_decay=1.0, patience=1
+    )
+    run = pipeline.start_run(cfg, tmp_path_factory.mktemp("train") / "run")
+    pipeline.run_stage("prepare", run.root)
+    return run
+
+
+def fresh_copy(run, path):
+    shutil.copytree(run.root, path)
+    return pipeline.RunPaths(path)
+
+
+def recorded_saves(monkeypatch):
+    """Make ``mlp.save_checkpoint`` record the path of each checkpoint it
+    writes, in a list that is returned."""
+    save, paths = mlp.save_checkpoint, []
+
+    def recording_save(model, input_stats, output_stats, path):
+        paths.append(path)
+        save(model, input_stats, output_stats, path)
+
+    monkeypatch.setattr(mlp, "save_checkpoint", recording_save)
+    return paths
+
+
+def improving_epochs(history_csv):
+    """The epochs of ``history.csv`` that set a new best validation MSE."""
+    best, epochs = np.inf, []
+    for line in history_csv.read_text().splitlines()[1:]:
+        epoch, _, _, valid_mse = line.split(",")
+        if float(valid_mse) < best:
+            best = float(valid_mse)
+            epochs.append(int(epoch))
+    return epochs
+
+
+class TestTrainStage:
+    def test_checkpoint_is_the_best_epoch_of_the_default_training(
+        self, prepared_for_train, tmp_path, monkeypatch
+    ):
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        train, given = mlp.train, []
+
+        def recording_train(model, train_set, valid_set, schedule, **kwargs):
+            given.append((model.copy(), train_set, valid_set, schedule))
+            return train(model, train_set, valid_set, schedule, **kwargs)
+
+        monkeypatch.setattr(mlp, "train", recording_train)
+        writes = recorded_saves(monkeypatch)
+        pipeline.run_stage("train", run.root)
+        monkeypatch.undo()
+
+        assert {p.name for p in run.stage_dir("train").iterdir()} == {"history.csv", "model.bin"}
+        improving = improving_epochs(run.history)
+        last_epoch = int(run.history.read_text().splitlines()[-1].split(",")[0])
+        assert improving[-1] < last_epoch
+        assert writes == [run.partial_checkpoint] * len(improving)
+
+        (model, train_set, valid_set, schedule), = given
+        best, _ = mlp.train(model, train_set, valid_set, schedule)
+        _, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
+        mlp.save_checkpoint(best, input_stats, output_stats, tmp_path / "default.bin")
+        assert run.checkpoint.read_bytes() == (tmp_path / "default.bin").read_bytes()
+
+    def test_diverged_training_writes_no_epoch(self, prepared_for_train, tmp_path, monkeypatch):
+        # at this rate the first epoch sets the best validation MSE, 5.4e4,
+        # far above the divergence bar of 10 x 0.78
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        cfg = replace(pipeline.load_run_config(run.root), base_lr=1.0)
+        write_config(cfg, run.config)
+        writes = recorded_saves(monkeypatch)
+        with pytest.raises(StageError, match="stage 'train' failed: best validation MSE 5.37e"):
+            pipeline.run_stage("train", run.root)
+        assert writes == []
+        assert not run.checkpoint.exists() and not run.partial_checkpoint.exists()
+
+    def test_interrupted_training_leaves_no_checkpoint(
+        self, prepared_for_train, tmp_path, monkeypatch, capsys
+    ):
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        cfg = pipeline.load_run_config(run.root)
+        frames = pipeline.target_matrix(cfg, pipeline.load_split(run).train).shape[0]
+        # the third epoch's second batch: epochs 1 and 2 have been written
+        interrupt_at = 2 * -(-frames // cfg.batch_size) + 2
+        backward = mlp.backward
+        calls, at_interrupt = [], []
+
+        def interrupted_backward(*args):
+            calls.append(1)
+            if len(calls) == interrupt_at:
+                at_interrupt.append(run.partial_checkpoint.exists())
+                raise KeyboardInterrupt
+            return backward(*args)
+
+        monkeypatch.setattr(mlp, "backward", interrupted_backward)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_stage("train", run.root)
+        monkeypatch.undo()
+        assert at_interrupt == [True]
+        assert list(run.stage_dir("train").iterdir()) == []
+        assert cli.main(["generate", "--output", str(run.root)]) == 1
+        assert "stage 'generate' failed" in capsys.readouterr().err
+
+    def test_a_partial_checkpoint_left_behind_is_removed_first(
+        self, prepared_for_train, tmp_path, monkeypatch
+    ):
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        run.partial_checkpoint.parent.mkdir()
+        run.partial_checkpoint.write_bytes(b"left by a killed attempt")
+        train = mlp.train
+        seen = []
+
+        def recording_train(*args, **kwargs):
+            seen.append(run.partial_checkpoint.exists())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "train", recording_train)
+        pipeline.run_stage("train", run.root)
+        assert seen == [False]
+        assert {p.name for p in run.stage_dir("train").iterdir()} == {"history.csv", "model.bin"}
+
+    def test_stage_holds_one_net(self, tiny_corpus, tmp_path):
+        # four 1024-unit layers: the float32 net is 13.5 MB. The stage's peak,
+        # 1.61 nets, is set by init_model's float64 draw of the last hidden
+        # layer (8.4 MB); training holds the net, one layer's 4.2 MB of
+        # gradients and the small batches. A stage that also kept the best
+        # epoch in an in-memory copy of the net read 2.47 nets
+        cfg = config_for(
+            tiny_corpus, system="txt2wav", hidden_layers=4, hidden_units=1024,
+            batch_size=64, max_epochs=3, warmup_epochs=1, base_lr=0.01,
+        )
+        run = pipeline.start_run(cfg, tmp_path / "run")
+        pipeline.run_stage("prepare", run.root)
+        split = pipeline.load_split(run)
+        pipeline.stage_train(cfg, split, run)  # fills any cache the stage reads through
+        _, peak = traced_peak(pipeline.stage_train, cfg, split, run)
+        model, _, _ = mlp.load_checkpoint(run.checkpoint)
+        net_bytes = sum(a.nbytes for a in model.weights + model.biases)
+        assert model.layer_sizes[1:-1] == (1024,) * 4
+        assert peak < 2 * net_bytes
+
+
 class TestCli:
     def test_synth_corpus_and_run_all(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
