@@ -4,6 +4,11 @@ Label files carry one ``start end context`` line per phone with times in
 100 ns ticks. Question files declare binary ``QS`` and numeric ``CQS``
 predicates over the context strings; file order fixes feature column order.
 Features are held as ``GatheredRows``, the row type of every network input.
+
+An utterance's features are stored per label: each label's answers and its
+span in ticks, the label of each frame and the frame shift. Its positional
+columns are a function of those, so ``load_features`` computes them with
+the one formula ``extract_features`` uses.
 """
 
 from __future__ import annotations
@@ -251,20 +256,106 @@ class GatheredRows:
         )
 
 
-def save_features(features: GatheredRows, path: Path) -> None:
-    """Write one utterance's label answers, frame-to-label index and positional
-    columns as the three records of one array file."""
-    arrayfile.save(path, [features.table, features.which, features.frames])
+@dataclass(frozen=True)
+class LabelFeatures(GatheredRows):
+    """One utterance's linguistic features, as ``GatheredRows`` and as what
+    they are made from: the table's first ``n_binary`` columns are ``QS``
+    answers, each 0.0 or 1.0, and the rest ``CQS`` answers; ``spans`` holds
+    each label's start and end tick; and ``frames`` are the positional
+    columns ``_positional_features`` makes of ``spans``, ``which`` and
+    ``frame_shift``. ``astype`` gives plain ``GatheredRows``."""
+
+    n_binary: int
+    spans: np.ndarray  # (n_labels, 2) int64 start and end ticks
+    frame_shift: float  # seconds
+
+    @classmethod
+    def of_labels(
+        cls,
+        answers: np.ndarray,
+        n_binary: int,
+        which: np.ndarray,
+        spans: np.ndarray,
+        frame_shift: float,
+    ) -> "LabelFeatures":
+        """The features of labels with these answers and spans, whose frames
+        ``which`` names, with the positional columns computed."""
+        frames = _positional_features(spans, which, frame_shift)
+        return cls(answers, which, frames, n_binary, spans, frame_shift)
 
 
-def load_features(path: Path) -> GatheredRows:
-    """The features written by ``save_features``. A file of another record
-    count, dtype or shape chain is a ``FormatError``."""
+def save_features(features: LabelFeatures, path: Path) -> None:
+    """Write one utterance's features per label, as the five records of one
+    array file: the ``QS`` answers as bool, the ``CQS`` answers as float64,
+    ``which``, the int64 spans and the float64 frame shift (0-d). No
+    per-frame column is written: ``load_features`` computes them."""
+    n = features.n_binary
+    arrayfile.save(
+        path,
+        [
+            features.table[:, :n].astype(bool),
+            features.table[:, n:],
+            features.which,
+            features.spans,
+            np.float64(features.frame_shift),
+        ],
+    )
+
+
+def load_features(path: Path) -> LabelFeatures:
+    """The features written by ``save_features``: the float64 answer table
+    and the positional columns, computed under the frame shift in the file,
+    equal the saved features' bit for bit. A file of another record count,
+    dtype kind or shape chain, records whose label counts disagree, a
+    ``which`` past the last label, a span that ends before it starts or a
+    shift that is not a positive finite number is a ``FormatError``."""
     records = arrayfile.load(path)
     kinds = [(r.dtype.kind, r.ndim) for r in records]
-    if kinds != [("f", 2), ("u", 1), ("f", 2)] or len(records[1]) != len(records[2]):
-        raise FormatError(f"not linguistic features (answers, which, positional): {path}")
-    return GatheredRows(*records)
+    if kinds != [("b", 2), ("f", 2), ("u", 1), ("i", 2), ("f", 0)]:
+        raise FormatError(
+            f"not linguistic features (QS answers, CQS answers, which, spans, frame shift): {path}"
+        )
+    binary, numeric, which, spans, shift = records
+    if spans.shape[1] != 2 or not len(binary) == len(numeric) == len(spans):
+        raise FormatError(
+            f"{path}: {len(binary)} QS rows, {len(numeric)} CQS rows and spans "
+            f"{spans.shape} disagree on the label count"
+        )
+    if which.size and int(which.max()) >= len(spans):
+        raise FormatError(f"{path}: a frame names label {which.max()} of {len(spans)}")
+    if np.any(spans[:, 0] > spans[:, 1]):
+        raise FormatError(f"{path}: a label span starts after it ends")
+    frame_shift = float(shift)
+    if not (math.isfinite(frame_shift) and frame_shift > 0):
+        raise FormatError(f"{path}: frame shift {frame_shift} is not a positive finite number")
+    answers = np.hstack([binary, numeric])  # float64, as CQS is
+    return LabelFeatures.of_labels(answers, binary.shape[1], which, spans, frame_shift)
+
+
+def _frame_ticks(n_frames: int, frame_shift: float) -> np.ndarray:
+    """The time of each frame, k * frame_shift, rounded to a whole tick."""
+    return np.floor(np.arange(n_frames) * (frame_shift * TICKS_PER_SECOND) + 0.5)
+
+
+def _positional_features(spans: np.ndarray, which: np.ndarray, frame_shift: float) -> np.ndarray:
+    """The (n_frames, 4) positional columns of frames ``which`` assigns to
+    labels with these (start, end) ``spans``: fraction through the label,
+    fraction remaining, label duration in frames, and frame index within the
+    label. A zero-length label counts as one tick long."""
+    shift_ticks = frame_shift * TICKS_PER_SECOND
+    ticks = _frame_ticks(len(which), frame_shift)
+    starts = spans[:, 0].astype(np.float64)
+    durations = np.maximum(spans[:, 1].astype(np.float64) - starts, 1.0)
+    lab_start = starts[which]
+    lab_dur = durations[which]
+    frac_through = np.clip((ticks - lab_start) / lab_dur, 0.0, 1.0)
+
+    positional = np.empty((len(which), N_POSITIONAL))
+    positional[:, 0] = frac_through
+    positional[:, 1] = 1.0 - frac_through
+    positional[:, 2] = lab_dur / shift_ticks
+    positional[:, 3] = np.maximum(np.floor((ticks - lab_start) / shift_ticks), 0.0)
+    return positional
 
 
 def extract_features(
@@ -272,36 +363,19 @@ def extract_features(
     questions: QuestionSet,
     frame_shift: float,
     n_frames: int,
-) -> GatheredRows:
+) -> LabelFeatures:
     """Label answers, the frame-to-label index and the positional columns, as
-    the table, ``which`` and per-frame block of one ``GatheredRows``.
+    the table, ``which`` and per-frame block of one ``LabelFeatures``.
 
     Frame k is answered by the label covering time k * frame_shift (the first
     label whose end lies beyond it); frames past the last label clamp to it.
-    The four positional columns are fraction through the label, fraction
-    remaining, label duration in frames, and frame index within the label.
     """
     if not labels:
         raise DataError("empty label list")
-    answers = _answer_labels(labels, questions)
-
-    shift_ticks = frame_shift * TICKS_PER_SECOND
-    ticks = np.floor(np.arange(n_frames) * shift_ticks + 0.5)
-    ends = np.array([lab.end for lab in labels], dtype=np.float64)
-    which = np.searchsorted(ends, ticks, side="right")
+    spans = np.array([(lab.start, lab.end) for lab in labels], dtype=np.int64)
+    ends = spans[:, 1].astype(np.float64)
+    which = np.searchsorted(ends, _frame_ticks(n_frames, frame_shift), side="right")
     # the smallest index type that holds every label keeps the saved index small
     which = np.minimum(which, len(labels) - 1).astype(np.min_scalar_type(len(labels) - 1))
-
-    starts = np.array([lab.start for lab in labels], dtype=np.float64)
-    durations = np.maximum(ends - starts, 1.0)  # guard zero-length labels
-    lab_start = starts[which]
-    lab_dur = durations[which]
-    frac_through = np.clip((ticks - lab_start) / lab_dur, 0.0, 1.0)
-    index_within = np.maximum(np.floor((ticks - lab_start) / shift_ticks), 0.0)
-
-    positional = np.empty((n_frames, N_POSITIONAL))
-    positional[:, 0] = frac_through
-    positional[:, 1] = 1.0 - frac_through
-    positional[:, 2] = lab_dur / shift_ticks
-    positional[:, 3] = index_within
-    return GatheredRows(answers, which, positional)
+    answers = _answer_labels(labels, questions)
+    return LabelFeatures.of_labels(answers, len(questions.binary), which, spans, frame_shift)

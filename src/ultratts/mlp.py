@@ -335,7 +335,8 @@ def train(
     ``TrainingDiverged`` when the best validation MSE exceeds
     ``DIVERGENCE_FACTOR`` times the MSE of predicting zero, however finite
     its numbers are, or no epoch stayed finite; the message then names the
-    value that went non-finite, if one did.
+    value that went non-finite, if one did. An empty set, or inputs and
+    targets of different row counts, is a ``DataError``.
 
     ``on_best(model)`` is called at each epoch that sets a new best
     validation MSE within that bar, with the net as it stands then, so the
@@ -353,6 +354,9 @@ def train(
     valid_y = np.asarray(valid_set[1], dtype=np.float64)
     if train_x.shape[0] == 0 or valid_x.shape[0] == 0:
         raise DataError("train and validation sets must be non-empty")
+    for name, x, y in (("training", train_x, train_y), ("validation", valid_x, valid_y)):
+        if x.shape[0] != y.shape[0]:
+            raise DataError(f"{x.shape[0]} {name} input rows for {y.shape[0]} target rows")
 
     zero_mse = mse(np.zeros_like(valid_y), valid_y)
     # the divergence bar: an epoch above it is never handed to on_best

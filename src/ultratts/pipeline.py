@@ -154,10 +154,11 @@ def load_split(run: RunPaths) -> DatasetSplit:
 
 
 def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
-    """Persist per-utterance linguistic features: the answers of each label
-    (when the system reads questions), the label of each frame of the
-    utterance's checked acoustic streams, and each frame's 4 positional
-    features."""
+    """Persist per-utterance linguistic features, per label: the answers of
+    each label (when the system reads questions) and its span, the label of
+    each frame of the utterance's checked acoustic streams, and the frame
+    shift, from which ``labels.load_features`` computes each frame's 4
+    positional features."""
     run.ling("x").parent.mkdir(parents=True, exist_ok=True)
 
     if cfg.reads_questions:

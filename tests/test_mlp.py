@@ -492,6 +492,15 @@ class TestTrain:
         with pytest.raises(DataError):
             mlp.train(model, full, empty, self.schedule)
 
+    @pytest.mark.parametrize("role", ["training", "validation"])
+    def test_inputs_and_targets_of_other_row_counts_rejected(self, role):
+        model = mlp.init_model(6, seed=0, hidden_sizes=(8,), output_dim=4)
+        full = (np.zeros((12, 6)), np.zeros((12, 4)))
+        short = (np.zeros((10, 6)), np.zeros((12, 4)))
+        sets = (short, full) if role == "training" else (full, short)
+        with pytest.raises(DataError, match=f"10 {role} input rows for 12 target rows"):
+            mlp.train(model, *sets, self.schedule)
+
 
 class TestOnBest:
     schedule = mlp.TrainingSchedule(

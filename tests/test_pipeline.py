@@ -271,6 +271,25 @@ class TestGatheredInputs:
             assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
             assert got.tobytes() == expect.tobytes()
 
+    def test_rows_from_the_ling_files_equal_the_rows_built_in_memory(
+        self, prepared_runs, monkeypatch
+    ):
+        cfg, run = prepared_runs["txt+ult2wav"]
+        ids = pipeline.load_split(run).all_ids
+        from_files = pipeline.gathered_inputs(cfg, run, ids)
+        questions = labels.parse_questions(Path(cfg.question_file).read_text())
+
+        def extracted(path):
+            parsed = labels.parse_labels((Path(cfg.label_dir) / f"{path.stem}.lab").read_text())
+            n_frames = acoustic.frame_count(cfg.acoustic_dir, path.stem)
+            return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
+
+        monkeypatch.setattr(labels, "load_features", extracted)
+        in_memory = pipeline.gathered_inputs(cfg, run, ids)
+        for name in ("table", "which", "frames"):
+            a, b = getattr(from_files, name), getattr(in_memory, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
     def test_minmax_skips_labels_that_own_no_frame(self, tiny_corpus, tmp_path):
         ids = ultra.discover_utterances(tiny_corpus.ultrasound_dir)
         first = pipeline.split_dataset(ids, config_for(tiny_corpus).ratios).train[0]
@@ -691,6 +710,24 @@ class TestTrainStage:
         pipeline.run_stage("train", run.root)
         assert seen == [False]
         assert {p.name for p in run.stage_dir("train").iterdir()} == {"history.csv", "model.bin"}
+
+    def test_inputs_short_of_the_targets_fail_the_stage(self, prepared_for_train, tmp_path):
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        path = run.ling(pipeline.load_split(run).train[0])
+        ling = labels.load_features(path)
+        short = labels.LabelFeatures.of_labels(
+            ling.table, ling.n_binary, ling.which[:-2], ling.spans, ling.frame_shift
+        )
+        labels.save_features(short, path)
+        frames = pipeline.target_matrix(
+            pipeline.load_run_config(run.root), pipeline.load_split(run).train
+        ).shape[0]
+        with pytest.raises(
+            StageError,
+            match=f"stage 'train' failed: {frames - 2} training input rows for {frames} target",
+        ):
+            pipeline.run_stage("train", run.root)
+        assert not run.checkpoint.exists()
 
     def test_stage_holds_one_net(self, tiny_corpus, tmp_path):
         # four 1024-unit layers: the float32 net is 13.5 MB. The stage's peak,
