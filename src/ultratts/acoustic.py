@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,30 +144,85 @@ def interpolate_lf0(lf0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return continuous, vuv
 
 
-def compute_deltas(stream: np.ndarray) -> np.ndarray:
+def compute_deltas(stream: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Append delta and delta-delta columns: output is ``[static | d | dd]``.
 
     The windows are ``DELTA_WINDOW`` and ``DELTA_DELTA_WINDOW``, the ones MLPG
     inverts, with boundary frames replicated before windowing, so a length-1
-    stream gets zero dynamics.
+    stream gets zero dynamics. Each window sums ``w_prev * prev + w_cur * cur
+    + w_next * nxt`` in that order, the edge frame standing in for its
+    missing neighbour, with no padded copy of the stream. With ``out``, an
+    (n, 3d) float64 block such as columns of a caller's matrix, the columns
+    are written into it and it is returned.
     """
     stream = np.atleast_2d(np.asarray(stream, dtype=np.float64))
-    padded = np.pad(stream, ((1, 1), (0, 0)), mode="edge")
-    prev, cur, nxt = padded[:-2], padded[1:-1], padded[2:]
-    dynamics = [w0 * prev + w1 * cur + w2 * nxt for w0, w1, w2 in (DELTA_WINDOW, DELTA_DELTA_WINDOW)]
-    return np.hstack([stream, *dynamics])
+    n, d = stream.shape
+    if out is None:
+        out = np.empty((n, 3 * d))
+    out[:, :d] = stream
+    for k, (w_prev, w_cur, w_next) in enumerate((DELTA_WINDOW, DELTA_DELTA_WINDOW), start=1):
+        dyn = out[:, k * d : (k + 1) * d]
+        np.multiply(stream[:-1], w_prev, out=dyn[1:])
+        np.multiply(stream[:1], w_prev, out=dyn[:1])
+        dyn += w_cur * stream
+        dyn[:-1] += w_next * stream[1:]
+        dyn[-1:] += w_next * stream[-1:]
+    return out
 
 
-def build_targets(streams: AcousticStreams) -> np.ndarray:
-    """Regression target matrix for one utterance; its last column is the voicing flag."""
+def build_targets(streams: AcousticStreams, out: np.ndarray | None = None) -> np.ndarray:
+    """Regression target matrix for one utterance; its last column is the voicing flag.
+
+    With ``out``, a float64 (n_frames, width) block such as a row block of a
+    caller's matrix, the targets are written into it and it is returned;
+    either way each stream's columns are written in place, with no stacked
+    copy.
+    """
+    shape = (streams.n_frames, target_width(streams.mgc.shape[1], streams.bap.shape[1]))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ArgumentError(f"target block is {out.dtype} {out.shape}, not float64 {shape}")
     continuous, vuv = interpolate_lf0(streams.lf0)
-    blocks = [
-        compute_deltas(streams.mgc),
-        compute_deltas(streams.bap),
-        compute_deltas(continuous[:, None]),
-        vuv[:, None],
-    ]
-    return np.hstack(blocks)
+    start = 0
+    for stream in (streams.mgc, streams.bap, continuous[:, None]):
+        width = 3 * stream.shape[1]
+        compute_deltas(stream, out=out[:, start : start + width])
+        start += width
+    out[:, start] = vuv
+    return out
+
+
+def normalized_targets(
+    acoustic_dir: Path, utt_ids: Sequence[str], mgc_dim: int, bap_dim: int, dtype
+) -> tuple[np.ndarray, NormalizationStats]:
+    """The utterances' regression targets, in order, mean-variance normalised
+    under their own statistics and held only in ``dtype``; and those statistics.
+
+    The statistics are those of ``fit_normalization`` on the float64 matrix
+    of the utterances' targets, bit for bit, and each output row equals that
+    matrix's row normalised in float64 and cast to ``dtype``. No such matrix
+    is made: each utterance's float64 block is built three times into one
+    buffer of the longest utterance, for the column sums, for the squared
+    deviations and, normalised, to be cast into its rows of the output.
+    """
+    if not utt_ids:
+        raise DataError("no utterance to build targets of")
+    counts = [frame_count(acoustic_dir, utt_id) for utt_id in utt_ids]
+
+    def blocks(buf: np.ndarray) -> Iterator[np.ndarray]:
+        for utt_id, n in zip(utt_ids, counts):
+            streams = read_streams(acoustic_dir, utt_id, mgc_dim, bap_dim)
+            yield build_targets(streams, out=buf[:n])
+
+    n_rows, width = sum(counts), target_width(mgc_dim, bap_dim)
+    stats = _meanvar_stats(blocks, n_rows, width, max(counts))
+    targets = np.empty((n_rows, width), dtype=dtype)
+    start = 0
+    for rows in blocks(np.empty((max(counts), width))):
+        targets[start : start + len(rows)] = normalize_in_place(stats, rows)
+        start += len(rows)
+    return targets, stats
 
 
 def split_target_columns(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> dict[str, slice]:
@@ -204,46 +260,69 @@ class NormalizationStats:
 
 
 def fit_normalization(data: np.ndarray, kind: str) -> NormalizationStats:
-    """Per-column statistics from training rows only."""
+    """Per-column statistics from training rows only.
+
+    Mean-variance statistics equal ``data.mean(axis=0)`` and
+    ``data.std(axis=0)`` bit for bit. Over a C-ordered matrix of several
+    columns they are taken by ``_meanvar_stats`` from row blocks of the
+    matrix, so no full-size ``data - mean`` temporary is made; numpy sums a
+    single column or another layout pairwise, so those are left to it.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise DataError(f"cannot fit normalization on data of shape {data.shape}")
     if kind == "minmax":
         return NormalizationStats(kind=kind, a=data.min(axis=0), b=data.max(axis=0))
-    if kind == "meanvar":
-        mean = data.mean(axis=0)
-        return NormalizationStats(kind=kind, a=mean, b=_column_std(data, mean))
-    raise ArgumentError(f"unknown normalization kind {kind!r}")
-
-
-# elements of squared deviations held at a time by _column_std
-_STD_BLOCK_ELEMENTS = 1 << 16
-
-
-def _column_std(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``data.std(axis=0)`` without its full-size ``data - mean`` temporary.
-
-    numpy sums axis 0 of a C-ordered matrix of several columns row by row.
-    The squared deviations are formed a block of rows at a time and summed
-    with the running sum stacked above them, which keeps that order, so the
-    result equals ``np.std`` bit for bit. numpy sums a single column or
-    another layout pairwise; those are left to it.
-    """
+    if kind != "meanvar":
+        raise ArgumentError(f"unknown normalization kind {kind!r}")
     n, c = data.shape
     if c == 1 or not data.flags.c_contiguous:
-        return data.std(axis=0)
-    step = max(1, _STD_BLOCK_ELEMENTS // c)
-    buf = np.empty((min(step, n) + 1, c))
-    total = np.zeros(c)
-    for start in range(0, n, step):
-        block = data[start : start + step]
-        rows = buf[: len(block) + 1]
-        rows[0] = total
-        np.subtract(block, mean, out=rows[1:])
-        rows[1:] *= rows[1:]
-        total = rows.sum(axis=0)
-    total /= n
-    return np.sqrt(total)
+        return NormalizationStats(kind=kind, a=data.mean(axis=0), b=data.std(axis=0))
+    step = max(1, _STATS_BLOCK_ELEMENTS // c)
+
+    def blocks(buf: np.ndarray) -> Iterator[np.ndarray]:
+        for start in range(0, n, step):
+            rows = buf[: min(step, n - start)]
+            rows[...] = data[start : start + step]
+            yield rows
+
+    return _meanvar_stats(blocks, n, c, min(step, n))
+
+
+# elements of a row block that fit_normalization copies at a time
+_STATS_BLOCK_ELEMENTS = 1 << 16
+
+
+def _meanvar_stats(
+    blocks: Callable[[np.ndarray], Iterable[np.ndarray]], n_rows: int, n_columns: int, max_rows: int
+) -> NormalizationStats:
+    """Mean-variance statistics of the rows that ``blocks(buf)`` writes, a
+    block at a time, into leading rows of ``buf`` (``max_rows`` rows of
+    ``n_columns`` float64); it is called twice, and must write the same rows
+    in the same order each time, ``n_rows`` of them in all.
+
+    numpy sums axis 0 of a C-ordered matrix of several columns row by row,
+    from zero. Each block is summed with the running sum stacked above it,
+    which keeps that order, so the mean and, from the squared deviations,
+    the standard deviation equal ``np.mean`` and ``np.std`` of the stacked
+    rows bit for bit.
+    """
+    stacked = np.empty((max_rows + 1, n_columns))
+
+    def column_sum(deviations_from=None) -> np.ndarray:
+        total = np.zeros(n_columns)
+        for rows in blocks(stacked[1:]):
+            if deviations_from is not None:
+                rows -= deviations_from
+                rows *= rows
+            block = stacked[: len(rows) + 1]
+            block[0] = total
+            total = block.sum(axis=0)
+        total /= n_rows
+        return total
+
+    mean = column_sum()
+    return NormalizationStats(kind="meanvar", a=mean, b=np.sqrt(column_sum(deviations_from=mean)))
 
 
 def normalize_in_place(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:

@@ -19,10 +19,20 @@ _HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_hea
 
 def save(path: Path, arrays: list[np.ndarray]) -> None:
     """Write each array as one C-order ``.npy`` record; a C-order array goes to
-    the file with ``tofile``, without a copy."""
-    with open(path, "wb") as fh:
-        for array in arrays:
-            npy.write_array(fh, np.asarray(array, order="C"), allow_pickle=False)
+    the file with ``tofile``, without a copy.
+
+    An existing file is written over in place, not truncated first, and is
+    cut to the written length at the end, also when a record fails. A file
+    saved again and again, such as the best epoch's checkpoint, then keeps
+    its inode and its blocks: the file system rewrites the same pages rather
+    than allocating and writing out a fresh copy after every truncation.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for array in arrays:
+                npy.write_array(fh, np.asarray(array, order="C"), allow_pickle=False)
+        finally:
+            fh.truncate()
 
 
 def load(path: Path) -> list[np.ndarray]:

@@ -50,8 +50,7 @@ class FullContextLabel:
 
 class _CompiledQuestions(NamedTuple):
     globs: tuple[re.Pattern, ...]  # each distinct QS glob once, whole-string
-    glob_of: np.ndarray  # (n_patterns,) index into globs of every QS pattern, in question order
-    starts: np.ndarray  # (n_binary,) offset of each QS's first pattern in glob_of
+    incidence: np.ndarray  # (n_globs, n_binary) float32, 1 where a QS declares the glob
     numeric: tuple[re.Pattern, ...]  # one per CQS
 
 
@@ -61,7 +60,7 @@ class QuestionSet:
     numeric: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        # an empty run of globs would make the OR in _answer_labels read its neighbour's
+        # a QS of no globs could never answer yes
         for name, patterns in self.binary:
             if not patterns:
                 raise FormatError(f"QS {name!r} declares no patterns")
@@ -73,8 +72,8 @@ class QuestionSet:
 
     @cached_property
     def _compiled(self) -> _CompiledQuestions:
-        """One regex per distinct QS glob, each QS's patterns as a run of
-        indices into them (``glob_of`` from ``starts``), and one regex per CQS.
+        """One regex per distinct QS glob, the float32 incidence matrix from
+        those globs to the QS that declare them, and one regex per CQS.
 
         An HTS set asks about few context slots and phones, so its QS share
         their globs: the bench's 1000-QS set has 65 distinct globs. Compiled
@@ -83,11 +82,12 @@ class QuestionSet:
         """
         index: dict[str, int] = {}
         glob_of = [index.setdefault(p, len(index)) for _, patterns in self.binary for p in patterns]
-        sizes = np.array([len(patterns) for _, patterns in self.binary], dtype=np.intp)
+        sizes = [len(patterns) for _, patterns in self.binary]
+        incidence = np.zeros((len(index), len(self.binary)), dtype=np.float32)
+        incidence[glob_of, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
         return _CompiledQuestions(
             globs=tuple(re.compile(_glob_to_regex(glob)) for glob in index),
-            glob_of=np.array(glob_of, dtype=np.intp),
-            starts=np.cumsum(sizes) - sizes,
+            incidence=incidence,
             numeric=tuple(_numeric_regex(pattern) for _, pattern in self.numeric),
         )
 
@@ -180,19 +180,19 @@ def _answer_labels(labels: Sequence[FullContextLabel], questions: QuestionSet) -
     captured number (``NUMERIC_ABSENT`` where its pattern does not match).
 
     Each label is matched against the distinct globs once; a QS answers yes
-    where any of its globs hit, an OR over its run of ``glob_of``.
+    where any of its globs hit. The OR of every QS is one product of the
+    (label, glob) hits with the glob-to-QS incidence matrix: a count of a
+    label's hits among a QS's globs, which is exact in float32, above zero.
     """
     compiled = questions._compiled
     n_binary = len(questions.binary)
     answers = np.empty((len(labels), n_binary + len(questions.numeric)))
     hits = np.fromiter(
         (glob.fullmatch(lab.context) is not None for lab in labels for glob in compiled.globs),
-        dtype=bool,
+        dtype=np.float32,
         count=len(labels) * len(compiled.globs),
     ).reshape(len(labels), len(compiled.globs))
-    answers[:, :n_binary] = np.logical_or.reduceat(
-        hits[:, compiled.glob_of], compiled.starts, axis=1
-    )
+    answers[:, :n_binary] = (hits @ compiled.incidence) > 0
     for i, lab in enumerate(labels):
         for j, (regex, (name, _)) in enumerate(zip(compiled.numeric, questions.numeric)):
             m = regex.search(lab.context)

@@ -317,15 +317,19 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
 
     The training inputs stay gathered: no per-frame linguistic matrix of the
     training block is built. The dev inputs are the same rows, normalised and
-    cast while gathered and then expanded whole. The inputs and the training
-    targets are normalised in place in float64, then cast once to
-    ``NET_DTYPE``, the dtype of the net, and the float64 copies are dropped
-    before training; the dev targets stay float64 for the validation score.
+    cast while gathered and then expanded whole. The inputs are normalised in
+    place in float64, then cast once to ``NET_DTYPE``, the dtype of the net,
+    and the float64 copies are dropped before training. The training targets
+    exist only in ``NET_DTYPE``: ``acoustic.normalized_targets`` fits their
+    statistics and normalises them an utterance at a time, so no float64
+    matrix of the training block is made. The dev targets stay float64 for
+    the validation score.
 
     The stage holds one net. Each epoch that sets a new best validation MSE
-    within the divergence bar is written whole to ``partial_checkpoint``,
-    and when training ends that file is renamed over ``checkpoint``, after
-    the history is written. A training that fails or is interrupted removes
+    within the divergence bar is written whole to ``partial_checkpoint``, in
+    place over the last best epoch (see ``arrayfile.save``), and when
+    training ends that file is renamed over ``checkpoint``, after the
+    history is written. A training that fails or is interrupted removes
     the file, so it leaves no checkpoint, and one left by an attempt that was
     killed is removed when the stage starts.
     """
@@ -333,9 +337,9 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     # one at a time, so each float64 array is freed once it is cast
     input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
     dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
-    train_y = target_matrix(cfg, split.train)
-    output_stats = acoustic.fit_normalization(train_y, "meanvar")
-    train_y = acoustic.normalize_in_place(output_stats, train_y).astype(NET_DTYPE)
+    train_y, output_stats = acoustic.normalized_targets(
+        cfg.acoustic_dir, split.train, cfg.mgc_dim, cfg.bap_dim, NET_DTYPE
+    )
     dev_y = acoustic.normalize_in_place(output_stats, target_matrix(cfg, split.dev))
 
     model = mlp.init_model(

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ultratts import acoustic
+from ultratts import acoustic, pipeline
 from ultratts.errors import ArgumentError, DataError, FormatError
 
 
@@ -348,3 +349,112 @@ class TestTargets:
             acoustic.AcousticStreams(
                 mgc=np.zeros((3, 60)), bap=np.zeros((2, 5)), lf0=np.zeros(3)
             )
+
+
+def write_utterances(directory, frame_counts, seed, edit=None):
+    """Random ``.mgc/.bap/.lf0`` files of utterances ``u000``, ``u001``, ...
+    with the given frame counts, every fourth frame unvoiced; ``edit(i,
+    mgc, bap, lf0)`` may change utterance ``i``'s streams before they are
+    written. Returns the ids."""
+    rng = np.random.default_rng(seed)
+    ids = []
+    for i, n in enumerate(frame_counts):
+        mgc = rng.normal(size=(n, acoustic.MGC_DIM)) * rng.uniform(0.1, 4.0, acoustic.MGC_DIM)
+        bap = rng.uniform(-25.0, 0.0, size=(n, acoustic.BAP_DIM))
+        lf0 = rng.uniform(4.0, 5.5, n)
+        lf0[::4] = acoustic.UNVOICED_LF0
+        if edit is not None:
+            edit(i, mgc, bap, lf0)
+        ids.append(f"u{i:03d}")
+        acoustic.save_streams(acoustic.AcousticStreams(mgc=mgc, bap=bap, lf0=lf0), directory, ids[-1])
+    return ids
+
+
+class TestNormalizedTargets:
+    @staticmethod
+    def reference(directory, ids, dtype):
+        """The float64 target matrix, its mean-variance statistics, and the
+        matrix normalised under them and cast to ``dtype``."""
+        cfg = SimpleNamespace(
+            acoustic_dir=directory, mgc_dim=acoustic.MGC_DIM, bap_dim=acoustic.BAP_DIM
+        )
+        matrix = pipeline.target_matrix(cfg, ids)
+        stats = acoustic.fit_normalization(matrix, "meanvar")
+        return matrix.copy(), stats, acoustic.normalize_in_place(stats, matrix).astype(dtype)
+
+    @staticmethod
+    def fixture(kind):
+        """Frame counts and a stream edit for ``write_utterances``: the second
+        utterance has no voiced frame, or is one frame long, or two columns
+        are constant in every utterance."""
+        if kind == "one-frame":
+            return [40, 1, 25], None
+
+        def edit(i, mgc, bap, lf0):
+            if kind == "no-voiced-frame" and i == 1:
+                lf0[:] = acoustic.UNVOICED_LF0
+            elif kind == "constant-column":
+                mgc[:, 3] = 1.5
+                bap[:, 1] = -3.0
+
+        return [40, 9, 25], edit
+
+    @pytest.mark.parametrize("kind", ["no-voiced-frame", "one-frame", "constant-column"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_the_normalised_cast_target_matrix_bytewise(self, tmp_path, kind, dtype):
+        counts, edit = self.fixture(kind)
+        ids = write_utterances(tmp_path, counts, seed=len(kind), edit=edit)
+        matrix, stats, expect = self.reference(tmp_path, ids, dtype)
+        targets, got = acoustic.normalized_targets(
+            tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM, dtype
+        )
+        assert (targets.dtype, targets.shape) == (expect.dtype, expect.shape)
+        assert targets.tobytes() == expect.tobytes()
+        assert got.kind == "meanvar"
+        assert got.a.tobytes() == stats.a.tobytes()
+        assert got.b.tobytes() == stats.b.tobytes()
+        # each fixture reaches the case it names
+        second = matrix[counts[0] : counts[0] + counts[1]]
+        cols = acoustic.split_target_columns()
+        if kind == "no-voiced-frame":
+            assert not second[:, cols["vuv"]].any()
+            assert np.all(second[:, cols["lf0"].start] == acoustic.ALL_UNVOICED_FILL)
+        elif kind == "constant-column":
+            mgc, bap = cols["mgc"].start, cols["bap"].start
+            constant = [mgc + 3, mgc + 63, mgc + 123, bap + 1, bap + 6, bap + 11]
+            assert np.flatnonzero(stats.constant_columns).tolist() == constant
+            assert not targets[:, constant].any()
+        else:
+            assert len(second) == 1
+
+    def test_memory_grows_by_the_output_rows_alone(self, tmp_path):
+        # a float64 matrix of the rows and its float32 cast would grow by 3x
+        ids = write_utterances(tmp_path, [100] * 40, seed=5)
+        build, peaks = acoustic.normalized_targets, []
+        for n in (20, 40):
+            build(tmp_path, ids[:n], acoustic.MGC_DIM, acoustic.BAP_DIM, np.float32)  # warm up
+            tracemalloc.start()
+            try:
+                targets, _ = build(tmp_path, ids[:n], acoustic.MGC_DIM, acoustic.BAP_DIM, np.float32)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = targets.nbytes / 2
+        assert peaks[1] - peaks[0] <= 1.25 * added
+
+    def test_build_targets_fills_a_row_block_of_a_caller_matrix(self):
+        rng = np.random.default_rng(8)
+        lf0 = rng.uniform(4.0, 5.0, 6)
+        lf0[2] = acoustic.UNVOICED_LF0
+        streams = acoustic.AcousticStreams(
+            mgc=rng.normal(size=(6, 60)), bap=rng.normal(size=(6, 5)), lf0=lf0
+        )
+        block = np.full((10, 199), np.nan)
+        out = acoustic.build_targets(streams, out=block[2:8])
+        assert np.shares_memory(out, block)
+        assert block[2:8].tobytes() == acoustic.build_targets(streams).tobytes()
+        assert np.isnan(block[:2]).all() and np.isnan(block[8:]).all()
+        with pytest.raises(ArgumentError, match="target block"):
+            acoustic.build_targets(streams, out=block[:5])
+        with pytest.raises(ArgumentError, match="target block"):
+            acoustic.build_targets(streams, out=np.empty((6, 199), dtype=np.float32))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 import ultratts
 from ultratts import arrayfile
@@ -60,6 +61,39 @@ def test_an_np_save_file_is_one_record(tmp_path):
     assert loaded.tobytes() == array.tobytes()
     arrayfile.save(tmp_path / "b.npy", [array])
     assert (tmp_path / "b.npy").read_bytes() == path.read_bytes()
+
+
+def test_save_over_a_file_rewrites_it_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "a.bin"
+    arrayfile.save(path, [np.ones((300, 400)), np.arange(10)])
+    inode, first_size = path.stat().st_ino, path.stat().st_size
+    write_array, sizes = npy.write_array, []
+
+    def recording_write_array(fh, *args, **kwargs):
+        sizes.append(path.stat().st_size)
+        return write_array(fh, *args, **kwargs)
+
+    monkeypatch.setattr(npy, "write_array", recording_write_array)
+    second = [np.full((20, 7), 2.0, dtype=np.float32)]
+    arrayfile.save(path, second)
+    monkeypatch.undo()
+    # the file was not truncated before its first record was written
+    assert sizes == [first_size]
+    arrayfile.save(tmp_path / "fresh.bin", second)
+    assert path.stat().st_ino == inode
+    assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+    (loaded,) = arrayfile.load(path)
+    assert loaded.tobytes() == second[0].tobytes()
+
+
+def test_a_failed_save_leaves_only_what_it_wrote(tmp_path):
+    path, fresh = tmp_path / "a.bin", tmp_path / "fresh.bin"
+    arrayfile.save(path, [np.ones((300, 400)), np.arange(10)])
+    for target in (path, fresh):
+        with pytest.raises(ValueError):
+            arrayfile.save(target, [np.arange(3), np.array([None])])
+    # no byte of the earlier, longer file is left past what the failed save wrote
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 def test_load_reads_one_copy(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,47 @@ class TestCompiledQuestions:
             ]
         ).reshape(len(contexts), n_questions)
         assert feats.table.tobytes() == expect.tobytes()
+
+    @staticmethod
+    def reduceat_answers(labs, qs):
+        """The QS answers as an OR over each QS's run of glob hits, one
+        ``np.logical_or.reduceat`` segment per QS."""
+        index = {}
+        glob_of = [index.setdefault(p, len(index)) for _, patterns in qs.binary for p in patterns]
+        sizes = np.array([len(patterns) for _, patterns in qs.binary], dtype=np.intp)
+        regexes = [re.compile(labels._glob_to_regex(glob)) for glob in index]
+        hits = np.array(
+            [[r.fullmatch(lab.context) is not None for r in regexes] for lab in labs], dtype=bool
+        ).reshape(len(labs), len(regexes))
+        return np.logical_or.reduceat(hits[:, glob_of], np.cumsum(sizes) - sizes, axis=1).astype(
+            np.float64
+        )
+
+    def test_product_answers_equal_reduceat_on_bench_set(self, tiny_corpus):
+        corpus = load_bench_module("corpus")
+        qs = labels.parse_questions(corpus.render_question_set(1000, np.random.default_rng(0)))
+        assert len(qs._compiled.globs) < 100 < len(qs.binary)
+        n_binary = len(qs.binary)
+        for lab_file in sorted(tiny_corpus.label_dir.glob("*.lab"))[:4]:
+            labs = labels.parse_labels(lab_file.read_text())
+            answers = labels._answer_labels(labs, qs)[:, :n_binary]
+            expect = self.reduceat_answers(labs, qs)
+            assert answers.tobytes() == expect.tobytes()
+            assert 0 < answers.sum() < answers.size
+
+    def test_product_answers_equal_reduceat_on_shared_globs(self):
+        qs = labels.QuestionSet(binary=self.shared_glob_questions(), numeric=())
+        # "Twice" declares "*-a+*" twice, so its incidence counts it once
+        twice = [name for name, _ in qs.binary].index("Twice")
+        glob = [r.pattern for r in qs._compiled.globs].index(labels._glob_to_regex("*-a+*"))
+        assert qs._compiled.incidence[glob, twice] == 1.0
+        assert qs._compiled.incidence.dtype == np.float32
+        assert (qs._compiled.incidence.sum(axis=1) > 10).all()  # every glob serves many QS
+        rng = np.random.default_rng(4)
+        contexts = ["".join(rng.choice(list("ab-+"), size=rng.integers(1, 9))) for _ in range(80)]
+        labs = [labels.FullContextLabel(i, i + 1, c) for i, c in enumerate(contexts)]
+        answers = labels._answer_labels(labs, qs)
+        assert answers.tobytes() == self.reduceat_answers(labs, qs).tobytes()
 
     def test_bench_set_compiles_each_distinct_glob_once(self, monkeypatch):
         corpus = load_bench_module("corpus")

@@ -654,6 +654,32 @@ class TestTrainStage:
         mlp.save_checkpoint(best, input_stats, output_stats, tmp_path / "default.bin")
         assert run.checkpoint.read_bytes() == (tmp_path / "default.bin").read_bytes()
 
+    def test_training_targets_are_the_normalised_cast_target_matrix(
+        self, prepared_for_train, tmp_path, monkeypatch
+    ):
+        run = fresh_copy(prepared_for_train, tmp_path / "run")
+        cfg, split = pipeline.load_run_config(run.root), pipeline.load_split(run)
+        given = []
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_train(model, train_set, valid_set, schedule, **kwargs):
+            given.append((train_set[1], valid_set[1]))
+            raise Stop
+
+        monkeypatch.setattr(mlp, "train", stop_at_train)
+        with pytest.raises(Stop):
+            pipeline.stage_train(cfg, split, run)
+        ((train_y, dev_y),) = given
+        matrix = pipeline.target_matrix(cfg, split.train)
+        stats = acoustic.fit_normalization(matrix, "meanvar")
+        expect = acoustic.normalize_in_place(stats, matrix).astype(pipeline.NET_DTYPE)
+        assert (train_y.dtype, train_y.shape) == (expect.dtype, expect.shape)
+        assert train_y.tobytes() == expect.tobytes()
+        dev = acoustic.normalize_in_place(stats, pipeline.target_matrix(cfg, split.dev))
+        assert dev_y.dtype == np.float64 and dev_y.tobytes() == dev.tobytes()
+
     def test_diverged_training_writes_no_epoch(self, prepared_for_train, tmp_path, monkeypatch):
         # at this rate the first epoch sets the best validation MSE, 5.4e4,
         # far above the divergence bar of 10 x 0.78
