@@ -7,13 +7,16 @@ voicing: ``AcousticStreams.voiced`` reads it, and no separate V/UV array is
 kept beside a stream. Regression targets stack each stream with its delta and
 delta-delta plus a binary voicing flag:
 ``[mgc d dd | bap d dd | lf0 d dd | vuv]``, width 3*(60+5+1)+1 = 199.
+The pipeline takes every target from two functions here, an utterance at a
+time: ``target_stats`` for the training block's mean-variance statistics and
+``normalized_targets`` for the normalised rows of any block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -193,36 +196,66 @@ def build_targets(streams: AcousticStreams, out: np.ndarray | None = None) -> np
     return out
 
 
-def normalized_targets(
-    acoustic_dir: Path, utt_ids: Sequence[str], mgc_dim: int, bap_dim: int, dtype
-) -> tuple[np.ndarray, NormalizationStats]:
-    """The utterances' regression targets, in order, mean-variance normalised
-    under their own statistics and held only in ``dtype``; and those statistics.
+def target_stats(
+    acoustic_dir: Path, utt_ids: Sequence[str], mgc_dim: int, bap_dim: int
+) -> NormalizationStats:
+    """Mean-variance statistics of the utterances' float64 regression targets.
 
-    The statistics are those of ``fit_normalization`` on the float64 matrix
-    of the utterances' targets, bit for bit, and each output row equals that
-    matrix's row normalised in float64 and cast to ``dtype``. No such matrix
-    is made: each utterance's float64 block is built three times into one
-    buffer of the longest utterance, for the column sums, for the squared
-    deviations and, normalised, to be cast into its rows of the output.
+    They equal ``fit_normalization`` of the targets stacked in order, bit for
+    bit, though no such matrix is made. numpy sums axis 0 of a C-ordered
+    matrix of several columns row by row, from zero. Each utterance's block
+    is built below the running sum, in one buffer of the longest utterance,
+    and summed with it, which keeps that order: once for the mean and once,
+    as squared deviations from it, for the standard deviation.
     """
     if not utt_ids:
-        raise DataError("no utterance to build targets of")
+        raise DataError("no utterance to fit target statistics on")
     counts = [frame_count(acoustic_dir, utt_id) for utt_id in utt_ids]
+    width = target_width(mgc_dim, bap_dim)
+    stacked = np.empty((max(counts) + 1, width))
 
-    def blocks(buf: np.ndarray) -> Iterator[np.ndarray]:
+    def column_mean(deviations_from=None) -> np.ndarray:
+        total = np.zeros(width)
         for utt_id, n in zip(utt_ids, counts):
             streams = read_streams(acoustic_dir, utt_id, mgc_dim, bap_dim)
-            yield build_targets(streams, out=buf[:n])
+            rows = build_targets(streams, out=stacked[1 : n + 1])
+            if deviations_from is not None:
+                rows -= deviations_from
+                rows *= rows
+            stacked[0] = total
+            total = stacked[: n + 1].sum(axis=0)
+        total /= sum(counts)
+        return total
 
-    n_rows, width = sum(counts), target_width(mgc_dim, bap_dim)
-    stats = _meanvar_stats(blocks, n_rows, width, max(counts))
-    targets = np.empty((n_rows, width), dtype=dtype)
+    mean = column_mean()
+    return NormalizationStats(kind="meanvar", a=mean, b=np.sqrt(column_mean(deviations_from=mean)))
+
+
+def normalized_targets(
+    acoustic_dir: Path,
+    utt_ids: Sequence[str],
+    mgc_dim: int,
+    bap_dim: int,
+    stats: NormalizationStats,
+    dtype,
+) -> np.ndarray:
+    """The utterances' regression targets, in order, normalised under
+    ``stats`` and held only in ``dtype``.
+
+    Each row equals the utterance's float64 target row normalised in
+    float64 and cast to ``dtype``: each utterance's block is built into one
+    buffer of the longest utterance, normalised there and cast into its rows.
+    """
+    counts = [frame_count(acoustic_dir, utt_id) for utt_id in utt_ids]
+    width = target_width(mgc_dim, bap_dim)
+    targets = np.empty((sum(counts), width), dtype=dtype)
+    buf = np.empty((max(counts), width))
     start = 0
-    for rows in blocks(np.empty((max(counts), width))):
-        targets[start : start + len(rows)] = normalize_in_place(stats, rows)
-        start += len(rows)
-    return targets, stats
+    for utt_id, n in zip(utt_ids, counts):
+        streams = read_streams(acoustic_dir, utt_id, mgc_dim, bap_dim)
+        targets[start : start + n] = normalize_in_place(stats, build_targets(streams, out=buf[:n]))
+        start += n
+    return targets
 
 
 def split_target_columns(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> dict[str, slice]:
@@ -260,14 +293,7 @@ class NormalizationStats:
 
 
 def fit_normalization(data: np.ndarray, kind: str) -> NormalizationStats:
-    """Per-column statistics from training rows only.
-
-    Mean-variance statistics equal ``data.mean(axis=0)`` and
-    ``data.std(axis=0)`` bit for bit. Over a C-ordered matrix of several
-    columns they are taken by ``_meanvar_stats`` from row blocks of the
-    matrix, so no full-size ``data - mean`` temporary is made; numpy sums a
-    single column or another layout pairwise, so those are left to it.
-    """
+    """Per-column statistics from training rows only."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise DataError(f"cannot fit normalization on data of shape {data.shape}")
@@ -275,54 +301,7 @@ def fit_normalization(data: np.ndarray, kind: str) -> NormalizationStats:
         return NormalizationStats(kind=kind, a=data.min(axis=0), b=data.max(axis=0))
     if kind != "meanvar":
         raise ArgumentError(f"unknown normalization kind {kind!r}")
-    n, c = data.shape
-    if c == 1 or not data.flags.c_contiguous:
-        return NormalizationStats(kind=kind, a=data.mean(axis=0), b=data.std(axis=0))
-    step = max(1, _STATS_BLOCK_ELEMENTS // c)
-
-    def blocks(buf: np.ndarray) -> Iterator[np.ndarray]:
-        for start in range(0, n, step):
-            rows = buf[: min(step, n - start)]
-            rows[...] = data[start : start + step]
-            yield rows
-
-    return _meanvar_stats(blocks, n, c, min(step, n))
-
-
-# elements of a row block that fit_normalization copies at a time
-_STATS_BLOCK_ELEMENTS = 1 << 16
-
-
-def _meanvar_stats(
-    blocks: Callable[[np.ndarray], Iterable[np.ndarray]], n_rows: int, n_columns: int, max_rows: int
-) -> NormalizationStats:
-    """Mean-variance statistics of the rows that ``blocks(buf)`` writes, a
-    block at a time, into leading rows of ``buf`` (``max_rows`` rows of
-    ``n_columns`` float64); it is called twice, and must write the same rows
-    in the same order each time, ``n_rows`` of them in all.
-
-    numpy sums axis 0 of a C-ordered matrix of several columns row by row,
-    from zero. Each block is summed with the running sum stacked above it,
-    which keeps that order, so the mean and, from the squared deviations,
-    the standard deviation equal ``np.mean`` and ``np.std`` of the stacked
-    rows bit for bit.
-    """
-    stacked = np.empty((max_rows + 1, n_columns))
-
-    def column_sum(deviations_from=None) -> np.ndarray:
-        total = np.zeros(n_columns)
-        for rows in blocks(stacked[1:]):
-            if deviations_from is not None:
-                rows -= deviations_from
-                rows *= rows
-            block = stacked[: len(rows) + 1]
-            block[0] = total
-            total = block.sum(axis=0)
-        total /= n_rows
-        return total
-
-    mean = column_sum()
-    return NormalizationStats(kind="meanvar", a=mean, b=np.sqrt(column_sum(deviations_from=mean)))
+    return NormalizationStats(kind=kind, a=data.mean(axis=0), b=data.std(axis=0))
 
 
 def normalize_in_place(stats: NormalizationStats, data: np.ndarray) -> np.ndarray:

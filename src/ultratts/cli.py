@@ -4,9 +4,9 @@ One subcommand per pipeline stage plus ``run-all``, a synthetic corpus
 generator, and a report merger. ``prepare`` and ``run-all`` start a run: they
 take the config and its overrides, clear the run directory's stage outputs
 and write the resolved config and the split there. The other stage
-subcommands take only the run directory and run under those two files. Exit code is 0 on success, 1 with
-an ``error:`` line otherwise (stage-tagged when a stage failed), and 2 for a
-usage error.
+subcommands take only the run directory and run under those two files. Exit
+code is 0 on success, 1 with an ``error:`` line otherwise (stage-tagged when a
+stage failed), and 2 for a usage error.
 """
 
 from __future__ import annotations

@@ -358,7 +358,7 @@ def train(
         if x.shape[0] != y.shape[0]:
             raise DataError(f"{x.shape[0]} {name} input rows for {y.shape[0]} target rows")
 
-    zero_mse = mse(np.zeros_like(valid_y), valid_y)
+    zero_mse = float(np.mean(valid_y * valid_y))
     # the divergence bar: an epoch above it is never handed to on_best
     bar = DIVERGENCE_FACTOR * zero_mse
     best = None
@@ -423,11 +423,11 @@ def _copy_net(snapshot: MlpModel, model: MlpModel) -> None:
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference over all elements of two equal-shape arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
+    # the operands are cast as they are read, so neither is copied to float64
+    diff = np.subtract(a, b, dtype=np.float64)
     np.multiply(diff, diff, out=diff)  # square in place: one temporary per call
     return float(np.mean(diff))
 

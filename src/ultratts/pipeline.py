@@ -298,20 +298,6 @@ def net_inputs(
     return rows.astype(dtype)
 
 
-def target_matrix(cfg: ExperimentConfig, ids: Iterable[str]) -> np.ndarray:
-    """The utterances' float64 regression targets, in order, filled into one
-    matrix sized from the feature files' frame counts."""
-    ids = list(ids)
-    n_rows = sum(acoustic.frame_count(cfg.acoustic_dir, u) for u in ids)
-    targets = np.empty((n_rows, acoustic.target_width(cfg.mgc_dim, cfg.bap_dim)))
-    start = 0
-    for utt_id in ids:
-        streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        targets[start : start + streams.n_frames] = acoustic.build_targets(streams)
-        start += streams.n_frames
-    return targets
-
-
 def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network.
 
@@ -319,11 +305,11 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     training block is built. The dev inputs are the same rows, normalised and
     cast while gathered and then expanded whole. The inputs are normalised in
     place in float64, then cast once to ``NET_DTYPE``, the dtype of the net,
-    and the float64 copies are dropped before training. The training targets
-    exist only in ``NET_DTYPE``: ``acoustic.normalized_targets`` fits their
-    statistics and normalises them an utterance at a time, so no float64
-    matrix of the training block is made. The dev targets stay float64 for
-    the validation score.
+    and the float64 copies are dropped before training. ``acoustic`` builds
+    the targets an utterance at a time: ``target_stats`` fits the output
+    statistics on the training block, and ``normalized_targets`` gives the
+    training targets in ``NET_DTYPE`` and the dev targets in float64, for the
+    validation score, so no float64 matrix of the training block is made.
 
     The stage holds one net. Each epoch that sets a new best validation MSE
     within the divergence bar is written whole to ``partial_checkpoint``, in
@@ -337,10 +323,12 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     # one at a time, so each float64 array is freed once it is cast
     input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
     dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
-    train_y, output_stats = acoustic.normalized_targets(
-        cfg.acoustic_dir, split.train, cfg.mgc_dim, cfg.bap_dim, NET_DTYPE
+    dims = (cfg.mgc_dim, cfg.bap_dim)
+    output_stats = acoustic.target_stats(cfg.acoustic_dir, split.train, *dims)
+    train_y, dev_y = (
+        acoustic.normalized_targets(cfg.acoustic_dir, ids, *dims, output_stats, dtype)
+        for ids, dtype in ((split.train, NET_DTYPE), (split.dev, np.float64))
     )
-    dev_y = acoustic.normalize_in_place(output_stats, target_matrix(cfg, split.dev))
 
     model = mlp.init_model(
         train_x.shape[1],

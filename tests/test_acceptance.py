@@ -245,7 +245,13 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
         pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
     )
     out_stats = acoustic.fit_normalization(
-        pipeline.target_matrix(cfg, split.train), "meanvar"
+        np.vstack([
+            acoustic.build_targets(
+                acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim)
+            )
+            for u in split.train
+        ]),
+        "meanvar",
     )
     _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
     assert persisted_in.a.tobytes() == in_stats.a.tobytes()

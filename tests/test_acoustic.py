@@ -1,11 +1,14 @@
+import ast
 import math
-import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ultratts import acoustic, pipeline
+import ultratts
+from test_arrayfile import traced_peak
+from ultratts import acoustic
 from ultratts.errors import ArgumentError, DataError, FormatError
 
 
@@ -195,16 +198,6 @@ class TestNormalization:
         assert stats.a.tobytes() == data.mean(axis=0).tobytes()
         assert stats.b.tobytes() == data.std(axis=0).tobytes()
 
-    def test_meanvar_holds_no_copy_of_the_data(self):
-        data = np.random.default_rng(7).normal(size=(4000, 199))
-        tracemalloc.start()
-        try:
-            acoustic.fit_normalization(data, "meanvar")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < data.nbytes / 4
-
     @pytest.mark.parametrize("kind", ["minmax", "meanvar"])
     def test_in_place_matches_the_formula_bit_for_bit(self, kind):
         rng = np.random.default_rng(5)
@@ -351,6 +344,14 @@ class TestTargets:
             )
 
 
+def stacked_targets(cfg, ids):
+    """The float64 targets of the utterances in ``cfg.acoustic_dir``, stacked in order."""
+    return np.vstack([
+        acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim))
+        for u in ids
+    ])
+
+
 def write_utterances(directory, frame_counts, seed, edit=None):
     """Random ``.mgc/.bap/.lf0`` files of utterances ``u000``, ``u001``, ...
     with the given frame counts, every fourth frame unvoiced; ``edit(i,
@@ -378,7 +379,7 @@ class TestNormalizedTargets:
         cfg = SimpleNamespace(
             acoustic_dir=directory, mgc_dim=acoustic.MGC_DIM, bap_dim=acoustic.BAP_DIM
         )
-        matrix = pipeline.target_matrix(cfg, ids)
+        matrix = stacked_targets(cfg, ids)
         stats = acoustic.fit_normalization(matrix, "meanvar")
         return matrix.copy(), stats, acoustic.normalize_in_place(stats, matrix).astype(dtype)
 
@@ -405,8 +406,9 @@ class TestNormalizedTargets:
         counts, edit = self.fixture(kind)
         ids = write_utterances(tmp_path, counts, seed=len(kind), edit=edit)
         matrix, stats, expect = self.reference(tmp_path, ids, dtype)
-        targets, got = acoustic.normalized_targets(
-            tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM, dtype
+        got = acoustic.target_stats(tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM)
+        targets = acoustic.normalized_targets(
+            tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM, got, dtype
         )
         assert (targets.dtype, targets.shape) == (expect.dtype, expect.shape)
         assert targets.tobytes() == expect.tobytes()
@@ -427,20 +429,54 @@ class TestNormalizedTargets:
         else:
             assert len(second) == 1
 
+    @staticmethod
+    def traced_peaks(call, ids):
+        """``tracemalloc`` peaks of ``call(ids[:20])`` and ``call(ids[:40])``,
+        each after a warm-up call, and the last call's result."""
+        peaks = []
+        for n in (20, 40):
+            call(ids[:n])
+            result, peak = traced_peak(call, ids[:n])
+            peaks.append(peak)
+        return peaks, result
+
     def test_memory_grows_by_the_output_rows_alone(self, tmp_path):
         # a float64 matrix of the rows and its float32 cast would grow by 3x
         ids = write_utterances(tmp_path, [100] * 40, seed=5)
-        build, peaks = acoustic.normalized_targets, []
-        for n in (20, 40):
-            build(tmp_path, ids[:n], acoustic.MGC_DIM, acoustic.BAP_DIM, np.float32)  # warm up
-            tracemalloc.start()
-            try:
-                targets, _ = build(tmp_path, ids[:n], acoustic.MGC_DIM, acoustic.BAP_DIM, np.float32)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        stats = acoustic.target_stats(tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM)
+        peaks, targets = self.traced_peaks(
+            lambda some: acoustic.normalized_targets(
+                tmp_path, some, acoustic.MGC_DIM, acoustic.BAP_DIM, stats, np.float32
+            ),
+            ids,
+        )
         added = targets.nbytes / 2
         assert peaks[1] - peaks[0] <= 1.25 * added
+
+    def test_statistics_memory_does_not_grow_with_the_utterances(self, tmp_path):
+        # a stacked float64 matrix of the rows would grow by 20 blocks
+        ids = write_utterances(tmp_path, [100] * 40, seed=5)
+        peaks, _ = self.traced_peaks(
+            lambda some: acoustic.target_stats(tmp_path, some, acoustic.MGC_DIM, acoustic.BAP_DIM),
+            ids,
+        )
+        block = 100 * acoustic.target_width() * np.dtype(np.float64).itemsize
+        assert peaks[1] - peaks[0] <= 1.25 * block
+
+    def test_no_module_but_acoustic_builds_targets(self):
+        """Every target the package uses comes from ``target_stats`` and
+        ``normalized_targets``: no other module calls ``build_targets``."""
+        offenders = []
+        for source in sorted(Path(ultratts.__file__).parent.glob("*.py")):
+            if source.name == "acoustic.py":
+                continue
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "build_targets":
+                        offenders.append(f"{source.name}:{node.lineno}")
+        assert offenders == []
 
     def test_build_targets_fills_a_row_block_of_a_caller_matrix(self):
         rng = np.random.default_rng(8)

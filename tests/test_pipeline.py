@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import config_for
+from test_acoustic import stacked_targets
 from test_arrayfile import traced_peak
 from ultratts import (
     acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, synthetic, ultra,
@@ -490,25 +491,12 @@ class TestRunExperiment:
         in_stats = acoustic.fit_normalization(
             pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
         )
-        out_stats = acoustic.fit_normalization(
-            pipeline.target_matrix(cfg, split.train), "meanvar"
-        )
+        out_stats = acoustic.fit_normalization(stacked_targets(cfg, split.train), "meanvar")
         _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
         assert persisted_in.a.tobytes() == in_stats.a.tobytes()
         assert persisted_in.b.tobytes() == in_stats.b.tobytes()
         assert persisted_out.a.tobytes() == out_stats.a.tobytes()
         assert persisted_out.b.tobytes() == out_stats.b.tobytes()
-
-    def test_target_matrix_stacks_each_utterance_targets(self, tiny_run):
-        cfg, run = tiny_run
-        ids = pipeline.load_split(run).train
-        stacked = np.vstack([
-            acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim))
-            for u in ids
-        ])
-        targets = pipeline.target_matrix(cfg, ids)
-        assert targets.dtype == np.float64
-        assert targets.tobytes() == stacked.tobytes()
 
     def test_evaluate_stage_reruns_identically(self, tiny_run):
         cfg, run = tiny_run
@@ -672,12 +660,12 @@ class TestTrainStage:
         with pytest.raises(Stop):
             pipeline.stage_train(cfg, split, run)
         ((train_y, dev_y),) = given
-        matrix = pipeline.target_matrix(cfg, split.train)
+        matrix = stacked_targets(cfg, split.train)
         stats = acoustic.fit_normalization(matrix, "meanvar")
         expect = acoustic.normalize_in_place(stats, matrix).astype(pipeline.NET_DTYPE)
         assert (train_y.dtype, train_y.shape) == (expect.dtype, expect.shape)
         assert train_y.tobytes() == expect.tobytes()
-        dev = acoustic.normalize_in_place(stats, pipeline.target_matrix(cfg, split.dev))
+        dev = acoustic.normalize_in_place(stats, stacked_targets(cfg, split.dev))
         assert dev_y.dtype == np.float64 and dev_y.tobytes() == dev.tobytes()
 
     def test_diverged_training_writes_no_epoch(self, prepared_for_train, tmp_path, monkeypatch):
@@ -697,7 +685,7 @@ class TestTrainStage:
     ):
         run = fresh_copy(prepared_for_train, tmp_path / "run")
         cfg = pipeline.load_run_config(run.root)
-        frames = pipeline.target_matrix(cfg, pipeline.load_split(run).train).shape[0]
+        frames = stacked_targets(cfg, pipeline.load_split(run).train).shape[0]
         # the third epoch's second batch: epochs 1 and 2 have been written
         interrupt_at = 2 * -(-frames // cfg.batch_size) + 2
         backward = mlp.backward
@@ -745,7 +733,7 @@ class TestTrainStage:
             ling.table, ling.n_binary, ling.which[:-2], ling.spans, ling.frame_shift
         )
         labels.save_features(short, path)
-        frames = pipeline.target_matrix(
+        frames = stacked_targets(
             pipeline.load_run_config(run.root), pipeline.load_split(run).train
         ).shape[0]
         with pytest.raises(
