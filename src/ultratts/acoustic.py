@@ -73,7 +73,7 @@ def _is_voiced(lf0: np.ndarray) -> np.ndarray:
 
 
 def target_width(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> int:
-    return 3 * (mgc_dim + bap_dim + 1) + 1
+    return split_target_columns(mgc_dim, bap_dim)["vuv"].stop
 
 
 def load_stream(data: bytes, width: int) -> np.ndarray:
@@ -181,18 +181,16 @@ def build_targets(streams: AcousticStreams, out: np.ndarray | None = None) -> np
     either way each stream's columns are written in place, with no stacked
     copy.
     """
-    shape = (streams.n_frames, target_width(streams.mgc.shape[1], streams.bap.shape[1]))
+    columns = split_target_columns(streams.mgc.shape[1], streams.bap.shape[1])
+    shape = (streams.n_frames, columns["vuv"].stop)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ArgumentError(f"target block is {out.dtype} {out.shape}, not float64 {shape}")
     continuous, vuv = interpolate_lf0(streams.lf0)
-    start = 0
-    for stream in (streams.mgc, streams.bap, continuous[:, None]):
-        width = 3 * stream.shape[1]
-        compute_deltas(stream, out=out[:, start : start + width])
-        start += width
-    out[:, start] = vuv
+    for name, stream in (("mgc", streams.mgc), ("bap", streams.bap), ("lf0", continuous[:, None])):
+        compute_deltas(stream, out=out[:, columns[name]])
+    out[:, columns["vuv"]] = vuv[:, None]
     return out
 
 

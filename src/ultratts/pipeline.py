@@ -2,14 +2,17 @@
 
 Stages run in a fixed order -- prepare, pca, train, generate, evaluate,
 misalign -- and each writes only into its own subdirectory of the run, so
-individual stages can be rerun. ``start_run`` clears those subdirectories and
-writes the run's two inputs at its root: the resolved config, ``config.cfg``,
-and the train/dev/test split, ``splits.json``. ``run_stage`` reads both and
+individual stages can be rerun; ``prepare`` checks the corpus and writes
+nothing. ``start_run`` clears those subdirectories and writes the run's two
+inputs at its root: the resolved config, ``config.cfg``, and the
+train/dev/test split, ``splits.json``. ``run_stage`` reads both and
 calls every stage as ``stage(cfg, split, run)``. Statistics (PCA model,
 input/output normalization) are fitted on the training block only. Every
-network input comes from ``gathered_inputs`` and is normalised and cast while
-still gathered: train draws its batches from the gathered rows, and the dev
-set and each generated utterance expand them whole with ``dense()``.
+network input comes from ``gathered_inputs``, which builds the linguistic
+features from the corpus's label files, so no copy of them is kept in the
+run directory. The inputs are normalised and cast while still gathered:
+train draws its batches from the gathered rows, and the dev set and each
+generated utterance expand them whole with ``dense()``.
 """
 
 from __future__ import annotations
@@ -100,9 +103,6 @@ class RunPaths:
     def splits(self) -> Path:
         return self.root / "splits.json"
 
-    def ling(self, utt_id: str) -> Path:
-        return self.root / "prepare" / "ling" / f"{utt_id}.bin"
-
     @property
     def pca_model(self) -> Path:
         return self.root / "pca" / "model.bin"
@@ -153,24 +153,33 @@ def load_split(run: RunPaths) -> DatasetSplit:
 # stages
 
 
-def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
-    """Persist per-utterance linguistic features, per label: the answers of
-    each label (when the system reads questions) and its span, the label of
-    each frame of the utterance's checked acoustic streams, and the frame
-    shift, from which ``labels.load_features`` computes each frame's 4
-    positional features."""
-    run.ling("x").parent.mkdir(parents=True, exist_ok=True)
-
+def load_questions(cfg: ExperimentConfig) -> labels.QuestionSet:
+    """The run's question set: the parsed question file when the system reads
+    questions, and the empty set otherwise."""
     if cfg.reads_questions:
-        questions = labels.parse_questions(Path(cfg.question_file).read_text())
-    else:
-        questions = labels.QuestionSet.empty()
+        return labels.parse_questions(Path(cfg.question_file).read_text())
+    return labels.QuestionSet.empty()
 
+
+def utterance_features(
+    cfg: ExperimentConfig, questions: labels.QuestionSet, utt_id: str
+) -> labels.GatheredRows:
+    """The utterance's linguistic features, built from its label file over the
+    frames of its acoustic streams."""
+    parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
+    n_frames = acoustic.frame_count(cfg.acoustic_dir, utt_id)
+    return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
+
+
+def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
+    """Check every utterance's inputs before any later stage reads them, and
+    write nothing: its acoustic streams hold frames of one length, its label
+    file parses, and the question set answers each label. ``train`` and
+    ``generate`` build the features again where they use them."""
+    questions = load_questions(cfg)
     for utt_id in split.all_ids:
-        streams = acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
-        parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
-        ling = labels.extract_features(parsed, questions, cfg.frame_shift, streams.n_frames)
-        labels.save_features(ling, run.ling(utt_id))
+        acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
+        utterance_features(cfg, questions, utt_id)
 
 
 def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -238,21 +247,23 @@ def stage_pca(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None
 
 
 def gathered_inputs(
-    cfg: ExperimentConfig, run: RunPaths, ids: Iterable[str]
+    cfg: ExperimentConfig, run: RunPaths, questions: labels.QuestionSet, ids: Iterable[str]
 ) -> labels.GatheredRows:
     """The network inputs of the utterances, in order: a table of the answers
-    of every label that owns a frame, and a per-frame block of the positional
-    features followed by the PCA coefficients when the system reads
-    ultrasound. ``dense()`` expands them to the input matrix."""
+    to ``questions`` of every label that owns a frame, and a per-frame block
+    of the positional features followed by the PCA coefficients when the
+    system reads ultrasound. Each utterance's features are built from its
+    label file over its acoustic frame count. ``dense()`` expands them to the
+    input matrix."""
     tables, whiches, blocks = [], [], []
     n_labels = 0
     for utt_id in ids:
-        ling = labels.load_features(run.ling(utt_id))
-        owners, which = np.unique(ling.which, return_inverse=True)
-        tables.append(ling.table[owners])
+        features = utterance_features(cfg, questions, utt_id)
+        owners, which = np.unique(features.which, return_inverse=True)
+        tables.append(features.table[owners])
         whiches.append(which + n_labels)
         n_labels += owners.size
-        block = ling.frames
+        block = features.frames
         if cfg.reads_ultrasound:
             path = run.coeffs(utt_id)
             coeffs = arrayfile.load(path)
@@ -301,11 +312,13 @@ def net_inputs(
 def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Fit normalizations on the training block, then train the network.
 
-    The training inputs stay gathered: no per-frame linguistic matrix of the
-    training block is built. The dev inputs are the same rows, normalised and
-    cast while gathered and then expanded whole. The inputs are normalised in
-    place in float64, then cast once to ``NET_DTYPE``, the dtype of the net,
-    and the float64 copies are dropped before training. ``acoustic`` builds
+    The question set is parsed once for the training and dev inputs and
+    released before training. The training inputs stay gathered: no
+    per-frame linguistic matrix of the training block is built. The dev
+    inputs are the same rows, normalised and cast while gathered and then
+    expanded whole. The inputs are normalised in place in float64, then cast
+    once to ``NET_DTYPE``, the dtype of the net, and the float64 copies are
+    dropped before training. ``acoustic`` builds
     the targets an utterance at a time: ``target_stats`` fits the output
     statistics on the training block, and ``normalized_targets`` gives the
     training targets in ``NET_DTYPE`` and the dev targets in float64, for the
@@ -320,9 +333,12 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     killed is removed when the stage starts.
     """
     run.partial_checkpoint.unlink(missing_ok=True)
+    questions = load_questions(cfg)
     # one at a time, so each float64 array is freed once it is cast
-    input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, split.train))
-    dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, split.dev)).dense()
+    input_stats, train_x = normalize_gathered(gathered_inputs(cfg, run, questions, split.train))
+    dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, questions, split.dev)).dense()
+    # training reads no question: holding the compiled set raised the stage's peak
+    del questions
     dims = (cfg.mgc_dim, cfg.bap_dim)
     output_stats = acoustic.target_stats(cfg.acoustic_dir, split.train, *dims)
     train_y, dev_y = (
@@ -364,11 +380,13 @@ def stage_generate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
     net's checkpointed dtype and then expanded whole; its outputs are
     denormalised in float64."""
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
+    questions = load_questions(cfg)
     for variant in VARIANTS:
         run.generated(variant).mkdir(parents=True, exist_ok=True)
 
     for utt_id in split.dev + split.test:
-        x = net_inputs(input_stats, gathered_inputs(cfg, run, [utt_id]), model.dtype).dense()
+        rows = gathered_inputs(cfg, run, questions, [utt_id])
+        x = net_inputs(input_stats, rows, model.dtype).dense()
         by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
         for variant, streams in by_variant.items():
             acoustic.save_streams(streams, run.generated(variant), utt_id)

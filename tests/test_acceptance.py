@@ -242,7 +242,8 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     assert persisted.basis.tobytes() == recomputed_pca.basis.tobytes()
 
     in_stats = acoustic.fit_normalization(
-        pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
+        pipeline.gathered_inputs(cfg, run, pipeline.load_questions(cfg), split.train).dense(),
+        "minmax",
     )
     out_stats = acoustic.fit_normalization(
         np.vstack([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_module
-from ultratts import arrayfile, labels, mlp
+from ultratts import labels, mlp
 from ultratts.errors import ArgumentError, DataError, FormatError
 
 
@@ -417,18 +417,6 @@ class TestLinguisticFeatures:
         labs = labels.parse_labels("0 200000 a@4\n")
         assert_dense_matches_reference(labs, labels.parse_questions('QS "A" {*a*}'), 0.005, 0)
 
-    def test_save_load_round_trip(self, tmp_path):
-        qs = labels.parse_questions('QS "IsB" {*b*}\nCQS "N" {*@(\\d+)}\n')
-        labs = labels.parse_labels("0 200000 a@4\n200000 300000 b@2\n")
-        feats = labels.extract_features(labs, qs, 0.005, 8)
-        labels.save_features(feats, tmp_path / "u.bin")
-        back = labels.load_features(tmp_path / "u.bin")
-        assert back.which.dtype == np.uint8  # two labels
-        for name in ("table", "which", "frames", "spans"):
-            a, b = getattr(feats, name), getattr(back, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        assert (back.n_binary, back.frame_shift) == (1, 0.005)
-
     @pytest.mark.parametrize(
         "questions, label_text, frame_shift, n_frames",
         [
@@ -441,87 +429,11 @@ class TestLinguisticFeatures:
         ],
         ids=["ult2wav", "cqs", "past-the-last-label", "zero-length-label"],
     )
-    def test_loaded_rows_equal_the_extracted_rows(
-        self, tmp_path, questions, label_text, frame_shift, n_frames
+    def test_dense_matches_across_inputs(
+        self, questions, label_text, frame_shift, n_frames
     ):
         qs, labs = labels.parse_questions(questions), labels.parse_labels(label_text)
-        feats = labels.extract_features(labs, qs, frame_shift, n_frames)
-        labels.save_features(feats, tmp_path / "u.bin")
-        # load_features is given no shift: each case expands under the shift in its file
-        back = labels.load_features(tmp_path / "u.bin")
-        for name in ("table", "which", "frames"):
-            a, b = getattr(feats, name), getattr(back, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        expect = dense_reference(labs, qs, frame_shift, n_frames)
-        assert back.dense().tobytes() == expect.tobytes()
-
-    def test_file_holds_per_label_records_only(self, tmp_path):
-        feats = two_label_features()
-        labels.save_features(feats, tmp_path / "u.bin")
-        records = arrayfile.load(tmp_path / "u.bin")
-        assert [(r.dtype, r.shape) for r in records] == [
-            (np.dtype(bool), (2, 1)),
-            (np.dtype(np.float64), (2, 0)),
-            (np.dtype(np.uint8), (8,)),
-            (np.dtype(np.int64), (2, 2)),
-            (np.dtype(np.float64), ()),
-        ]
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda r: r[:2],
-            lambda r: r[:4],
-            lambda r: [*r, r[4]],
-            lambda r: [r[0], r[1], r[2].astype(np.int64), r[3], r[4]],
-            lambda r: [r[0].ravel(), *r[1:]],
-            lambda r: [*r[:4], np.int64(5)],
-            lambda r: [*r[:4], r[4].reshape(1)],
-            lambda r: [*r[:3], r[3].astype(np.float64), r[4]],
-            lambda r: [*r[:3], r[3][:, :1], r[4]],
-            lambda r: [r[0][:1], *r[1:]],
-            lambda r: [r[0], r[1][:1], *r[2:]],
-            lambda r: [*r[:3], r[3][:1], r[4]],
-            lambda r: [r[0], r[1], np.full_like(r[2], len(r[3])), r[3], r[4]],
-            lambda r: [*r[:3], r[3][:, ::-1].copy(), r[4]],
-            lambda r: [*r[:4], np.float64(np.nan)],
-            lambda r: [*r[:4], np.float64(np.inf)],
-            lambda r: [*r[:4], np.float64(0.0)],
-            lambda r: [*r[:4], np.float64(-0.005)],
-        ],
-        ids=["two-records", "four-records", "six-records", "signed-which", "flat-answers",
-             "integer-shift", "shift-array", "float-spans", "one-column-spans", "short-answers",
-             "short-numeric", "short-spans", "which-past-the-labels", "start-after-end",
-             "nan-shift", "infinite-shift", "zero-shift", "negative-shift"],
-    )
-    def test_other_records_rejected(self, tmp_path, edit):
-        path = tmp_path / "u.bin"
-        labels.save_features(two_label_features(), path)
-        arrayfile.save(path, edit(arrayfile.load(path)))
-        with pytest.raises(FormatError, match="u.bin"):
-            labels.load_features(path)
-
-    def test_per_frame_features_rejected(self, tmp_path):
-        # the earlier layout: answers per label, which, and 4 float64 positional columns per frame
-        feats = two_label_features()
-        path = tmp_path / "u.bin"
-        arrayfile.save(path, [feats.table, feats.which, feats.frames])
-        with pytest.raises(FormatError, match="u.bin"):
-            labels.load_features(path)
-
-    def test_npz_features_rejected(self, tmp_path):
-        # the earlier layout: one np.savez zip of answers, which and positional
-        feats = two_label_features()
-        path = tmp_path / "u.npz"
-        np.savez(path, answers=feats.table, which=feats.which, positional=feats.frames)
-        with pytest.raises(FormatError, match="u.npz"):
-            labels.load_features(path)
-
-
-def two_label_features():
-    """The features of an 8-frame, two-label utterance under one question."""
-    labs = labels.parse_labels("0 200000 a@4\n200000 300000 b@2\n")
-    return labels.extract_features(labs, labels.parse_questions('QS "IsB" {*b*}'), 0.005, 8)
+        assert_dense_matches_reference(labs, qs, frame_shift, n_frames)
 
 
 def grouped_task(n_groups=30, n=700, seed=0):

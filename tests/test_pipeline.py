@@ -19,6 +19,13 @@ from ultratts.config import (
 from ultratts.errors import ConfigError, StageError
 
 
+def label_file_features(cfg, questions, utt_id):
+    """The utterance's features, extracted from its label file over its frame count."""
+    parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
+    n_frames = acoustic.frame_count(cfg.acoustic_dir, utt_id)
+    return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
+
+
 def write_config_setting_workers(cfg, path):
     """``cfg`` written with the removed ``[experiment] workers`` key set."""
     write_config(cfg, path)
@@ -215,19 +222,23 @@ class TestInputRecipe:
         assert run.stage_dir("pca").exists() == cfg.reads_ultrasound
         k = eigentongues.load_model(run.pca_model).n_components if cfg.reads_ultrasound else 0
         width = (n_answers + 4 if cfg.reads_questions else 4) + k
+        run_questions = pipeline.load_questions(cfg)
         for utt_id in pipeline.load_split(run).all_ids:
-            x = pipeline.gathered_inputs(cfg, run, [utt_id]).dense()
+            x = pipeline.gathered_inputs(cfg, run, run_questions, [utt_id]).dense()
             assert x.shape == (acoustic.frame_count(cfg.acoustic_dir, utt_id), width)
 
     def test_combined_input_is_text_input_then_coefficients(self, prepared_runs):
         cfg, run = prepared_runs["txt+ult2wav"]
         text_cfg, text_run = prepared_runs["txt2wav"]
         ult_cfg, ult_run = prepared_runs["ult2wav"]
+        questions, text_questions, ult_questions = (
+            pipeline.load_questions(c) for c in (cfg, text_cfg, ult_cfg)
+        )
         for utt_id in pipeline.load_split(run).all_ids:
-            coeffs = pipeline.gathered_inputs(ult_cfg, ult_run, [utt_id]).dense()[:, 4:]
-            text = pipeline.gathered_inputs(text_cfg, text_run, [utt_id]).dense()
-            expected = np.hstack([text, coeffs])
-            combined = pipeline.gathered_inputs(cfg, run, [utt_id]).dense()
+            coeffs = pipeline.gathered_inputs(ult_cfg, ult_run, ult_questions, [utt_id]).dense()
+            text = pipeline.gathered_inputs(text_cfg, text_run, text_questions, [utt_id]).dense()
+            expected = np.hstack([text, coeffs[:, 4:]])
+            combined = pipeline.gathered_inputs(cfg, run, questions, [utt_id]).dense()
             assert (combined.dtype, combined.shape) == (expected.dtype, expected.shape)
             assert combined.tobytes() == expected.tobytes()
 
@@ -237,16 +248,17 @@ class TestGatheredInputs:
     def test_rows_and_normalisation_match_the_input_matrix(self, prepared_runs, system):
         cfg, run = prepared_runs[system]
         train = pipeline.load_split(run).train
+        questions = pipeline.load_questions(cfg)
         # each utterance's rows: its features expanded per frame, then its
         # coefficients when the system reads ultrasound
         utterances = []
         for u in train:
-            x = labels.load_features(run.ling(u)).dense()
+            x = label_file_features(cfg, questions, u).dense()
             if cfg.reads_ultrasound:
                 x = np.hstack([x, np.load(run.coeffs(u))])
             utterances.append(x)
         dense = np.vstack(utterances)
-        rows = pipeline.gathered_inputs(cfg, run, train)
+        rows = pipeline.gathered_inputs(cfg, run, questions, train)
         everything = np.arange(dense.shape[0])
         assert rows[everything].tobytes() == dense.tobytes()
         assert rows.dense().tobytes() == dense.tobytes()
@@ -264,32 +276,16 @@ class TestGatheredInputs:
     def test_net_inputs_equal_the_normalised_cast_matrix(self, prepared_runs, system, dtype):
         cfg, run = prepared_runs[system]
         split = pipeline.load_split(run)
-        stats, _ = pipeline.normalize_gathered(pipeline.gathered_inputs(cfg, run, split.train))
+        questions = pipeline.load_questions(cfg)
+        train = pipeline.gathered_inputs(cfg, run, questions, split.train)
+        stats, _ = pipeline.normalize_gathered(train)
         for ids in (split.dev, split.test[:1]):
-            dense = pipeline.gathered_inputs(cfg, run, ids).dense()
+            dense = pipeline.gathered_inputs(cfg, run, questions, ids).dense()
             expect = acoustic.normalize_in_place(stats, dense).astype(dtype)
-            got = pipeline.net_inputs(stats, pipeline.gathered_inputs(cfg, run, ids), dtype).dense()
+            rows = pipeline.gathered_inputs(cfg, run, questions, ids)
+            got = pipeline.net_inputs(stats, rows, dtype).dense()
             assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
             assert got.tobytes() == expect.tobytes()
-
-    def test_rows_from_the_ling_files_equal_the_rows_built_in_memory(
-        self, prepared_runs, monkeypatch
-    ):
-        cfg, run = prepared_runs["txt+ult2wav"]
-        ids = pipeline.load_split(run).all_ids
-        from_files = pipeline.gathered_inputs(cfg, run, ids)
-        questions = labels.parse_questions(Path(cfg.question_file).read_text())
-
-        def extracted(path):
-            parsed = labels.parse_labels((Path(cfg.label_dir) / f"{path.stem}.lab").read_text())
-            n_frames = acoustic.frame_count(cfg.acoustic_dir, path.stem)
-            return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
-
-        monkeypatch.setattr(labels, "load_features", extracted)
-        in_memory = pipeline.gathered_inputs(cfg, run, ids)
-        for name in ("table", "which", "frames"):
-            a, b = getattr(from_files, name), getattr(in_memory, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_minmax_skips_labels_that_own_no_frame(self, tiny_corpus, tmp_path):
         ids = ultra.discover_utterances(tiny_corpus.ultrasound_dir)
@@ -313,12 +309,14 @@ class TestGatheredInputs:
             pipeline.run_stage(stage, run.root)
 
         train = pipeline.load_split(run).train
-        dense = acoustic.fit_normalization(pipeline.gathered_inputs(cfg, run, train).dense(), "minmax")
+        questions = pipeline.load_questions(cfg)
+        rows = pipeline.gathered_inputs(cfg, run, questions, train)
+        dense = acoustic.fit_normalization(rows.dense(), "minmax")
         _, persisted, _ = mlp.load_checkpoint(run.checkpoint)
         assert persisted.a.tobytes() == dense.a.tobytes()
         assert persisted.b.tobytes() == dense.b.tobytes()
         # over every label row, the C-Dur and C-z maxima would be the new label's
-        every_label = np.vstack([labels.load_features(run.ling(u)).table for u in train])
+        every_label = np.vstack([label_file_features(cfg, questions, u).table for u in train])
         n_questions = every_label.shape[1]
         assert np.array_equal(
             every_label.max(axis=0) > dense.b[:n_questions],
@@ -348,10 +346,16 @@ class TestRunExperiment:
         assert (run.misalign_dir / "matrix.csv").exists()
         assert (run.misalign_dir / "summary.json").exists()
         assert run.splits.parent == run.root
-        prepared = {p.name for p in run.stage_dir("prepare").iterdir()}
-        assert prepared == {run.ling("x").parent.name}
-        ling = sorted(p.name for p in run.ling("x").parent.iterdir())
-        assert ling == sorted(f"{u}.bin" for u in pipeline.load_split(run).all_ids)
+
+    def test_inputs_are_built_from_the_label_files_and_prepare_writes_nothing(self, tiny_run):
+        cfg, run = tiny_run
+        assert not [p for p in run.stage_dir("prepare").rglob("*") if p.is_file()]
+        questions = pipeline.load_questions(cfg)
+        for utt_id in pipeline.load_split(run).all_ids:
+            rows = pipeline.gathered_inputs(cfg, run, questions, [utt_id])
+            feats = label_file_features(cfg, questions, utt_id)
+            assert rows.table.tobytes() == feats.table[np.unique(feats.which)].tobytes()
+            assert rows.dense()[:, : feats.shape[1]].tobytes() == feats.dense().tobytes()
 
     def test_trained_model_is_one_file_and_voicing_lives_in_lf0(self, tiny_run):
         _, run = tiny_run
@@ -489,7 +493,8 @@ class TestRunExperiment:
         cfg, run = tiny_run
         split = pipeline.load_split(run)
         in_stats = acoustic.fit_normalization(
-            pipeline.gathered_inputs(cfg, run, split.train).dense(), "minmax"
+            pipeline.gathered_inputs(cfg, run, pipeline.load_questions(cfg), split.train).dense(),
+            "minmax",
         )
         out_stats = acoustic.fit_normalization(stacked_targets(cfg, split.train), "meanvar")
         _, persisted_in, persisted_out = mlp.load_checkpoint(run.checkpoint)
@@ -543,7 +548,7 @@ class TestRunExperiment:
     def test_stage_failure_is_tagged(self, tiny_corpus, tmp_path):
         cfg = config_for(tiny_corpus)
         with pytest.raises(StageError, match="train"):
-            # prepare never ran, so the train stage cannot find prepare/ling
+            # pca never ran, so the train stage finds no coefficient file
             pipeline.run_stage("train", pipeline.start_run(cfg, tmp_path / "fresh_run").root)
 
     def test_txt2wav_pca_writes_nothing(self, tiny_corpus, tmp_path):
@@ -725,24 +730,6 @@ class TestTrainStage:
         assert seen == [False]
         assert {p.name for p in run.stage_dir("train").iterdir()} == {"history.csv", "model.bin"}
 
-    def test_inputs_short_of_the_targets_fail_the_stage(self, prepared_for_train, tmp_path):
-        run = fresh_copy(prepared_for_train, tmp_path / "run")
-        path = run.ling(pipeline.load_split(run).train[0])
-        ling = labels.load_features(path)
-        short = labels.LabelFeatures.of_labels(
-            ling.table, ling.n_binary, ling.which[:-2], ling.spans, ling.frame_shift
-        )
-        labels.save_features(short, path)
-        frames = stacked_targets(
-            pipeline.load_run_config(run.root), pipeline.load_split(run).train
-        ).shape[0]
-        with pytest.raises(
-            StageError,
-            match=f"stage 'train' failed: {frames - 2} training input rows for {frames} target",
-        ):
-            pipeline.run_stage("train", run.root)
-        assert not run.checkpoint.exists()
-
     def test_stage_holds_one_net(self, tiny_corpus, tmp_path):
         # four 1024-unit layers: the float32 net is 13.5 MB. The stage's peak,
         # 1.61 nets, is set by init_model's float64 draw of the last hidden
@@ -854,8 +841,9 @@ class TestCli:
         cfg_file.write_text(text.replace(ratios, "train = 1.2\ndev = -0.1\ntest = -0.1\n"))
         argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
         assert cli.main(argv) == 1
+        # every stage but prepare, which writes nothing, left its directory
         for stage in pipeline.STAGES:
-            assert finished.stage_dir(stage).is_dir(), stage
+            assert finished.stage_dir(stage).is_dir() == (stage != "prepare"), stage
         assert finished.report_csv.exists()
         assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
         assert "negative" in capsys.readouterr().err
@@ -1096,11 +1084,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'prepare' failed" in err and f"{empty}.mgc/.bap/.lf0" in err
 
+    def test_streams_of_different_lengths_fail_prepare(self, tmp_path, tiny_corpus, capsys):
+        layout = synthetic.CorpusLayout(root=tmp_path / "corpus")
+        shutil.copytree(tiny_corpus.root, layout.root)
+        cfg = config_for(layout)
+        # inputs take their frame count from the .lf0 file, targets from all three streams
+        short = ultra.discover_utterances(cfg.ultrasound_dir)[0]
+        lf0 = layout.acoustic_dir / f"{short}.lf0"
+        n_frames = acoustic.frame_count(cfg.acoustic_dir, short)
+        lf0.write_bytes(lf0.read_bytes()[:-4])
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        argv = ["prepare", "--config", str(cfg_file), "--output", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: stage 'prepare' failed: stream lengths differ: mgc={n_frames} "
+            f"bap={n_frames} lf0={n_frames - 1}"
+        )
+
     def test_pca_needs_only_the_corpus_and_splits(self, tmp_path, tiny_run):
         _, run = tiny_run
         copy = pipeline.RunPaths(tmp_path / "run")
         shutil.copytree(run.root, copy.root)
-        for stage in ("prepare", "pca", "misalign"):
+        # prepare writes nothing, so only these two stages' outputs are removed
+        for stage in ("pca", "misalign"):
             shutil.rmtree(copy.stage_dir(stage))
 
         def files(root):
