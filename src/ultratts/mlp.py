@@ -19,12 +19,11 @@ Memory: training holds the net, one layer's gradients (the backward pass
 hands each layer's gradients to the update as soon as they are taken, and
 they are freed before the next layer's are formed) and the batch
 activations, which the backward pass overwrites with tanh' and frees layer
-by layer; besides those, only the data and the validation pass. The best
-epoch is kept by ``train``'s ``on_best``: the pipeline writes it to a
-checkpoint file and holds no second net, while the default copies it into
-one snapshot, allocated once and refreshed in place. A checkpoint loads in one
-copy: ``arrayfile.load`` checks each record's declared size against what is
-left of the file, then reads every weight, bias and statistic into its own
+by layer; besides those, only the data and the validation pass. ``train``
+copies no net: it keeps the best epoch only through its ``on_best``, which
+the pipeline points at a checkpoint file. A checkpoint loads in one copy:
+``arrayfile.load`` checks each record's declared size against what is left
+of the file, then reads every weight, bias and statistic into its own
 writable array.
 """
 
@@ -73,13 +72,6 @@ class MlpModel:
     def dtype(self) -> np.dtype:
         """The float type the net computes in: that of its weights."""
         return self.weights[0].dtype
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
 
 
 @dataclass(frozen=True)
@@ -319,8 +311,8 @@ def train(
     valid_set: tuple[np.ndarray, np.ndarray],
     schedule: TrainingSchedule,
     *,
-    on_best: Callable[[MlpModel], None] | None = None,
-) -> tuple[MlpModel | None, list[EpochRecord]]:
+    on_best: Callable[[MlpModel], None] = lambda model: None,
+) -> tuple[MlpModel, list[EpochRecord]]:
     """Plain SGD with the warm-up/decay schedule and early stopping.
 
     Batches are reshuffled each epoch with a generator seeded from the
@@ -341,11 +333,9 @@ def train(
     ``on_best(model)`` is called at each epoch that sets a new best
     validation MSE within that bar, with the net as it stands then, so the
     last call holds the best epoch's parameters; ``model`` trains on after
-    it returns. By default it copies them into one snapshot, allocated here
-    and refreshed in place, which is returned with the history; a caller
-    that keeps the best epoch itself, such as in a checkpoint file, passes
-    its own ``on_best``, no snapshot is allocated and ``None`` is returned
-    in its place.
+    it returns. It is the only keeper of the best epoch: by default nothing
+    is kept, and ``train`` copies no net. Returns ``model``, as it stands
+    after the last epoch, and the history.
     """
     train_x, train_y = train_set
     train_x = train_x.astype(model.dtype, copy=False)
@@ -361,10 +351,6 @@ def train(
     zero_mse = float(np.mean(valid_y * valid_y))
     # the divergence bar: an epoch above it is never handed to on_best
     bar = DIVERGENCE_FACTOR * zero_mse
-    best = None
-    if on_best is None:
-        best = model.copy()
-        on_best = functools.partial(_copy_net, best)
 
     rng = np.random.default_rng(schedule.seed)
     best_valid = np.inf
@@ -412,13 +398,7 @@ def train(
             f"best validation MSE {best_valid:.4g} exceeds {DIVERGENCE_FACTOR:g} x "
             f"{zero_mse:.4g}, the MSE of predicting zero{stopped}"
         )
-    return best, history
-
-
-def _copy_net(snapshot: MlpModel, model: MlpModel) -> None:
-    """``train``'s default ``on_best``: copy ``model``'s parameters into ``snapshot``."""
-    for kept, current in zip(snapshot.weights + snapshot.biases, model.weights + model.biases):
-        np.copyto(kept, current)
+    return model, history
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,6 +1,5 @@
 import ast
 import math
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -433,20 +432,14 @@ class TestNormalizedTargets:
     @staticmethod
     def traced_peaks(call, ids):
         """``tracemalloc`` peaks of ``call(ids[:20])`` and ``call(ids[:40])``,
-        each after a warm-up call, and the last call's result.
-
-        pathlib interns each file name it parses, and an interned string that
-        nothing else holds leaves the interpreter's table when it is freed, so
-        each call would add the names again. Holding them here keeps that table
-        from being resized, by an amount set by the whole test session, inside
-        a measured call."""
-        names = [sys.intern(f"{u}.{ext}") for u in ids for ext in ("mgc", "bap", "lf0")]
+        each after a warm-up call and with the stream files' names held, and
+        the last call's result."""
         peaks = []
         for n in (20, 40):
             call(ids[:n])
-            result, peak = traced_peak(call, ids[:n])
+            names = [f"{u}.{ext}" for u in ids[:n] for ext in ("mgc", "bap", "lf0")]
+            result, peak = traced_peak(call, ids[:n], file_names=names)
             peaks.append(peak)
-        del names
         return peaks, result
 
     def test_memory_grows_by_the_output_rows_alone(self, tmp_path):

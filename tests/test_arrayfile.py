@@ -1,4 +1,5 @@
 import ast
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,14 +12,24 @@ from ultratts import arrayfile
 from ultratts.errors import FormatError
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory traced while it ran."""
+def traced_peak(fn, *args, file_names=()):
+    """``fn(*args)`` and the peak of the memory traced while it ran.
+
+    pathlib interns each file name it parses, and an interned string that
+    nothing else holds leaves the interpreter's table when it is freed, so
+    each call that opens files would add their names again, and the table
+    could be resized, by an amount set by the whole test session, inside the
+    measured call. ``file_names``, the names of the files ``fn`` opens, are
+    interned and held while it runs, which keeps that table out of the peak.
+    """
+    held = [sys.intern(name) for name in file_names]
     tracemalloc.start()
     try:
         result = fn(*args)
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        del held
 
 
 def mixed_records():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,16 @@ def gradients(model, x, y):
 
     loss = mlp.backward(model, x, y, keep)
     return grads_w, grads_b, loss
+
+
+def train_keeping_best(model, train_set, valid_set, schedule):
+    """``mlp.train`` with an ``on_best`` that keeps a copy of each net it is
+    handed; the last copy, which holds the best epoch, and the history."""
+    copies = []
+    _, history = mlp.train(
+        model, train_set, valid_set, schedule, on_best=lambda net: copies.append(deepcopy(net))
+    )
+    return copies[-1], history
 
 
 def finite_difference_check(model, x, y, eps=1e-5):
@@ -219,7 +230,7 @@ class TestPerLayerStep:
             max_epochs=1, warmup_epochs=0, base_lr=0.1, batch_size=64, seed=3,
         )
         model = mlp.init_model(7, seed=8, hidden_sizes=(9, 6), output_dim=4, dtype=dtype)
-        expect = model.copy()
+        expect = deepcopy(model)
         # train's batch order; every layer's gradients taken before any is applied
         x, t = dense.astype(dtype), y.astype(dtype)
         lr = schedule.learning_rate(1)
@@ -236,7 +247,7 @@ class TestPerLayerStep:
                 b -= gb
 
         train_x = rows if gathered else dense
-        best, history = mlp.train(model, (train_x, y), (dense[-100:], y[-100:]), schedule)
+        best, history = train_keeping_best(model, (train_x, y), (dense[-100:], y[-100:]), schedule)
         assert history[0].train_mse == 2.0 * loss_sum / (order.size * model.output_dim)
         for got, kept, want in zip(
             model.weights + model.biases, best.weights + best.biases, expect.weights + expect.biases
@@ -375,10 +386,10 @@ class TestTrain:
         assert final < 0.1 * epoch0
         assert np.isfinite(mlp.mse(mlp.forward(best, train_set[0]), train_set[1]))
 
-    def test_returned_model_has_min_validation_mse(self):
+    def test_kept_model_has_min_validation_mse(self):
         train_set, valid_set = linear_task(seed=5)
         model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
-        best, history = mlp.train(model, train_set, valid_set, self.schedule)
+        best, history = train_keeping_best(model, train_set, valid_set, self.schedule)
         recomputed = mlp.mse(mlp.forward(best, valid_set[0]), valid_set[1])
         assert recomputed == min(h.valid_mse for h in history)
 
@@ -450,7 +461,7 @@ class TestTrain:
 
         monkeypatch.setattr(mlp, "backward", overflowing_backward)
         model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
-        best, history = mlp.train(model, train_set, valid_set, self.schedule)
+        best, history = train_keeping_best(model, train_set, valid_set, self.schedule)
         assert [h.epoch for h in history] == [1, 2, 3]
         assert len(calls) == 3 * 7 + 1
         recomputed = mlp.mse(mlp.forward(best, valid_set[0]), valid_set[1])
@@ -539,22 +550,22 @@ class TestOnBest:
         within = [v for v in improving if v <= bar]
         assert 2 <= len(within) < len(improving)
 
-        default_model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
-        best, default_history = mlp.train(
-            default_model, train_set, (valid_x, valid_y), self.schedule
+        best, copying_history = train_keeping_best(
+            mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4),
+            train_set, (valid_x, valid_y), self.schedule,
         )
         model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
         calls, on_best = self.keep_every_call(model, (valid_x, valid_y))
         kept, own_history = mlp.train(
             model, train_set, (valid_x, valid_y), self.schedule, on_best=on_best
         )
-        assert kept is None
-        assert own_history == default_history == history
+        assert kept is model
+        assert own_history == copying_history == history
         assert [is_model for is_model, _, _ in calls] == [True] * len(within)
         assert [score for _, score, _ in calls] == within
-        # the default keeper holds what the last call was handed
-        for default, last in zip(best.weights + best.biases, calls[-1][2]):
-            assert default.tobytes() == last.tobytes()
+        # a keeper's own copy holds what the last call was handed
+        for copied, last in zip(best.weights + best.biases, calls[-1][2]):
+            assert copied.tobytes() == last.tobytes()
 
     def test_no_epoch_above_the_bar_is_handed_over(self, monkeypatch):
         monkeypatch.setattr(mlp, "DIVERGENCE_FACTOR", 1e-9)
@@ -564,17 +575,6 @@ class TestOnBest:
         with pytest.raises(TrainingDiverged, match="predicting zero"):
             mlp.train(model, train_set, valid_set, self.schedule, on_best=calls.append)
         assert calls == []
-
-    def test_a_caller_keeper_allocates_no_snapshot(self, monkeypatch):
-        def no_copy(model):
-            raise AssertionError("a snapshot of the net was taken")
-
-        monkeypatch.setattr(mlp.MlpModel, "copy", no_copy)
-        train_set, valid_set = linear_task(seed=5)
-        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4)
-        calls = []
-        kept, history = mlp.train(model, train_set, valid_set, self.schedule, on_best=calls.append)
-        assert kept is None and calls and len(history) > 1
 
 
 def use_cpus(monkeypatch, n):
@@ -749,11 +749,11 @@ def test_importing_and_a_small_net_start_no_thread():
 
 
 class TestTrainingMemory:
-    def test_peak_stays_under_three_nets(self):
-        # the net (2.6 MB of float32 weights) dominates everything else that
-        # training holds: the snapshot, one layer's gradients and the small batches
+    @staticmethod
+    def task():
+        """A net whose 2.6 MB of float32 weights dominate everything else that
+        training holds, its data, and a schedule that runs every epoch."""
         model = mlp.init_model(32, seed=0, hidden_sizes=(512,) * 3, output_dim=199, dtype=np.float32)
-        net_bytes = sum(a.nbytes for a in model.weights + model.biases)
         rng = np.random.default_rng(3)
         train_set = (rng.normal(size=(256, 32)).astype(np.float32),
                      rng.normal(size=(256, 199)).astype(np.float32))
@@ -761,9 +761,32 @@ class TestTrainingMemory:
         schedule = mlp.TrainingSchedule(
             max_epochs=4, warmup_epochs=1, base_lr=0.01, batch_size=64, patience=5, seed=1,
         )
+        return model, train_set, valid_set, schedule
+
+    def test_peak_stays_under_three_nets(self):
+        # training holds the net, one layer's gradients and the small batches
+        model, train_set, valid_set, schedule = self.task()
+        net_bytes = sum(a.nbytes for a in model.weights + model.biases)
         (_, history), peak = traced_peak(mlp.train, model, train_set, valid_set, schedule)
         assert len(history) == schedule.max_epochs
         assert peak < 3 * net_bytes
+
+    def test_without_a_keeper_the_net_itself_is_returned_and_none_is_copied(self):
+        model, train_set, valid_set, schedule = self.task()
+        net_bytes = sum(a.nbytes for a in model.weights + model.biases)
+        given = [a.copy() for a in train_set + valid_set]
+        # one step's temporaries: the batch activations and one layer's gradients
+        rows = slice(schedule.batch_size)
+        _, step_peak = traced_peak(
+            mlp.backward, model, train_set[0][rows], train_set[1][rows], lambda *grads: None
+        )
+        (trained, history), peak = traced_peak(mlp.train, model, train_set, valid_set, schedule)
+        assert trained is model
+        assert len(history) == schedule.max_epochs
+        # a copy of the net would add net_bytes to the step's temporaries
+        assert peak < step_peak + net_bytes
+        for after, before in zip(train_set + valid_set, given):
+            assert after.tobytes() == before.tobytes()
 
     def test_step_holds_one_layers_gradients(self):
         # five equal 512-wide layers: the whole net's gradients are 5.3 MB of
@@ -782,36 +805,6 @@ class TestTrainingMemory:
         assert np.isfinite(loss)
         # slack: the residual's square and a delta being formed from the last one
         assert peak < n_layers * row_bytes + layer_bytes + 2 * row_bytes
-
-    def test_best_is_a_separate_copy_of_the_best_epoch(self, monkeypatch):
-        # validation targets that oppose the training mapping get worse as the
-        # net learns, so the best epoch is an early one and the net moves on
-        train_set, (valid_x, valid_y) = linear_task(seed=3)
-        train_set = tuple(a.astype(np.float32) for a in train_set)
-        valid_set = (valid_x.astype(np.float32), -valid_y)
-        given = [a.copy() for a in train_set + valid_set]
-        at_validation = []
-        forward = mlp.forward
-
-        def recording_forward(model, batch):
-            at_validation.append([a.copy() for a in model.weights + model.biases])
-            return forward(model, batch)
-
-        monkeypatch.setattr(mlp, "forward", recording_forward)
-        model = mlp.init_model(6, seed=2, hidden_sizes=(8,), output_dim=4, dtype=np.float32)
-        schedule = mlp.TrainingSchedule(
-            max_epochs=6, warmup_epochs=1, base_lr=0.1, batch_size=64, patience=10, seed=4,
-        )
-        best, history = mlp.train(model, train_set, valid_set, schedule)
-        best_epoch = min(history, key=lambda h: h.valid_mse).epoch
-        assert best_epoch < history[-1].epoch
-        trained = model.weights + model.biases
-        for kept, seen, final in zip(best.weights + best.biases, at_validation[best_epoch - 1], trained):
-            assert not np.shares_memory(kept, final)
-            assert kept.tobytes() == seen.tobytes()
-            assert kept.tobytes() != final.tobytes()
-        for after, before in zip(train_set + valid_set, given):
-            assert after.tobytes() == before.tobytes()
 
 
 class TestPredictUtterance:

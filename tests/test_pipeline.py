@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+from copy import deepcopy
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import config_for
 from test_acoustic import stacked_targets
 from test_arrayfile import traced_peak
+from test_mlp import train_keeping_best
 from ultratts import (
     acoustic, cli, eigentongues, labels, metrics, mlp, pipeline, synthetic, ultra,
 )
@@ -410,7 +412,10 @@ class TestRunExperiment:
         pipeline.start_run(cfg, tmp_path / "run")
         split = pipeline.load_split(pipeline.RunPaths(tmp_path / "run"))
         pipeline.train_frame_matrix(cfg, split)  # fills the resize caches
-        (frames, counts, utterances), peak = traced_peak(pipeline.train_frame_matrix, cfg, split)
+        names = [f"{u}.{ext}" for u in split.train for ext in ("ult", "lf0")]
+        (frames, counts, utterances), peak = traced_peak(
+            pipeline.train_frame_matrix, cfg, split, file_names=names
+        )
         own = [pipeline.utterance_frames(cfg, utt_id) for utt_id in split.train]
         assert frames.tobytes() == np.vstack([rows for rows, _ in own]).tobytes()
         expect = [np.bincount(index, minlength=len(rows)) for rows, index in own]
@@ -432,7 +437,10 @@ class TestRunExperiment:
         split = pipeline.load_split(run)
         # the stack's size and raw rows; this also fills the resize caches
         frames, _, utterances = pipeline.train_frame_matrix(cfg, split)
-        _, peak = traced_peak(pipeline.stage_pca, cfg, split, run)
+        ids = split.train + split.dev + split.test
+        names = [f"{u}.{ext}" for u in ids for ext in ("ult", "lf0", "npy")]
+        names += [run.coeffs("x").name, run.pca_model.name]
+        _, peak = traced_peak(pipeline.stage_pca, cfg, split, run, file_names=names)
         # a 512 x 512 scatter Gram matrix: this reads 1.24x the stack. Fitting
         # a centred copy, with the Gram matrix formed and given whole to eigh,
         # read 2.94x
@@ -627,7 +635,7 @@ class TestTrainStage:
         train, given = mlp.train, []
 
         def recording_train(model, train_set, valid_set, schedule, **kwargs):
-            given.append((model.copy(), train_set, valid_set, schedule))
+            given.append((deepcopy(model), train_set, valid_set, schedule))
             return train(model, train_set, valid_set, schedule, **kwargs)
 
         monkeypatch.setattr(mlp, "train", recording_train)
@@ -642,7 +650,7 @@ class TestTrainStage:
         assert writes == [run.partial_checkpoint] * len(improving)
 
         (model, train_set, valid_set, schedule), = given
-        best, _ = mlp.train(model, train_set, valid_set, schedule)
+        best, _ = train_keeping_best(model, train_set, valid_set, schedule)
         _, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
         mlp.save_checkpoint(best, input_stats, output_stats, tmp_path / "default.bin")
         assert run.checkpoint.read_bytes() == (tmp_path / "default.bin").read_bytes()
@@ -744,7 +752,10 @@ class TestTrainStage:
         pipeline.run_stage("prepare", run.root)
         split = pipeline.load_split(run)
         pipeline.stage_train(cfg, split, run)  # fills any cache the stage reads through
-        _, peak = traced_peak(pipeline.stage_train, cfg, split, run)
+        names = [f"{u}.{ext}" for u in split.train + split.dev for ext in ("lab", "mgc", "bap", "lf0")]
+        names += [Path(cfg.question_file).name]
+        names += [p.name for p in (run.checkpoint, run.partial_checkpoint, run.history)]
+        _, peak = traced_peak(pipeline.stage_train, cfg, split, run, file_names=names)
         model, _, _ = mlp.load_checkpoint(run.checkpoint)
         net_bytes = sum(a.nbytes for a in model.weights + model.biases)
         assert model.layer_sizes[1:-1] == (1024,) * 4
