@@ -1,10 +1,12 @@
 """Acoustic parameter streams: file IO, target assembly, normalization, MLPG.
 
 Per-utterance feature files are headerless row-major little-endian 32-bit
-floats: ``<id>.mgc`` (n x 60), ``<id>.bap`` (n x 5), ``<id>.lf0`` (n x 1).
-Unvoiced frames carry the LF0 sentinel value, which is the only record of
-voicing: ``AcousticStreams.voiced`` reads it, and no separate V/UV array is
-kept beside a stream. Regression targets stack each stream with its delta and
+floats: ``<id>.mgc`` (n x ``MGC_DIM`` = 60), ``<id>.bap`` (n x ``BAP_DIM`` =
+5), ``<id>.lf0`` (n x 1), one row per ``FRAME_SHIFT`` = 5 ms frame. That
+frame and those widths are the corpus format's, not settings. Unvoiced
+frames carry the LF0 sentinel value, which is the only record of voicing:
+``AcousticStreams.voiced`` reads it, and no separate V/UV array is kept
+beside a stream. Regression targets stack each stream with its delta and
 delta-delta plus a binary voicing flag:
 ``[mgc d dd | bap d dd | lf0 d dd | vuv]``, width 3*(60+5+1)+1 = 199.
 The pipeline takes every target from two functions here, an utterance at a
@@ -78,8 +80,6 @@ def target_width(mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM) -> int:
 
 def load_stream(data: bytes, width: int) -> np.ndarray:
     """Decode a headerless float32 feature file into an (n, width) matrix."""
-    if width < 1:
-        raise ArgumentError(f"width must be >= 1, got {width}")
     frame_bytes = width * 4
     if len(data) % frame_bytes != 0:
         raise FormatError(
@@ -102,14 +102,12 @@ def frame_count(acoustic_dir: Path, utt_id: str) -> int:
     return (Path(acoustic_dir) / f"{utt_id}.lf0").stat().st_size // np.dtype("<f4").itemsize
 
 
-def read_streams(
-    acoustic_dir: Path, utt_id: str, mgc_dim: int = MGC_DIM, bap_dim: int = BAP_DIM
-) -> AcousticStreams:
+def read_streams(acoustic_dir: Path, utt_id: str) -> AcousticStreams:
     """Load ``<id>.mgc/.bap/.lf0`` from a directory as float64 streams; files
     that hold no frame are refused."""
     acoustic_dir = Path(acoustic_dir)
-    mgc = load_stream((acoustic_dir / f"{utt_id}.mgc").read_bytes(), mgc_dim)
-    bap = load_stream((acoustic_dir / f"{utt_id}.bap").read_bytes(), bap_dim)
+    mgc = load_stream((acoustic_dir / f"{utt_id}.mgc").read_bytes(), MGC_DIM)
+    bap = load_stream((acoustic_dir / f"{utt_id}.bap").read_bytes(), BAP_DIM)
     lf0 = load_stream((acoustic_dir / f"{utt_id}.lf0").read_bytes(), 1)
     streams = AcousticStreams(
         mgc=mgc.astype(np.float64),
@@ -194,9 +192,7 @@ def build_targets(streams: AcousticStreams, out: np.ndarray | None = None) -> np
     return out
 
 
-def target_stats(
-    acoustic_dir: Path, utt_ids: Sequence[str], mgc_dim: int, bap_dim: int
-) -> NormalizationStats:
+def target_stats(acoustic_dir: Path, utt_ids: Sequence[str]) -> NormalizationStats:
     """Mean-variance statistics of the utterances' float64 regression targets.
 
     They equal ``fit_normalization`` of the targets stacked in order, bit for
@@ -209,13 +205,13 @@ def target_stats(
     if not utt_ids:
         raise DataError("no utterance to fit target statistics on")
     counts = [frame_count(acoustic_dir, utt_id) for utt_id in utt_ids]
-    width = target_width(mgc_dim, bap_dim)
+    width = target_width()
     stacked = np.empty((max(counts) + 1, width))
 
     def column_mean(deviations_from=None) -> np.ndarray:
         total = np.zeros(width)
         for utt_id, n in zip(utt_ids, counts):
-            streams = read_streams(acoustic_dir, utt_id, mgc_dim, bap_dim)
+            streams = read_streams(acoustic_dir, utt_id)
             rows = build_targets(streams, out=stacked[1 : n + 1])
             if deviations_from is not None:
                 rows -= deviations_from
@@ -230,12 +226,7 @@ def target_stats(
 
 
 def normalized_targets(
-    acoustic_dir: Path,
-    utt_ids: Sequence[str],
-    mgc_dim: int,
-    bap_dim: int,
-    stats: NormalizationStats,
-    dtype,
+    acoustic_dir: Path, utt_ids: Sequence[str], stats: NormalizationStats, dtype
 ) -> np.ndarray:
     """The utterances' regression targets, in order, normalised under
     ``stats`` and held only in ``dtype``.
@@ -245,12 +236,12 @@ def normalized_targets(
     buffer of the longest utterance, normalised there and cast into its rows.
     """
     counts = [frame_count(acoustic_dir, utt_id) for utt_id in utt_ids]
-    width = target_width(mgc_dim, bap_dim)
+    width = target_width()
     targets = np.empty((sum(counts), width), dtype=dtype)
     buf = np.empty((max(counts), width))
     start = 0
     for utt_id, n in zip(utt_ids, counts):
-        streams = read_streams(acoustic_dir, utt_id, mgc_dim, bap_dim)
+        streams = read_streams(acoustic_dir, utt_id)
         targets[start : start + n] = normalize_in_place(stats, build_targets(streams, out=buf[:n]))
         start += n
     return targets

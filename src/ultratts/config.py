@@ -2,8 +2,10 @@
 
 Each section holds the ``ExperimentConfig`` fields that ``SECTIONS`` lists
 for it, keyed by field name less any ``_ratio`` suffix. A key's type is its
-field's annotation; the defaults of the stream shapes, the network, the SGD
-schedule and the component cap are the constants of the modules that use them.
+field's annotation; the defaults of the network, the SGD schedule and the
+component cap are the constants of the modules that use them. The acoustic
+frame is no setting: the corpus format fixes it (``acoustic.FRAME_SHIFT`` and
+the stream widths), so a config may not claim another.
 
 Values are taken literally: ``%`` is an ordinary character, not
 interpolation syntax. A file that is not a valid config (no section header,
@@ -20,18 +22,16 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from math import inf
 from pathlib import Path
 from typing import get_type_hints
 
-from . import acoustic, eigentongues, mlp
+from . import eigentongues, mlp
 from .errors import ArgumentError, ConfigError
 
 SYSTEMS = ("ult2wav", "txt2wav", "txt+ult2wav")
 
 _AT_LEAST_ONE = (
-    "resize_rows", "resize_cols", "max_components", "mgc_dim", "bap_dim",
-    "hidden_layers", "hidden_units",
+    "resize_rows", "resize_cols", "max_components", "hidden_layers", "hidden_units",
 )
 
 
@@ -51,9 +51,6 @@ class ExperimentConfig:
     resize_cols: int = 128
     variance_target: float = 0.70
     max_components: int = eigentongues.MAX_COMPONENTS
-    frame_shift: float = acoustic.FRAME_SHIFT
-    mgc_dim: int = acoustic.MGC_DIM
-    bap_dim: int = acoustic.BAP_DIM
     hidden_layers: int = len(mlp.DEFAULT_HIDDEN)
     hidden_units: int = mlp.DEFAULT_HIDDEN[0]
     max_epochs: int = mlp.TrainingSchedule.max_epochs
@@ -80,8 +77,6 @@ class ExperimentConfig:
         # written so that NaN fails too
         if not 0 < self.variance_target <= 1:
             raise ConfigError(f"variance_target must be in (0, 1], got {self.variance_target}")
-        if not 0 < self.frame_shift < inf:
-            raise ConfigError(f"frame_shift must be finite and > 0, got {self.frame_shift}")
         try:
             self.schedule
         except ArgumentError as e:
@@ -126,7 +121,6 @@ SECTIONS = {
     "split": ("train_ratio", "dev_ratio", "test_ratio"),
     "ultrasound": ("resize_rows", "resize_cols"),
     "pca": ("variance_target", "max_components"),
-    "acoustic": ("frame_shift", "mgc_dim", "bap_dim"),
     "network": ("hidden_layers", "hidden_units"),
     "training": ("max_epochs", "warmup_epochs", "base_lr", "lr_decay", "batch_size", "patience"),
 }

@@ -223,13 +223,14 @@ def render_tables(reports: Sequence[EvaluationReport]) -> str:
     for variant in variants:
         subset = [r for r in reports if r.variant == variant]
         speakers = sorted({r.speaker for r in subset})
+        label = max(8, *map(len, speakers))
         systems = [s for s in SYSTEMS if any(r.system == s for r in subset)]
         systems += sorted({r.system for r in subset} - set(SYSTEMS))
         for title, attr, fmt in _METRIC_COLUMNS:
             lines.append("")
             lines.append(f"{title} ({variant}) on the dev/test set")
             width = max(17, *(len(s) + 2 for s in systems))
-            header = "Spkr".ljust(8) + "".join(s.center(width) for s in systems)
+            header = "Spkr".ljust(label) + "".join(s.center(width) for s in systems)
             lines.append(header)
             lines.append("-" * len(header))
             for speaker in speakers:
@@ -240,5 +241,5 @@ def render_tables(reports: Sequence[EvaluationReport]) -> str:
                         r = by_cell.get((speaker, system, split, variant))
                         parts.append(fmt.format(getattr(r, attr)) if r else "-")
                     cells.append(f"{parts[0]} / {parts[1]}".center(width))
-                lines.append(speaker.ljust(8) + "".join(cells))
+                lines.append(speaker.ljust(label) + "".join(cells))
     return "\n".join(lines) + "\n"

@@ -168,7 +168,7 @@ def utterance_features(
     frames of its acoustic streams."""
     parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
     n_frames = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
+    return labels.extract_features(parsed, questions, acoustic.FRAME_SHIFT, n_frames)
 
 
 def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
@@ -178,7 +178,7 @@ def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> 
     ``generate`` build the features again where they use them."""
     questions = load_questions(cfg)
     for utt_id in split.all_ids:
-        acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
+        acoustic.read_streams(cfg.acoustic_dir, utt_id)
         utterance_features(cfg, questions, utt_id)
 
 
@@ -187,7 +187,7 @@ def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np
     them, one per frame of the corpus's acoustic streams."""
     seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return ultra.resampled_resized_frames(seq, cfg.frame_shift, n, cfg.resize_rows, cfg.resize_cols)
+    return ultra.resampled_resized_frames(seq, acoustic.FRAME_SHIFT, n, cfg.resize_rows, cfg.resize_cols)
 
 
 def distinct_frame_count(cfg: ExperimentConfig, utt_id: str) -> int:
@@ -195,7 +195,7 @@ def distinct_frame_count(cfg: ExperimentConfig, utt_id: str) -> int:
     selects, from its sidecar and the size of its ``.ult`` file: no frame is read."""
     meta, n_frames = ultra.read_frame_count(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
     n = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return ultra.frame_clock_selection(meta, n_frames, cfg.frame_shift, n)[0].size
+    return ultra.frame_clock_selection(meta, n_frames, acoustic.FRAME_SHIFT, n)[0].size
 
 
 def train_frame_matrix(
@@ -339,10 +339,9 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     dev_x = net_inputs(input_stats, gathered_inputs(cfg, run, questions, split.dev)).dense()
     # training reads no question: holding the compiled set raised the stage's peak
     del questions
-    dims = (cfg.mgc_dim, cfg.bap_dim)
-    output_stats = acoustic.target_stats(cfg.acoustic_dir, split.train, *dims)
+    output_stats = acoustic.target_stats(cfg.acoustic_dir, split.train)
     train_y, dev_y = (
-        acoustic.normalized_targets(cfg.acoustic_dir, ids, *dims, output_stats, dtype)
+        acoustic.normalized_targets(cfg.acoustic_dir, ids, output_stats, dtype)
         for ids, dtype in ((split.train, NET_DTYPE), (split.dev, np.float64))
     )
 
@@ -350,7 +349,6 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
         train_x.shape[1],
         cfg.seed,
         hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
-        output_dim=acoustic.target_width(cfg.mgc_dim, cfg.bap_dim),
         dtype=NET_DTYPE,
     )
 
@@ -387,7 +385,7 @@ def stage_generate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
     for utt_id in split.dev + split.test:
         rows = gathered_inputs(cfg, run, questions, [utt_id])
         x = net_inputs(input_stats, rows, model.dtype).dense()
-        by_variant = mlp.predict_utterance(model, x, output_stats, cfg.mgc_dim, cfg.bap_dim)
+        by_variant = mlp.predict_utterance(model, x, output_stats)
         for variant, streams in by_variant.items():
             acoustic.save_streams(streams, run.generated(variant), utt_id)
 
@@ -396,7 +394,7 @@ def stage_evaluate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
     """Score generated dev/test utterances against the corpus references."""
     # each reference serves every variant, so read it once
     references = {
-        utt_id: acoustic.read_streams(cfg.acoustic_dir, utt_id, cfg.mgc_dim, cfg.bap_dim)
+        utt_id: acoustic.read_streams(cfg.acoustic_dir, utt_id)
         for utt_id in (*split.dev, *split.test)
     }
     reports = []
@@ -404,7 +402,7 @@ def stage_evaluate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
         for split_name in ("dev", "test"):
             evals = []
             for utt_id in getattr(split, split_name):
-                pred = acoustic.read_streams(run.generated(variant), utt_id, cfg.mgc_dim, cfg.bap_dim)
+                pred = acoustic.read_streams(run.generated(variant), utt_id)
                 evals.append(metrics.evaluate_utterance(utt_id, references[utt_id], pred))
             reports.append(
                 metrics.aggregate(

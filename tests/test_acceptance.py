@@ -247,9 +247,7 @@ def test_criterion_9_leakage_guard(tiny_corpus, tmp_path):
     )
     out_stats = acoustic.fit_normalization(
         np.vstack([
-            acoustic.build_targets(
-                acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim)
-            )
+            acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u))
             for u in split.train
         ]),
         "meanvar",

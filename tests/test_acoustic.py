@@ -48,11 +48,13 @@ class TestLoadStream:
         rng = np.random.default_rng(1)
         lf0 = np.where(rng.random(9) < 0.3, acoustic.UNVOICED_LF0, rng.normal(4.7, 0.2, 9))
         streams = acoustic.AcousticStreams(
-            mgc=rng.normal(size=(9, 4)), bap=rng.normal(size=(9, 2)), lf0=lf0
+            mgc=rng.normal(size=(9, acoustic.MGC_DIM)),
+            bap=rng.normal(size=(9, acoustic.BAP_DIM)),
+            lf0=lf0,
         )
         acoustic.save_streams(streams, tmp_path, "u1")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u1.bap", "u1.lf0", "u1.mgc"]
-        back = acoustic.read_streams(tmp_path, "u1", mgc_dim=4, bap_dim=2)
+        back = acoustic.read_streams(tmp_path, "u1")
         for name in ("mgc", "bap", "lf0"):
             expect = getattr(streams, name).astype(np.float32).astype(np.float64)
             assert getattr(back, name).tobytes() == expect.tobytes(), name
@@ -347,7 +349,7 @@ class TestTargets:
 def stacked_targets(cfg, ids):
     """The float64 targets of the utterances in ``cfg.acoustic_dir``, stacked in order."""
     return np.vstack([
-        acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u, cfg.mgc_dim, cfg.bap_dim))
+        acoustic.build_targets(acoustic.read_streams(cfg.acoustic_dir, u))
         for u in ids
     ])
 
@@ -376,10 +378,7 @@ class TestNormalizedTargets:
     def reference(directory, ids, dtype):
         """The float64 target matrix, its mean-variance statistics, and the
         matrix normalised under them and cast to ``dtype``."""
-        cfg = SimpleNamespace(
-            acoustic_dir=directory, mgc_dim=acoustic.MGC_DIM, bap_dim=acoustic.BAP_DIM
-        )
-        matrix = stacked_targets(cfg, ids)
+        matrix = stacked_targets(SimpleNamespace(acoustic_dir=directory), ids)
         stats = acoustic.fit_normalization(matrix, "meanvar")
         return matrix.copy(), stats, acoustic.normalize_in_place(stats, matrix).astype(dtype)
 
@@ -406,10 +405,8 @@ class TestNormalizedTargets:
         counts, edit = self.fixture(kind)
         ids = write_utterances(tmp_path, counts, seed=len(kind), edit=edit)
         matrix, stats, expect = self.reference(tmp_path, ids, dtype)
-        got = acoustic.target_stats(tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM)
-        targets = acoustic.normalized_targets(
-            tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM, got, dtype
-        )
+        got = acoustic.target_stats(tmp_path, ids)
+        targets = acoustic.normalized_targets(tmp_path, ids, got, dtype)
         assert (targets.dtype, targets.shape) == (expect.dtype, expect.shape)
         assert targets.tobytes() == expect.tobytes()
         assert got.kind == "meanvar"
@@ -445,12 +442,9 @@ class TestNormalizedTargets:
     def test_memory_grows_by_the_output_rows_alone(self, tmp_path):
         # a float64 matrix of the rows and its float32 cast would grow by 3x
         ids = write_utterances(tmp_path, [100] * 40, seed=5)
-        stats = acoustic.target_stats(tmp_path, ids, acoustic.MGC_DIM, acoustic.BAP_DIM)
+        stats = acoustic.target_stats(tmp_path, ids)
         peaks, targets = self.traced_peaks(
-            lambda some: acoustic.normalized_targets(
-                tmp_path, some, acoustic.MGC_DIM, acoustic.BAP_DIM, stats, np.float32
-            ),
-            ids,
+            lambda some: acoustic.normalized_targets(tmp_path, some, stats, np.float32), ids
         )
         added = targets.nbytes / 2
         assert peaks[1] - peaks[0] <= 1.25 * added
@@ -458,10 +452,7 @@ class TestNormalizedTargets:
     def test_statistics_memory_does_not_grow_with_the_utterances(self, tmp_path):
         # a stacked float64 matrix of the rows would grow by 20 blocks
         ids = write_utterances(tmp_path, [100] * 40, seed=5)
-        peaks, _ = self.traced_peaks(
-            lambda some: acoustic.target_stats(tmp_path, some, acoustic.MGC_DIM, acoustic.BAP_DIM),
-            ids,
-        )
+        peaks, _ = self.traced_peaks(lambda some: acoustic.target_stats(tmp_path, some), ids)
         block = 100 * acoustic.target_width() * np.dtype(np.float64).itemsize
         assert peaks[1] - peaks[0] <= 1.25 * block
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestAggregate:
 
 
 class TestReports:
-    def make_reports(self):
+    def make_reports(self, speaker="spk01"):
         rng = np.random.default_rng(8)
         reports = []
         for system in ("ult2wav", "txt2wav", "txt+ult2wav"):
@@ -283,7 +284,7 @@ class TestReports:
                 ev, _ = evaluate_pair(rng, "u", 20)
                 reports.append(
                     metrics.aggregate(
-                        [ev], speaker="spk01", system=system, split=split, variant="mlpg"
+                        [ev], speaker=speaker, system=system, split=split, variant="mlpg"
                     )
                 )
         return reports
@@ -313,3 +314,21 @@ class TestReports:
         assert "spk01" in text
         for system in ("ult2wav", "txt2wav", "txt+ult2wav"):
             assert system in text
+
+    @pytest.mark.parametrize("speakers", [("spk01",), ("spk01", "speaker_long_01")])
+    def test_rows_align_with_the_header_columns(self, speakers):
+        reports = [r for speaker in speakers for r in self.make_reports(speaker)]
+        lines = metrics.render_tables(reports).splitlines()
+        headers = [i for i, line in enumerate(lines) if line.startswith("Spkr")]
+        assert len(headers) == 5
+        label = max(8, *map(len, speakers))
+        for i in headers:
+            header, rows = lines[i], lines[i + 2 : i + 2 + len(speakers)]
+            assert header.startswith("Spkr".ljust(label) + " ")
+            names = [(m.start() + m.end()) / 2 for m in re.finditer(r"\S+2wav", header)]
+            for speaker, row in zip(sorted(speakers), rows):
+                assert row.startswith(speaker.ljust(label) + " ") and len(row) == len(header)
+                # each dev / test cell is centred under its system's name
+                cells = [(m.start() + m.end()) / 2 for m in re.finditer(r"\S+ / \S+", row)]
+                assert len(cells) == len(names) == 3
+                assert all(abs(c - n) <= 1 for c, n in zip(cells, names)), (header, row)

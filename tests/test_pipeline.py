@@ -25,13 +25,28 @@ def label_file_features(cfg, questions, utt_id):
     """The utterance's features, extracted from its label file over its frame count."""
     parsed = labels.parse_labels((Path(cfg.label_dir) / f"{utt_id}.lab").read_text())
     n_frames = acoustic.frame_count(cfg.acoustic_dir, utt_id)
-    return labels.extract_features(parsed, questions, cfg.frame_shift, n_frames)
+    return labels.extract_features(parsed, questions, acoustic.FRAME_SHIFT, n_frames)
 
 
 def write_config_setting_workers(cfg, path):
     """``cfg`` written with the removed ``[experiment] workers`` key set."""
     write_config(cfg, path)
     path.write_text(path.read_text().replace("[experiment]\n", "[experiment]\nworkers = 2\n"))
+
+
+def write_config_with_acoustic_section(cfg, path):
+    """``cfg`` written with the removed ``[acoustic]`` section, as configs
+    carried it while the frame and the stream widths were settings."""
+    write_config(cfg, path)
+    section = "[acoustic]\nframe_shift = 0.005\nmgc_dim = 60\nbap_dim = 5\n\n"
+    path.write_text(path.read_text().replace("[network]\n", section + "[network]\n"))
+
+
+# configs of removed settings, each with the error that refuses it
+REMOVED_SETTINGS = (
+    (write_config_setting_workers, "unknown key 'workers' in section [experiment]"),
+    (write_config_with_acoustic_section, "unknown config section [acoustic]"),
+)
 
 
 class TestSplitDataset:
@@ -86,7 +101,7 @@ class TestConfig:
             speaker="fkms", system="ult2wav", seed=4,
             train_ratio=0.7, dev_ratio=0.2, test_ratio=0.1,
             resize_rows=8, resize_cols=16, variance_target=0.9, max_components=12,
-            frame_shift=0.01, mgc_dim=40, bap_dim=3, hidden_layers=2, hidden_units=32,
+            hidden_layers=2, hidden_units=32,
             max_epochs=9, warmup_epochs=2, base_lr=0.05, lr_decay=0.8, batch_size=64, patience=3,
         )
         assert set(values) == {f.name for f in fields(ExperimentConfig)}
@@ -166,7 +181,7 @@ class TestConfig:
         write_config(cfg, tmp_path / "exp.cfg")
         assert read_config(tmp_path / "exp.cfg") == cfg
 
-    @pytest.mark.parametrize("key", ["frame_shift", "base_lr"])
+    @pytest.mark.parametrize("key", ["base_lr"])
     def test_infinite_value_rejected(self, tmp_path, tiny_corpus, key):
         cfg_file = tmp_path / "exp.cfg"
         write_config(config_for(tiny_corpus), cfg_file)
@@ -181,9 +196,10 @@ class TestConfig:
 
     def test_removed_workers_key_rejected(self, tmp_path, tiny_corpus):
         cfg_file = tmp_path / "exp.cfg"
-        write_config_setting_workers(config_for(tiny_corpus), cfg_file)
-        with pytest.raises(ConfigError, match="unknown key 'workers' in section \\[experiment\\]"):
-            read_config(cfg_file)
+        for write, message in REMOVED_SETTINGS:
+            write(config_for(tiny_corpus), cfg_file)
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                read_config(cfg_file)
 
     def test_defaults_match_experiment_constants(self, tiny_corpus):
         cfg = ExperimentConfig(
@@ -198,8 +214,8 @@ class TestConfig:
         assert (cfg.hidden_layers, cfg.hidden_units) == (6, 1024)
         assert (cfg.max_epochs, cfg.warmup_epochs) == (25, 10)
         assert (cfg.base_lr, cfg.batch_size) == (0.002, 256)
-        assert cfg.frame_shift == 0.005
-        assert (cfg.mgc_dim, cfg.bap_dim) == (60, 5)
+        assert acoustic.FRAME_SHIFT == 0.005
+        assert (acoustic.MGC_DIM, acoustic.BAP_DIM) == (60, 5)
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +481,7 @@ class TestRunExperiment:
         for utt_id in pipeline.load_split(run).all_ids:
             seq = ultra.read_utterance(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
             coeffs = np.load(run.coeffs(utt_id))
-            source = ultra.resample_to_frame_clock(seq, cfg.frame_shift, len(coeffs))
+            source = ultra.resample_to_frame_clock(seq, acoustic.FRAME_SHIFT, len(coeffs))
             for i in np.unique(source):
                 rows = coeffs[source == i]
                 assert all(row.tobytes() == rows[0].tobytes() for row in rows), (utt_id, i)
@@ -905,10 +921,6 @@ class TestCli:
             ("hidden_layers", "0"),
             ("resize_rows", "0"),
             ("resize_cols", "0"),
-            ("mgc_dim", "0"),
-            ("bap_dim", "0"),
-            ("frame_shift", "0"),
-            ("frame_shift", "nan"),
         ],
     )
     def test_out_of_range_setting_leaves_a_finished_run_intact(
@@ -938,12 +950,13 @@ class TestCli:
         shutil.copytree(run.root, finished.root)
         before = {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()}
         cfg_file = tmp_path / "exp.cfg"
-        write_config_setting_workers(cfg, cfg_file)
-        argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown key 'workers' in section [experiment]" in err
-        assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
+        for write, message in REMOVED_SETTINGS:
+            write(cfg, cfg_file)
+            argv = ["run-all", "--config", str(cfg_file), "--output", str(finished.root)]
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert {p: p.read_bytes() for p in finished.root.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("command", ["prepare", "run-all"])
     def test_workers_flag_accepts_only_one(self, tmp_path, capsys, command):
