@@ -64,21 +64,21 @@ class EigenTonguesModel:
 def fit_pca(
     frames: np.ndarray,
     variance_target: float,
-    k_max: int | None = MAX_COMPONENTS,
+    k_max: int = MAX_COMPONENTS,
     counts: np.ndarray | None = None,
     centre_in_place: bool = False,
 ) -> EigenTonguesModel:
     """Fit the compressor on flattened frames (one row per frame).
 
     Keeps the smallest component count whose cumulative eigenvalue fraction
-    reaches ``variance_target``; ``k_max`` may truncate further. Eigenvalues
-    use the unbiased (n-1) covariance normalization. Each basis row is
-    sign-flipped so its largest-magnitude entry is positive, which makes the
-    fit deterministic.
+    reaches ``variance_target``, and at most ``k_max``, a positive integer:
+    the frame dimension keeps every axis. Eigenvalues use the unbiased (n-1)
+    covariance normalization. Each basis row is sign-flipped so its
+    largest-magnitude entry is positive, which makes the fit deterministic.
 
-    ``counts``, when given, holds how many times each row occurs in the frame
-    set, so distinct frames can stand for a set with repeats and the fit is
-    that of the expanded set: the mean is weighted by the counts, the
+    ``counts`` holds how many times each row occurs in the frame set, one by
+    default, so distinct frames can stand for a set with repeats and the fit
+    is that of the expanded set: the mean is weighted by the counts, the
     covariance is that of the centred rows C with row i weighted by mᵢ, and
     n = Σm in the (n-1) normalization and in the total variance.
 
@@ -103,27 +103,24 @@ def fit_pca(
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ArgumentError(f"frames must be 2-D (n, d), got shape {frames.shape}")
-    if k_max is not None and k_max < 1:
+    if k_max < 1:
         raise ArgumentError(f"k_max must be at least 1, got {k_max}")
     rows, d = frames.shape
-    if counts is None:
-        n = rows
-    else:
-        counts = np.asarray(counts)
-        if (
-            counts.shape != (rows,)
-            or not np.issubdtype(counts.dtype, np.integer)
-            or np.any(counts < 1)
-        ):
-            raise ArgumentError(
-                f"counts must hold one positive integer per row, got {counts.dtype} {counts.shape}"
-            )
-        n = int(counts.sum())
+    counts = np.ones(rows, dtype=np.int64) if counts is None else np.asarray(counts)
+    if (
+        counts.shape != (rows,)
+        or not np.issubdtype(counts.dtype, np.integer)
+        or np.any(counts < 1)
+    ):
+        raise ArgumentError(
+            f"counts must hold one positive integer per row, got {counts.dtype} {counts.shape}"
+        )
+    n = int(counts.sum())
     if n < 2:
         raise DataError(f"need at least 2 frames to fit, got {n}")
     if not 0.0 < variance_target <= 1.0:
         raise ArgumentError(f"variance_target must be in (0, 1], got {variance_target}")
-    mean = frames.mean(axis=0) if counts is None else counts @ frames / n
+    mean = counts @ frames / n
     # every weight is at least 1, so a non-finite entry leaves its column's sum
     # non-finite: no frame-sized mask is needed
     if not np.all(np.isfinite(mean)):
@@ -133,13 +130,13 @@ def fit_pca(
         centred = frames
     else:
         centred = frames - mean
-    weights = np.ones(rows) if counts is None else counts.astype(np.float64)
+    weights = counts.astype(np.float64)
     total = float(weights @ np.einsum("ij,ij->i", centred, centred)) / (n - 1)
     if total <= 0.0:
         raise DataError("zero total variance: all frames are identical")
     snapshot = rows < d
     m = rows if snapshot else d
-    top = m if k_max is None else min(k_max, m)
+    top = min(k_max, m)
 
     def kept(w: np.ndarray) -> int:
         """The pair count the variance rule keeps from the leading Gram

@@ -257,13 +257,14 @@ def _frame_ticks(n_frames: int, frame_shift: float) -> np.ndarray:
     return np.floor(np.arange(n_frames) * (frame_shift * TICKS_PER_SECOND) + 0.5)
 
 
-def _positional_features(spans: np.ndarray, which: np.ndarray, frame_shift: float) -> np.ndarray:
-    """The (n_frames, 4) positional columns of frames ``which`` assigns to
-    labels with these (start, end) ``spans``: fraction through the label,
-    fraction remaining, label duration in frames, and frame index within the
-    label. A zero-length label counts as one tick long."""
+def _positional_features(
+    spans: np.ndarray, which: np.ndarray, ticks: np.ndarray, frame_shift: float
+) -> np.ndarray:
+    """The (n_frames, 4) positional columns of frames at ``ticks`` that ``which``
+    assigns to labels with these (start, end) ``spans``: fraction through the
+    label, fraction remaining, label duration in frames, and frame index within
+    the label. A zero-length label counts as one tick long."""
     shift_ticks = frame_shift * TICKS_PER_SECOND
-    ticks = _frame_ticks(len(which), frame_shift)
     starts = spans[:, 0].astype(np.float64)
     durations = np.maximum(spans[:, 1].astype(np.float64) - starts, 1.0)
     lab_start = starts[which]
@@ -294,7 +295,7 @@ def extract_features(
         raise DataError("empty label list")
     spans = np.array([(lab.start, lab.end) for lab in labels], dtype=np.int64)
     ends = spans[:, 1].astype(np.float64)
-    which = np.searchsorted(ends, _frame_ticks(n_frames, frame_shift), side="right")
-    which = np.minimum(which, len(labels) - 1)
+    ticks = _frame_ticks(n_frames, frame_shift)
+    which = np.minimum(np.searchsorted(ends, ticks, side="right"), len(labels) - 1)
     answers = _answer_labels(labels, questions)
-    return GatheredRows(answers, which, _positional_features(spans, which, frame_shift))
+    return GatheredRows(answers, which, _positional_features(spans, which, ticks, frame_shift))

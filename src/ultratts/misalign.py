@@ -25,6 +25,8 @@ from .mlp import mse
 from .ultra import UltrasoundSequence
 
 NEUTRAL_RGB = (128, 128, 128)
+# Each matrix cell is drawn as a square of this many pixels a side.
+CELL_PIXELS = 16
 # Low-to-high color ramp: blue through teal to yellow.
 _RAMP = ((25, 60, 170), (35, 195, 180), (250, 225, 40))
 
@@ -144,17 +146,15 @@ def _png_chunk(kind: bytes, data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + kind + data + crc.to_bytes(4, "big")
 
 
-def render_heatmap(matrix: MisalignmentMatrix, cell_pixels: int = 16) -> bytes:
-    """8-bit RGB PNG of the matrix, ``cell_pixels`` square pixels per cell; deterministic bytes.
+def render_heatmap(matrix: MisalignmentMatrix) -> bytes:
+    """8-bit RGB PNG of the matrix, ``CELL_PIXELS`` square pixels per cell; deterministic bytes.
 
     Finite values map linearly onto a blue-to-yellow ramp; the undefined
     diagonal is drawn in a neutral gray. The image is compressed one cell
     row at a time: the row's pixel line goes in once, "Sub"-filtered, and
-    its ``cell_pixels - 1`` repeats as "Up"-filtered lines of zeros, so the
+    its ``CELL_PIXELS - 1`` repeats as "Up"-filtered lines of zeros, so the
     memory held grows with the matrix, not with its pixel count.
     """
-    if cell_pixels < 1:
-        raise ArgumentError("cell_pixels must be >= 1")
     values = matrix.values
     finite = np.isfinite(values)
     vmin = float(values[finite].min()) if finite.any() else 0.0
@@ -162,13 +162,13 @@ def render_heatmap(matrix: MisalignmentMatrix, cell_pixels: int = 16) -> bytes:
     span = vmax - vmin
     t = np.where(finite, (values - vmin) / span, 0.0) if span > 0.0 else np.zeros(values.shape)
     neutral = np.array(NEUTRAL_RGB, dtype=np.uint8)
-    side = matrix.n * cell_pixels
+    side = matrix.n * CELL_PIXELS
     compressor = zlib.compressobj(strategy=_DEFLATE_STRATEGY)
-    repeats = (_PNG_UP + bytes(3 * side)) * (cell_pixels - 1)
+    repeats = (_PNG_UP + bytes(3 * side)) * (CELL_PIXELS - 1)
     idat = []
     for t_row, finite_row in zip(t, finite):
         cells = np.where(finite_row[:, None], _ramp_color(t_row), neutral)
-        line = np.repeat(cells, cell_pixels, axis=0).reshape(-1)
+        line = np.repeat(cells, CELL_PIXELS, axis=0).reshape(-1)
         line[3:] -= line[:-3]  # Sub: each byte minus the one a pixel to its left, mod 256
         idat.append(compressor.compress(_PNG_SUB + line.tobytes()))
         idat.append(compressor.compress(repeats))

@@ -4,16 +4,16 @@ Default architecture and schedule follow the experiment constants: six
 hidden layers of 1024 tanh units, linear output, SGD with batch size 256,
 25 epochs with a 10-epoch warm-up at learning rate 0.002 and exponential
 decay afterwards, early stopping on validation error. The net computes in
-the dtype of its weights (``init_model``'s ``dtype``, 64-bit by default;
-the pipeline trains in 32-bit): batches, targets, activations, gradients
-and updates all stay in it, while ``mse`` and the validation score are
-taken in 64-bit floats. Under one BLAS thread, a large float32 layer
-product is split by output columns across the CPUs in the process's
+the dtype of its weights: batches, targets, activations, gradients and
+updates all stay in it, while ``mse`` and the validation score are taken in
+64-bit floats. The pipeline's net is ``NET_DTYPE``, 32-bit; a 64-bit net is
+only the tests' in-memory reference. Under one BLAS thread, a large float32
+layer product is split by output columns across the CPUs in the process's
 affinity set, and gives the same bytes as on one CPU. A checkpoint is the
-whole trained model: the net, at its own float width, plus the 64-bit input
-and output normalisation it was trained under. Training inputs are a matrix
-or any row container that builds a batch when indexed, such as
-``labels.GatheredRows``; this module defines none.
+whole trained model: the net in ``NET_DTYPE``, the only width it stores,
+plus the 64-bit input and output normalisation it was trained under.
+Training inputs are a matrix or any row container that builds a batch when
+indexed, such as ``labels.GatheredRows``; this module defines none.
 
 Memory: training holds the net, one layer's gradients (the backward pass
 hands each layer's gradients to the update as soon as they are taken, and
@@ -50,8 +50,9 @@ VARIANTS = ("mlpg", "static")
 # the MSE of predicting zero (about 1 for mean-variance normalised targets)
 DIVERGENCE_FACTOR = 10.0
 
-# the float types a checkpoint stores a net in
-_NET_DTYPES = (np.float32, np.float64)
+# the float type the pipeline's net trains, is checkpointed and generates in;
+# normalisation is fitted and applied in float64 before the cast
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -471,11 +472,11 @@ def save_checkpoint(
     """Write the whole trained model: the net and the normalisation it was trained under.
 
     The records are the int64 layer sizes, then each layer's weights and
-    biases at the net's own float width (32 or 64 bits), then the input
-    min/max and output mean/std in float64. The normalisation kinds are fixed
-    by role (min-max inputs, mean-variance outputs), so no kind is stored.
+    biases in ``NET_DTYPE`` (a net of another width is refused), then the
+    input min/max and output mean/std in float64. The normalisation kinds are
+    fixed by role (min-max inputs, mean-variance outputs), so no kind is stored.
     """
-    if model.dtype not in _NET_DTYPES:
+    if model.dtype != NET_DTYPE:
         raise ArgumentError(f"cannot checkpoint a net of dtype {model.dtype}")
     for role, stats, kind, n_columns in (
         ("input", input_stats, "minmax", model.input_dim),
@@ -493,7 +494,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, NormalizationStats]:
-    """The model written by ``save_checkpoint``, in its stored dtype, with its
+    """The model written by ``save_checkpoint``, in ``NET_DTYPE``, with its
     input and output stats, each array read in one writable copy. A file of
     another record count, dtype or shape chain is a ``FormatError``."""
     records = arrayfile.load(path)
@@ -501,12 +502,11 @@ def load_checkpoint(path: Path) -> tuple[MlpModel, NormalizationStats, Normaliza
     if sizes.dtype != np.int64 or sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
         raise FormatError(f"checkpoint does not start with the layer sizes: {path}")
     sizes = tuple(int(n) for n in sizes)
-    net_dtype = records[1].dtype if len(records) > 1 else None
     expected = [(np.int64, (len(sizes),))]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        expected += [(net_dtype, (fan_in, fan_out)), (net_dtype, (fan_out,))]
+        expected += [(NET_DTYPE, (fan_in, fan_out)), (NET_DTYPE, (fan_out,))]
     expected += [(np.float64, (n,)) for n in (sizes[0], sizes[0], sizes[-1], sizes[-1])]
-    if net_dtype not in _NET_DTYPES or [(r.dtype, r.shape) for r in records] != expected:
+    if [(r.dtype, r.shape) for r in records] != expected:
         raise FormatError(f"checkpoint records do not follow layer sizes {sizes}: {path}")
     _, *net, in_min, in_max, out_mean, out_std = records
     return (

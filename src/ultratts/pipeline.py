@@ -31,13 +31,7 @@ from . import acoustic, arrayfile, eigentongues, labels, metrics, misalign, mlp,
 from .config import PATH_FIELDS, ExperimentConfig, read_config, write_config
 from .errors import ConfigError, FormatError, StageError
 
-VARIANTS = mlp.VARIANTS
-
 CONFIG_NAME = "config.cfg"
-
-# the float type the acoustic net trains and generates in; normalisation is
-# fitted and applied in float64 before the cast
-NET_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -293,10 +287,10 @@ def normalize_gathered(
 
 
 def net_inputs(
-    stats: acoustic.NormalizationStats, rows: labels.GatheredRows, dtype=NET_DTYPE
+    stats: acoustic.NormalizationStats, rows: labels.GatheredRows
 ) -> labels.GatheredRows:
     """Normalise the float64 table and per-frame block of ``rows`` in place,
-    each under its columns of ``stats``, and return them cast to ``dtype``.
+    each under its columns of ``stats``, and return them cast to ``mlp.NET_DTYPE``.
 
     Normalisation works element by element, so each gathered row, and the
     matrix ``dense()`` expands, equal the normalised, cast expanded rows bit
@@ -306,7 +300,7 @@ def net_inputs(
     for block, columns in ((rows.table, slice(None, split)), (rows.frames, slice(split, None))):
         part = acoustic.NormalizationStats(stats.kind, a=stats.a[columns], b=stats.b[columns])
         acoustic.normalize_in_place(part, block)
-    return rows.astype(dtype)
+    return rows.astype(mlp.NET_DTYPE)
 
 
 def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
@@ -317,11 +311,11 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     per-frame linguistic matrix of the training block is built. The dev
     inputs are the same rows, normalised and cast while gathered and then
     expanded whole. The inputs are normalised in place in float64, then cast
-    once to ``NET_DTYPE``, the dtype of the net, and the float64 copies are
+    once to ``mlp.NET_DTYPE``, the dtype of the net, and the float64 copies are
     dropped before training. ``acoustic`` builds
     the targets an utterance at a time: ``target_stats`` fits the output
     statistics on the training block, and ``normalized_targets`` gives the
-    training targets in ``NET_DTYPE`` and the dev targets in float64, for the
+    training targets in ``mlp.NET_DTYPE`` and the dev targets in float64, for the
     validation score, so no float64 matrix of the training block is made.
 
     The stage holds one net. Each epoch that sets a new best validation MSE
@@ -342,14 +336,14 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
     output_stats = acoustic.target_stats(cfg.acoustic_dir, split.train)
     train_y, dev_y = (
         acoustic.normalized_targets(cfg.acoustic_dir, ids, output_stats, dtype)
-        for ids, dtype in ((split.train, NET_DTYPE), (split.dev, np.float64))
+        for ids, dtype in ((split.train, mlp.NET_DTYPE), (split.dev, np.float64))
     )
 
     model = mlp.init_model(
         train_x.shape[1],
         cfg.seed,
         hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
-        dtype=NET_DTYPE,
+        dtype=mlp.NET_DTYPE,
     )
 
     def keep_best(net: mlp.MlpModel) -> None:
@@ -374,17 +368,17 @@ def stage_train(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> No
 def stage_generate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Predict dev/test utterances and write both trajectory variants.
 
-    Each utterance's gathered inputs are normalised in float64, cast to the
-    net's checkpointed dtype and then expanded whole; its outputs are
-    denormalised in float64."""
+    Each utterance's gathered inputs are normalised in float64, cast to
+    ``mlp.NET_DTYPE``, the checkpointed net's dtype, and then expanded whole;
+    its outputs are denormalised in float64."""
     model, input_stats, output_stats = mlp.load_checkpoint(run.checkpoint)
     questions = load_questions(cfg)
-    for variant in VARIANTS:
+    for variant in mlp.VARIANTS:
         run.generated(variant).mkdir(parents=True, exist_ok=True)
 
     for utt_id in split.dev + split.test:
         rows = gathered_inputs(cfg, run, questions, [utt_id])
-        x = net_inputs(input_stats, rows, model.dtype).dense()
+        x = net_inputs(input_stats, rows).dense()
         by_variant = mlp.predict_utterance(model, x, output_stats)
         for variant, streams in by_variant.items():
             acoustic.save_streams(streams, run.generated(variant), utt_id)
@@ -398,7 +392,7 @@ def stage_evaluate(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) ->
         for utt_id in (*split.dev, *split.test)
     }
     reports = []
-    for variant in VARIANTS:
+    for variant in mlp.VARIANTS:
         for split_name in ("dev", "test"):
             evals = []
             for utt_id in getattr(split, split_name):
@@ -470,8 +464,6 @@ def run_stage(stage: str, run_dir: Path) -> None:
     run = RunPaths(run_dir)
     try:
         STAGES[stage](load_run_config(run_dir), load_split(run), run)
-    except StageError:
-        raise
     except Exception as e:
         raise StageError(stage, e) from e
 

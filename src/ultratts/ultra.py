@@ -68,9 +68,9 @@ def parse_metadata(text: str) -> UltrasoundMetadata:
     """Parse a ``Key=Value`` sidecar document into metadata.
 
     Unknown keys are ignored. Raises MetadataError when a required key is
-    missing or a value does not parse as a number.
+    missing or given twice, or a value does not parse as a number.
     """
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or "=" not in line:
@@ -79,6 +79,9 @@ def parse_metadata(text: str) -> UltrasoundMetadata:
         key = key.strip()
         if key not in _REQUIRED_KEYS:
             continue
+        if key in seen:
+            raise MetadataError(f"line {lineno}: {key} given again, first at line {seen[key]}")
+        seen[key] = lineno
         field = _REQUIRED_KEYS[key]
         try:
             values[field] = _CASTS[field](value.strip())
@@ -146,8 +149,9 @@ def discover_utterances(ult_dir: Path) -> list[str]:
     return ids
 
 
-def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
-    """Cubic convolution kernel with sharpness parameter ``a``."""
+def _cubic_kernel(x: np.ndarray) -> np.ndarray:
+    """Cubic convolution kernel with sharpness parameter a = -0.5."""
+    a = -0.5
     ax = np.abs(x)
     ax2 = ax * ax
     ax3 = ax2 * ax

@@ -45,7 +45,7 @@ class TestFit:
 
     def test_eigenvalues_match_dense_oracle(self):
         data = gaussian_in_10d()
-        model = et.fit_pca(data, 1.0, k_max=None)
+        model = et.fit_pca(data, 1.0, k_max=10)
         oracle = np.sort(np.linalg.eigvalsh(np.cov(data, rowvar=False)))[::-1]
         assert np.allclose(model.eigenvalues, oracle, rtol=1e-6)
 
@@ -62,7 +62,7 @@ class TestFit:
         data = wide_decaying()
         evals, evecs = np.linalg.eigh(np.cov(data, rowvar=False))
         order = np.argsort(evals)[::-1]
-        full = et.fit_pca(data, 1.0, k_max=None)
+        full = et.fit_pca(data, 1.0, k_max=data.shape[1])
         assert np.allclose(full.eigenvalues, evals[order][: full.n_components], rtol=1e-6)
         model = et.fit_pca(data, 0.9)
         assert 1 < model.n_components < full.n_components
@@ -82,7 +82,7 @@ class TestFit:
     def test_repeated_rows_give_finite_orthonormal_basis_within_rank(self, recipe):
         data = with_repeated_rows(**recipe)
         rank = np.linalg.matrix_rank(data - data.mean(axis=0))
-        model = et.fit_pca(data, 1.0, k_max=None)
+        model = et.fit_pca(data, 1.0, k_max=data.shape[1])
         assert np.all(np.isfinite(model.basis))
         gram = model.basis @ model.basis.T
         assert np.allclose(gram, np.eye(model.n_components), rtol=0.0, atol=1e-8)
@@ -97,7 +97,7 @@ class TestFit:
         assert model.total_variance == pytest.approx(expect, rel=1e-12)
 
     def test_orthonormal_rows(self):
-        model = et.fit_pca(gaussian_in_10d(), 1.0, k_max=None)
+        model = et.fit_pca(gaussian_in_10d(), 1.0, k_max=10)
         gram = model.basis @ model.basis.T
         assert np.allclose(gram, np.eye(model.n_components), atol=1e-8)
 
@@ -172,11 +172,13 @@ class TestWeightedFit:
         assert np.allclose(coeffs, et.transform(plain, expanded), rtol=0, atol=1e-6)
 
     def test_counts_of_one_fit_the_rows(self):
-        data = gaussian_in_10d(seed=11)
-        weighted = et.fit_pca(data, 0.9, counts=np.ones(len(data), dtype=np.int64))
-        plain = et.fit_pca(data, 0.9)
-        assert np.allclose(weighted.eigenvalues, plain.eigenvalues, rtol=1e-12)
-        assert np.allclose(weighted.basis, plain.basis, atol=1e-9)
+        # a fit without counts runs the weighted formulas with unit counts
+        for data in (wide_decaying(), gaussian_in_10d(seed=11)):  # snapshot, scatter
+            weighted = et.fit_pca(data, 0.9, counts=np.ones(len(data), dtype=np.int64))
+            plain = et.fit_pca(data, 0.9)
+            for field in ("mean", "basis", "eigenvalues"):
+                assert getattr(weighted, field).tobytes() == getattr(plain, field).tobytes()
+            assert weighted.total_variance == plain.total_variance
 
     def test_two_copies_of_one_row_are_two_frames(self):
         # n = Σm: a single distinct row counted twice passes the size check and
@@ -278,7 +280,7 @@ class TestLanczosBranch:
         assert_matches_dense(krylov, dense_fit(monkeypatch, rows, 1.0, k_max=24, counts=counts))
         assert_repeats_bit_for_bit(krylov, rows, 1.0, k_max=24, counts=counts)
 
-    @pytest.mark.parametrize("k_max", [None, 26, 400, 1000])
+    @pytest.mark.parametrize("k_max", [26, 400, 1000])
     def test_many_pairs_fall_back_to_the_dense_solve(self, monkeypatch, k_max):
         # a 160 x 160 Gram matrix: 26 pairs and a block are more than a quarter
         rows, _ = decaying_rows(160, 1200, seed=400)
@@ -431,7 +433,7 @@ class TestTransform:
 class TestInverse:
     def test_full_rank_round_trip(self):
         data = gaussian_in_10d(seed=7)
-        model = et.fit_pca(data, 1.0, k_max=None)
+        model = et.fit_pca(data, 1.0, k_max=10)
         x = data[17]
         assert np.allclose(et.inverse_transform(model, et.transform(model, x)), x, atol=1e-6)
 
@@ -451,7 +453,7 @@ class TestInverse:
     def test_reconstruction_error_equals_discarded_eigenvalue_share(self):
         data = gaussian_in_10d(seed=9)
         model = et.fit_pca(data, 0.70)
-        full = et.fit_pca(data, 1.0, k_max=None)
+        full = et.fit_pca(data, 1.0, k_max=10)
         discarded = full.eigenvalues[model.n_components :].sum()
         expect = discarded / model.dim
         assert et.reconstruction_mse(model, data) == pytest.approx(expect, rel=1e-5)

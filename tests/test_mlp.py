@@ -896,24 +896,23 @@ def _fitted_stats(model, seed=5):
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        for dtype in (np.float32, np.float64):
-            model = mlp.init_model(9, seed=12, hidden_sizes=(5, 4), output_dim=3, dtype=dtype)
-            in_stats, out_stats = _fitted_stats(model)
-            path = tmp_path / "model.bin"
-            mlp.save_checkpoint(model, in_stats, out_stats, path)
-            loaded, loaded_in, loaded_out = mlp.load_checkpoint(path)
-            assert loaded.layer_sizes == model.layer_sizes
-            for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
-                assert a.dtype == dtype
-                assert a.tobytes() == b.tobytes()
-            for loaded_stats, stats in ((loaded_in, in_stats), (loaded_out, out_stats)):
-                assert loaded_stats.kind == stats.kind
-                assert loaded_stats.a.dtype == np.float64
-                assert loaded_stats.a.tobytes() == stats.a.tobytes()
-                assert loaded_stats.b.tobytes() == stats.b.tobytes()
+        model = mlp.init_model(9, seed=12, hidden_sizes=(5, 4), output_dim=3, dtype=mlp.NET_DTYPE)
+        in_stats, out_stats = _fitted_stats(model)
+        path = tmp_path / "model.bin"
+        mlp.save_checkpoint(model, in_stats, out_stats, path)
+        loaded, loaded_in, loaded_out = mlp.load_checkpoint(path)
+        assert loaded.layer_sizes == model.layer_sizes
+        for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert a.dtype == mlp.NET_DTYPE
+            assert a.tobytes() == b.tobytes()
+        for loaded_stats, stats in ((loaded_in, in_stats), (loaded_out, out_stats)):
+            assert loaded_stats.kind == stats.kind
+            assert loaded_stats.a.dtype == np.float64
+            assert loaded_stats.a.tobytes() == stats.a.tobytes()
+            assert loaded_stats.b.tobytes() == stats.b.tobytes()
 
     def test_file_holds_the_net_at_its_own_width(self, tmp_path):
-        model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3, dtype=np.float32)
+        model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3, dtype=mlp.NET_DTYPE)
         path = tmp_path / "model.bin"
         in_stats, out_stats = _fitted_stats(model)
         mlp.save_checkpoint(model, in_stats, out_stats, path)
@@ -934,19 +933,21 @@ class TestCheckpoint:
         assert path.stat().st_size == 128 * 9 + 8 * 3 + 4 * n_net + 8 * n_stats
 
     def test_save_rejects_a_net_of_another_width(self, tmp_path):
-        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2, dtype=np.float16)
-        with pytest.raises(ArgumentError, match="float16"):
-            mlp.save_checkpoint(model, *_fitted_stats(model), tmp_path / "model.bin")
+        for dtype in (np.float16, np.float64):
+            model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2, dtype=dtype)
+            with pytest.raises(ArgumentError, match=np.dtype(dtype).name):
+                mlp.save_checkpoint(model, *_fitted_stats(model), tmp_path / "model.bin")
+            assert not (tmp_path / "model.bin").exists()
 
     def test_save_rejects_swapped_kinds(self, tmp_path):
-        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=4)
+        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=4, dtype=mlp.NET_DTYPE)
         in_stats, out_stats = _fitted_stats(model)
         with pytest.raises(ArgumentError):
             mlp.save_checkpoint(model, out_stats, in_stats, tmp_path / "model.bin")
 
     @pytest.mark.parametrize("role", ["input", "output"])
     def test_save_rejects_mismatched_widths(self, tmp_path, role):
-        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2)
+        model = mlp.init_model(4, seed=0, hidden_sizes=(3,), output_dim=2, dtype=mlp.NET_DTYPE)
         in_stats, out_stats = _fitted_stats(model)
         wrong = _fitted_stats(mlp.init_model(5, seed=0, hidden_sizes=(3,), output_dim=3))
         stats = (wrong[0], out_stats) if role == "input" else (in_stats, wrong[1])
@@ -1003,7 +1004,7 @@ class TestCheckpointMemory:
 
 def _checkpoint_bytes(tmp_path):
     path = tmp_path / "model.bin"
-    model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3)
+    model = mlp.init_model(9, seed=12, hidden_sizes=(5,), output_dim=3, dtype=mlp.NET_DTYPE)
     mlp.save_checkpoint(model, *_fitted_stats(model), path)
     return path.read_bytes()
 
@@ -1031,7 +1032,8 @@ def _mlpc_bytes(tmp_path, version):
     net and the stats."""
     sizes, *arrays = _records(_checkpoint_bytes(tmp_path))
     header = struct.pack("<4sIIQ", b"MLPC", version, 8, sizes.size)
-    return header + struct.pack("<3Q", *sizes) + b"".join(a.tobytes() for a in arrays)
+    net_and_stats = b"".join(a.astype(np.float64).tobytes() for a in arrays)
+    return header + struct.pack("<3Q", *sizes) + net_and_stats
 
 
 def _edited(data, edit):
@@ -1056,7 +1058,8 @@ def _edited(data, edit):
         lambda d: _edited(d, lambda r: [np.array([9, 0, 3]), *r[1:]]),
         lambda d: _edited(d, lambda r: [r[0].astype(np.float64), *r[1:]]),
         lambda d: _edited(d, lambda r: [r[0], *(a.astype(np.float16) for a in r[1:5]), *r[5:]]),
-        lambda d: _edited(d, lambda r: [r[0], r[1].astype(np.float32), *r[2:]]),
+        lambda d: _edited(d, lambda r: [r[0], *(a.astype(np.float64) for a in r[1:5]), *r[5:]]),
+        lambda d: _edited(d, lambda r: [r[0], r[1].astype(np.float64), *r[2:]]),
         lambda d: _edited(d, lambda r: [*r[:5], *(a.astype(np.float32) for a in r[5:])]),
         lambda d: _edited(d, lambda r: [r[0], r[1].T.copy(), *r[2:]]),
         lambda d: _edited(d, lambda r: r[:-1]),
@@ -1064,7 +1067,7 @@ def _edited(data, edit):
     ],
     ids=["ckpt-3-bytes", "ckpt-20-bytes", "ckpt-40-bytes", "ckpt-inside-sizes", "ckpt-3-short",
          "ckpt-1-long", "ckpt-extra-sizes", "ckpt-0-layers", "ckpt-1-layer", "ckpt-zero-width",
-         "ckpt-float-sizes", "ckpt-width-2", "ckpt-mixed-width", "ckpt-float32-stats",
+         "ckpt-float-sizes", "ckpt-width-2", "ckpt-width-8", "ckpt-mixed-width", "ckpt-float32-stats",
          "ckpt-transposed-weights", "ckpt-missing-stat", "ckpt-extra-stat"],
 )
 def test_truncated_or_corrupt_train_artefact_is_format_error(tmp_path, corrupt):

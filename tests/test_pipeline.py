@@ -286,11 +286,11 @@ class TestGatheredInputs:
         assert stats.b.tobytes() == dense_stats.b.tobytes()
         normalized = acoustic.normalize_in_place(stats, dense)
         assert rows.dense().tobytes() == normalized.tobytes()
-        assert net_rows.dense().dtype == pipeline.NET_DTYPE
-        assert net_rows.dense().tobytes() == normalized.astype(pipeline.NET_DTYPE).tobytes()
+        assert net_rows.dense().dtype == mlp.NET_DTYPE
+        assert net_rows.dense().tobytes() == normalized.astype(mlp.NET_DTYPE).tobytes()
 
     @pytest.mark.parametrize("system", SYSTEMS)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [mlp.NET_DTYPE])
     def test_net_inputs_equal_the_normalised_cast_matrix(self, prepared_runs, system, dtype):
         cfg, run = prepared_runs[system]
         split = pipeline.load_split(run)
@@ -301,7 +301,7 @@ class TestGatheredInputs:
             dense = pipeline.gathered_inputs(cfg, run, questions, ids).dense()
             expect = acoustic.normalize_in_place(stats, dense).astype(dtype)
             rows = pipeline.gathered_inputs(cfg, run, questions, ids)
-            got = pipeline.net_inputs(stats, rows, dtype).dense()
+            got = pipeline.net_inputs(stats, rows).dense()
             assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
             assert got.tobytes() == expect.tobytes()
 
@@ -691,7 +691,7 @@ class TestTrainStage:
         ((train_y, dev_y),) = given
         matrix = stacked_targets(cfg, split.train)
         stats = acoustic.fit_normalization(matrix, "meanvar")
-        expect = acoustic.normalize_in_place(stats, matrix).astype(pipeline.NET_DTYPE)
+        expect = acoustic.normalize_in_place(stats, matrix).astype(mlp.NET_DTYPE)
         assert (train_y.dtype, train_y.shape) == (expect.dtype, expect.shape)
         assert train_y.tobytes() == expect.tobytes()
         dev = acoustic.normalize_in_place(stats, stacked_targets(cfg, split.dev))

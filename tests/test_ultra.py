@@ -30,6 +30,12 @@ class TestMetadata:
         with pytest.raises(MetadataError, match="line 2"):
             ultra.parse_metadata(text)
 
+    def test_repeated_required_key_names_the_key_and_both_lines(self):
+        # a later rate would otherwise move the frames onto another clock
+        text = PARAM_TEXT + "Kind=Scanline\nFramesPerSec=60.0\n"
+        with pytest.raises(MetadataError, match="line 6: FramesPerSec given again, first at line 3"):
+            ultra.parse_metadata(text)
+
     def test_unknown_keys_ignored(self):
         meta = ultra.parse_metadata(PARAM_TEXT + "Kind=Scanline\nZeroOffset=0\n")
         assert meta.num_vectors == 64
