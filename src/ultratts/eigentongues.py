@@ -6,13 +6,19 @@ numpy routine: a seeded block Krylov (block Lanczos) solve that needs only
 the Gram matrix's products with a few columns, handing over to numpy's dense
 ``eigh`` where a fit asks for too many of the Gram matrix's pairs, or its
 solve converges too slowly, for the Krylov basis to pay (``KRYLOV_MAX_SHARE``).
+
+The fit reads its rows in blocks, each sum one pass over them: an in-memory
+matrix is one block, and ``SpilledRows`` holds the rows in a file and reads
+them back a block at a time, so a pixel x pixel fit need not hold its rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -61,8 +67,45 @@ class EigenTonguesModel:
         return float(self.eigenvalues.sum() / self.total_variance)
 
 
+class SpilledRows:
+    """Float64 rows of width ``d`` held in ``file``, a binary file opened for
+    reading and writing, as the blocks ``append`` wrote them: a row source for
+    ``fit_pca`` that holds one block at a time, not the matrix.
+
+    ``blocks`` reads each block back into a new array, so the rows on file are
+    never changed; ``shape`` is (rows written, d)."""
+
+    def __init__(self, file: BinaryIO, d: int):
+        self._file = file
+        self._bounds = [0]
+        self._d = d
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._bounds[-1], self._d
+
+    def append(self, rows: np.ndarray) -> None:
+        """Write ``rows`` as the next block, after the blocks before it."""
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self._d:
+            raise ArgumentError(f"rows must be 2-D (n, {self._d}), got shape {rows.shape}")
+        self._file.seek(self._bounds[-1] * self._d * 8)
+        self._file.write(rows.data)
+        self._bounds.append(self._bounds[-1] + len(rows))
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Each block in the order written, read into ordinary memory: a
+        mapped file's pages would count in the process's resident set."""
+        for lo, hi in pairwise(self._bounds):
+            block = np.empty((hi - lo, self._d))
+            self._file.seek(lo * self._d * 8)
+            if self._file.readinto(block.data) != block.nbytes:
+                raise FormatError(f"spilled rows {lo}..{hi} are cut short")
+            yield block
+
+
 def fit_pca(
-    frames: np.ndarray,
+    frames: np.ndarray | SpilledRows,
     variance_target: float,
     k_max: int = MAX_COMPONENTS,
     counts: np.ndarray | None = None,
@@ -95,14 +138,24 @@ def fit_pca(
     and decomposes it whole with numpy's ``eigh`` instead. Finiteness is read
     from the weighted column sums, so no mask of the frames is made.
 
-    With ``centre_in_place`` the mean is subtracted from ``frames`` itself,
-    which must then be a float64 array the caller hands over: it is left
-    centred, and no centred copy is made. Otherwise ``frames`` is not changed.
-    Both give the same model, bit for bit.
+    ``frames`` is a matrix or a ``SpilledRows`` source, read in blocks: the
+    weighted mean, the total variance, each Krylov product and the dense
+    solve's Gram matrix are one pass over them, summed block by block in row
+    order, and a matrix is one block. A source of several blocks fits the
+    model of its stacked rows up to the rounding of those sums; the snapshot
+    form stacks a source's centred blocks, which are then under d² values.
+
+    With ``centre_in_place`` the mean is subtracted from a matrix ``frames``
+    itself, which must then be a float64 array the caller hands over: it is
+    left centred, and no centred copy is made. Otherwise ``frames`` is not
+    changed. Both give the same model, bit for bit. A source's blocks are
+    each centred in the array they were read into, and its file is not changed.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise ArgumentError(f"frames must be 2-D (n, d), got shape {frames.shape}")
+    spilled = isinstance(frames, SpilledRows)
+    if not spilled:
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2:
+            raise ArgumentError(f"frames must be 2-D (n, d), got shape {frames.shape}")
     if k_max < 1:
         raise ArgumentError(f"k_max must be at least 1, got {k_max}")
     rows, d = frames.shape
@@ -120,18 +173,34 @@ def fit_pca(
         raise DataError(f"need at least 2 frames to fit, got {n}")
     if not 0.0 < variance_target <= 1.0:
         raise ArgumentError(f"variance_target must be in (0, 1], got {variance_target}")
-    mean = counts @ frames / n
+    raw = frames.blocks() if spilled else (frames,)
+    mean = _summed(counts[at] @ block for at, block in _row_spans(raw)) / n
     # every weight is at least 1, so a non-finite entry leaves its column's sum
     # non-finite: no frame-sized mask is needed
     if not np.all(np.isfinite(mean)):
         raise ArgumentError("frames must be finite")
-    if centre_in_place:
-        frames -= mean
-        centred = frames
+    if spilled:
+
+        def centred_blocks() -> Iterator[np.ndarray]:
+            for block in frames.blocks():
+                block -= mean
+                yield block
+
     else:
-        centred = frames - mean
+        centred = frames if centre_in_place else frames.copy()
+        centred -= mean
+
+        def centred_blocks() -> Iterator[np.ndarray]:
+            yield centred
+
     weights = counts.astype(np.float64)
-    total = float(weights @ np.einsum("ij,ij->i", centred, centred)) / (n - 1)
+
+    def weighted() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each centred block and its rows' weights: one pass over the rows."""
+        for at, block in _row_spans(centred_blocks()):
+            yield weights[at], block
+
+    total = float(_summed(w @ np.einsum("ij,ij->i", c, c) for w, c in weighted())) / (n - 1)
     if total <= 0.0:
         raise DataError("zero total variance: all frames are identical")
     snapshot = rows < d
@@ -146,32 +215,47 @@ def fit_pca(
         return min(int(np.searchsorted(cumulative, variance_target - 1e-12)) + 1, top)
 
     if snapshot:
+        # fewer rows than pixels: the stacked rows are under d² values
+        blocks = list(centred_blocks())
+        stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        del blocks
         # the u x u Gram matrix is at most u/d of the frames' size; forming it
         # took half the time of Krylov steps C(CᵀQ) at 656 and 1312 rows of
         # 8192 pixels
         root = np.sqrt(weights)
-        gram = centred @ centred.T
+        gram = stacked @ stacked.T
         gram *= np.outer(root, root)
         w, vectors = _leading_pairs(gram.__matmul__, lambda: gram, m, top, kept)
         # Cᵀuᵢ is pixel-space axis i scaled by √wᵢ. Dividing by its computed
         # norm rather than √wᵢ keeps the row a unit vector when wᵢ is near the
         # rounding floor of CCᵀ, where wᵢ has lost its relative accuracy.
-        basis = (vectors * root[:, None]).T @ centred
+        basis = (vectors * root[:, None]).T @ stacked
         basis /= np.linalg.norm(basis, axis=1, keepdims=True)
     else:
         # the d x d Gram matrix CᵀDC is formed only for a dense solve
 
         def product(q: np.ndarray) -> np.ndarray:
-            out = centred @ q
-            out *= weights[:, None]
-            return centred.T @ out
+            def block_product(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+                out = c @ q
+                out *= w[:, None]
+                return c.T @ out
+
+            return _summed(block_product(w, c) for w, c in weighted())
 
         def gram() -> np.ndarray:
-            # a block of rows at a time, so no weighted copy of C is held
+            # 256 columns of a block at a time, so no weighted copy of it is
+            # held; the first block's products are written into g, and each
+            # later one's into one buffer and added
             g = np.empty((d, d))
-            for lo in range(0, d, 256):
-                weighted = centred[:, lo : lo + 256] * weights[:, None]
-                np.matmul(weighted.T, centred, out=g[lo : lo + 256])
+            part = np.empty((min(d, 256), d))
+            for i, (w, c) in enumerate(weighted()):
+                for lo in range(0, d, 256):
+                    strip = c[:, lo : lo + 256] * w[:, None]
+                    rows_g = g[lo : lo + 256]
+                    if i == 0:
+                        np.matmul(strip.T, c, out=rows_g)
+                    else:
+                        rows_g += np.matmul(strip.T, c, out=part[: len(rows_g)])
             return g
 
         w, vectors = _leading_pairs(product, gram, m, top, kept)
@@ -186,6 +270,25 @@ def fit_pca(
         variance_target=float(variance_target),
         total_variance=total,
     )
+
+
+def _row_spans(blocks: Iterable[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block and the slice of the rows it holds."""
+    lo = 0
+    for block in blocks:
+        yield slice(lo, lo + len(block)), block
+        lo += len(block)
+
+
+def _summed(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of ``parts``, each a new array or scalar, added in order into
+    the first; a single part is returned as it is, so a one-block sum keeps
+    its bits."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        total += part
+    return total
 
 
 def _leading_pairs(

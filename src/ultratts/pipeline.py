@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from math import floor
 from pathlib import Path
@@ -168,12 +169,16 @@ def utterance_features(
 def stage_prepare(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None:
     """Check every utterance's inputs before any later stage reads them, and
     write nothing: its acoustic streams hold frames of one length, its label
-    file parses, and the question set answers each label. ``train`` and
-    ``generate`` build the features again where they use them."""
+    file parses, the question set answers each label, and its ultrasound
+    sidecar parses and its ``.ult`` file holds whole frames, read from the
+    file's size and for every system, since ``misalign`` reads the ultrasound
+    of all three. ``train`` and ``generate`` build the features again where
+    they use them."""
     questions = load_questions(cfg)
     for utt_id in split.all_ids:
         acoustic.read_streams(cfg.acoustic_dir, utt_id)
         utterance_features(cfg, questions, utt_id)
+        ultra.read_frame_count(Path(cfg.ultrasound_dir) / f"{utt_id}.ult")
 
 
 def utterance_frames(cfg: ExperimentConfig, utt_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -220,21 +225,46 @@ def stage_pca(cfg: ExperimentConfig, split: DatasetSplit, run: RunPaths) -> None
     row per target frame. Only the corpus and the run's config and split are
     read, never another stage's outputs. When the system does not read
     ultrasound no input uses the coefficients, so the stage does nothing.
-    The fit centres the training stack in place, so the frames are held once.
+
+    The training block's distinct row count, known before any frame is read,
+    chooses how its frames are held. Below the frame dimension d the fit takes
+    the u x u snapshot form, which needs every row at once: the stack, under
+    d² values, is held once and centred in place by the fit. From d rows on
+    the fit takes the d x d scatter form, which needs only passes over the
+    rows: each utterance's rows are written to an unnamed temporary file in
+    ``pca/``, u·d·8 bytes that vanish when it is closed, even on failure, and
+    the fit and the training projections read them back a block at a time,
+    so the stage's memory does not grow with the training block.
     """
     if not cfg.reads_ultrasound:
         return
-    frames, counts, train_utterances = train_frame_matrix(cfg, split)
-    model = eigentongues.fit_pca(
-        frames, cfg.variance_target, cfg.max_components, counts=counts, centre_in_place=True
-    )
     run.coeffs("x").parent.mkdir(parents=True, exist_ok=True)
-    eigentongues.save_model(model, run.pca_model)
-    # the fit left the stack centred, so each utterance's rows are centred too
-    for utt_id, (rows, index) in zip(split.train, train_utterances):
-        arrayfile.save(run.coeffs(utt_id), [eigentongues.project(model, rows)[index]])
-    # release the stack before dev and test are resized
-    del frames, train_utterances, rows
+    d = cfg.resize_rows * cfg.resize_cols
+    if sum(distinct_frame_count(cfg, utt_id) for utt_id in split.train) < d:
+        frames, counts, train_utterances = train_frame_matrix(cfg, split)
+        model = eigentongues.fit_pca(
+            frames, cfg.variance_target, cfg.max_components, counts=counts, centre_in_place=True
+        )
+        eigentongues.save_model(model, run.pca_model)
+        # the fit left the stack centred, so each utterance's rows are centred too
+        for utt_id, (rows, index) in zip(split.train, train_utterances):
+            arrayfile.save(run.coeffs(utt_id), [eigentongues.project(model, rows)[index]])
+        # release the stack before dev and test are resized
+        del frames, train_utterances, rows
+    else:
+        with tempfile.TemporaryFile(dir=run.stage_dir("pca")) as file:
+            # one block per utterance, so one utterance's frames are held at a time
+            source = eigentongues.SpilledRows(file, d)
+            indices = []
+            for utt_id in split.train:
+                rows, index = utterance_frames(cfg, utt_id)
+                source.append(rows)
+                indices.append(index)
+            counts = np.concatenate([np.bincount(index) for index in indices])
+            model = eigentongues.fit_pca(source, cfg.variance_target, cfg.max_components, counts=counts)
+            eigentongues.save_model(model, run.pca_model)
+            for utt_id, index, rows in zip(split.train, indices, source.blocks()):
+                arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])
     for utt_id in split.dev + split.test:
         rows, index = utterance_frames(cfg, utt_id)
         arrayfile.save(run.coeffs(utt_id), [eigentongues.transform(model, rows)[index]])

@@ -120,25 +120,35 @@ def load_sequence(data: bytes, meta: UltrasoundMetadata) -> UltrasoundSequence:
 
 
 def _read_sidecar(ult_path: Path) -> UltrasoundMetadata:
+    """The metadata in the ``.param`` sidecar of ``ult_path``; every
+    ``MetadataError`` names the sidecar."""
     param_path = ult_path.with_suffix(".param")
     if not param_path.exists():
         raise MetadataError(f"sidecar file not found: {param_path}")
-    return parse_metadata(param_path.read_text())
+    try:
+        return parse_metadata(param_path.read_text())
+    except MetadataError as e:
+        raise MetadataError(f"{param_path}: {e}") from e
 
 
 def read_utterance(ult_path: Path) -> UltrasoundSequence:
-    """Load ``<id>.ult`` together with its ``<id>.param`` sidecar."""
+    """Load ``<id>.ult`` together with its ``<id>.param`` sidecar, checked
+    first as ``read_frame_count`` checks them."""
     ult_path = Path(ult_path)
-    meta = _read_sidecar(ult_path)
+    meta, _ = read_frame_count(ult_path)
     return load_sequence(ult_path.read_bytes(), meta)
 
 
 def read_frame_count(ult_path: Path) -> tuple[UltrasoundMetadata, int]:
     """The ``<id>.param`` sidecar of ``<id>.ult`` and the recording's frame
-    count, from the file's size; no frame is read."""
+    count, from the file's size; no frame is read. A bad sidecar is a
+    ``MetadataError`` and a partial frame a ``FormatError``, each naming its file."""
     ult_path = Path(ult_path)
     meta = _read_sidecar(ult_path)
-    return meta, _frame_total(ult_path.stat().st_size, meta)
+    try:
+        return meta, _frame_total(ult_path.stat().st_size, meta)
+    except FormatError as e:
+        raise FormatError(f"{ult_path}: {e}") from e
 
 
 def discover_utterances(ult_dir: Path) -> list[str]:

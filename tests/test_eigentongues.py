@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -397,6 +399,112 @@ class TestCentreInPlace:
             tracemalloc.stop()
         # the weighted column sums: a bool mask of the frames would be an eighth
         assert peak < 0.01 * rows.nbytes
+
+
+def spilled(rows, sizes, file):
+    """``rows`` written to ``file`` as a row source of blocks of ``sizes`` rows."""
+    source = et.SpilledRows(file, rows.shape[1])
+    for lo, hi in pairwise(np.cumsum([0, *sizes])):
+        source.append(rows[lo:hi])
+    return source
+
+
+def uneven_sizes(total, seed):
+    """Block sizes of uneven lengths, about 30 rows on average, summing to
+    ``total``, as utterances vary."""
+    cuts = np.unique(np.random.default_rng(seed).integers(1, total, size=total // 30))
+    return np.diff([0, *cuts, total]).tolist()
+
+
+def assert_same_model(model, reference):
+    """Criterion 4's bounds between two fits of the same rows whose sums ran
+    in another order: the same k, eigenvalues to rtol 1e-6, subspace angles
+    under 1e-6, each axis pointing the same way, and the mean and total."""
+    assert model.n_components == reference.n_components > 1
+    assert np.allclose(model.eigenvalues, reference.eigenvalues, rtol=1e-6)
+    assert np.max(subspace_angles(model.basis.T, reference.basis.T)) < 1e-6
+    assert np.all(np.sum(model.basis * reference.basis, axis=1) > 0.0)
+    scale = np.abs(reference.mean).max()
+    assert np.allclose(model.mean, reference.mean, rtol=0, atol=1e-12 * scale)
+    assert model.total_variance == pytest.approx(reference.total_variance, rel=1e-12)
+
+
+def assert_bit_for_bit(model, reference):
+    for name in ("mean", "basis", "eigenvalues"):
+        assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert model.total_variance == reference.total_variance
+
+
+class TestSpilledRows:
+    """Rows written to a file and read back a block at a time fit the model of
+    the stacked rows: bit for bit from one block, to criterion 4's bounds from
+    several, in each form and by each solver; the file is left as written."""
+
+    def test_blocks_read_back_as_written(self, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(10, 6))
+        with tempfile.TemporaryFile(dir=tmp_path) as file:
+            source = spilled(rows, [3, 0, 7], file)
+            assert source.shape == (10, 6)
+            blocks = list(source.blocks())
+            assert [b.shape for b in blocks] == [(3, 6), (0, 6), (7, 6)]
+            assert np.concatenate(blocks).tobytes() == rows.tobytes()
+            # each block is read into its own array
+            blocks[0][:] = 0.0
+            assert np.concatenate(list(source.blocks())).tobytes() == rows.tobytes()
+            with pytest.raises(ArgumentError, match=r"rows must be 2-D \(n, 6\)"):
+                source.append(rows[:, :5])
+        # the file had no name, so closing it leaves nothing behind
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_cut_short_file_is_a_format_error(self):
+        rows = np.random.default_rng(0).normal(size=(8, 6))
+        with tempfile.TemporaryFile() as file:
+            source = spilled(rows, [4, 4], file)
+            file.truncate(5 * 6 * 8)
+            with pytest.raises(FormatError, match="rows 4..8"):
+                list(source.blocks())
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["krylov", "dense"])
+    @pytest.mark.parametrize(
+        "distinct, d", [(1200, 400), (400, 1200)], ids=["scatter", "snapshot"]
+    )
+    def test_blocks_fit_the_stacked_rows(self, monkeypatch, distinct, d, dense):
+        rows, counts = decaying_rows(distinct, d, seed=distinct)
+        if dense:
+            monkeypatch.setattr(et, "KRYLOV_MAX_SHARE", 0.0)
+        calls = krylov_calls(monkeypatch)
+        stacked = et.fit_pca(rows, 0.9, k_max=24, counts=counts)
+        with tempfile.TemporaryFile() as file:
+            one = et.fit_pca(spilled(rows, [distinct], file), 0.9, k_max=24, counts=counts)
+        assert_bit_for_bit(one, stacked)
+        sizes = uneven_sizes(distinct, seed=d)
+        assert len(sizes) > 10
+        with tempfile.TemporaryFile() as file:
+            source = spilled(rows, sizes, file)
+            model = et.fit_pca(source, 0.9, k_max=24, counts=counts)
+            assert np.concatenate(list(source.blocks())).tobytes() == rows.tobytes()
+        assert_same_model(model, stacked)
+        # the same solver ran each time
+        assert calls == ([] if dense else [stacked.n_components] * 3)
+
+    def test_fit_holds_one_block(self):
+        # a 400 x 400 scatter Gram matrix, solved by the Krylov path, over 40
+        # blocks of 100 rows
+        rows, counts = decaying_rows(4000, 400, seed=4)
+        with tempfile.TemporaryFile() as file:
+            source = spilled(rows, [100] * 40, file)
+            model, peak = traced_peak(lambda: et.fit_pca(source, 0.9, 16, counts))
+        assert model.n_components > 1
+        # a block, the Krylov basis and products with 16 columns; holding the
+        # rows would read above 1.0
+        assert peak < 0.15 * rows.nbytes
+
+    def test_non_finite_rows_are_rejected(self):
+        rows, counts = decaying_rows(300, 40, seed=3)
+        rows[123, 4] = np.inf
+        with tempfile.TemporaryFile() as file:
+            with pytest.raises(ArgumentError, match="frames must be finite"):
+                et.fit_pca(spilled(rows, [100] * 3, file), 0.9, counts=counts)
 
 
 class TestTransform:

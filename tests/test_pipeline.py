@@ -457,15 +457,70 @@ class TestRunExperiment:
         names = [f"{u}.{ext}" for u in ids for ext in ("ult", "lf0", "npy")]
         names += [run.coeffs("x").name, run.pca_model.name]
         _, peak = traced_peak(pipeline.stage_pca, cfg, split, run, file_names=names)
-        # a 512 x 512 scatter Gram matrix: this reads 1.24x the stack. Fitting
-        # a centred copy, with the Gram matrix formed and given whole to eigh,
-        # read 2.94x
+        # the scatter form reads the training rows back from a file a block at
+        # a time: this reads 0.30x the stack. Holding the stack, centred in
+        # place, read 1.24x; fitting a centred copy, with the 512 x 512 Gram
+        # matrix formed and given whole to eigh, read 2.94x
         assert frames.shape[0] > frames.shape[1]
-        assert peak < 1.3 * frames.nbytes
+        assert peak < 0.4 * frames.nbytes
         model = eigentongues.load_model(run.pca_model)
         for utt_id, (rows, index) in zip(split.train, utterances):
             own = eigentongues.transform(model, rows)[index]
             assert np.load(run.coeffs(utt_id)).tobytes() == own.tobytes(), utt_id
+
+    def test_pca_stage_memory_does_not_grow_with_the_training_block(self, tmp_path):
+        layout = synthetic.generate_corpus(
+            tmp_path / "corpus", n_utterances=40, seed=3, min_frames=60, max_frames=90
+        )
+        rows, peaks = [], []
+        # 18 and then 36 training utterances of one corpus
+        for train, dev, test in ((0.45, 0.3, 0.25), (0.9, 0.05, 0.05)):
+            cfg = config_for(
+                layout, system="ult2wav", train_ratio=train, dev_ratio=dev, test_ratio=test
+            )
+            run = pipeline.start_run(cfg, tmp_path / f"run{train}")
+            split = pipeline.load_split(run)
+            pipeline.stage_pca(cfg, split, run)  # fills the resize caches
+            rows.append(sum(pipeline.distinct_frame_count(cfg, u) for u in split.train))
+            names = [f"{u}.{ext}" for u in split.all_ids for ext in ("ult", "lf0", "npy")]
+            names += [run.coeffs("x").name, run.pca_model.name]
+            peaks.append(traced_peak(pipeline.stage_pca, cfg, split, run, file_names=names)[1])
+        # both fits take the scatter form, the second over twice the rows
+        assert 512 <= rows[0] and rows[1] > 1.9 * rows[0]
+        # 1.38 and 1.42 MB here: holding the stack grew by its 2.4 MB
+        assert peaks[1] < 1.1 * peaks[0]
+
+    def test_pca_stage_spills_only_while_it_runs(self, tmp_path, tiny_corpus, capsys):
+        layout = synthetic.CorpusLayout(root=tmp_path / "corpus")
+        shutil.copytree(tiny_corpus.root, layout.root)
+        # 8x16 frames: the training block's distinct rows reach d = 128, so the
+        # fit takes the scatter form and the training rows go to a file
+        cfg = config_for(layout, system="ult2wav", resize_rows=8, resize_cols=16)
+        run = pipeline.start_run(cfg, tmp_path / "run")
+        split = pipeline.load_split(run)
+        assert sum(pipeline.distinct_frame_count(cfg, u) for u in split.train) >= 128
+        pca_dir = run.stage_dir("pca")
+        assert cli.main(["pca", "--output", str(run.root)]) == 0
+        assert sorted(p.name for p in pca_dir.iterdir()) == ["coeffs", "model.bin"]
+        assert sorted(p.stem for p in run.coeffs("x").parent.iterdir()) == sorted(split.all_ids)
+        # the model of the stacked rows, to the rounding of the block sums
+        frames, counts, _ = pipeline.train_frame_matrix(cfg, split)
+        stacked = eigentongues.fit_pca(frames, cfg.variance_target, cfg.max_components, counts=counts)
+        model = eigentongues.load_model(run.pca_model)
+        assert model.n_components == stacked.n_components
+        assert np.allclose(model.eigenvalues, stacked.eigenvalues, rtol=1e-9)
+        shutil.rmtree(pca_dir)
+        # a dev sidecar that fails once the training rows are spilled and fitted
+        param = Path(cfg.ultrasound_dir) / f"{split.dev[0]}.param"
+        param.write_text(param.read_text() + "FramesPerSec=60.0\n")
+        capsys.readouterr()
+        assert cli.main(["pca", "--output", str(run.root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: stage 'pca' failed: {param}: line 5: FramesPerSec given again, first at line 3"
+        )
+        assert sorted(p.name for p in pca_dir.iterdir()) == ["coeffs", "model.bin"]
+        assert all(run.coeffs(u).exists() for u in split.train)
 
     def test_coeffs_project_each_utterance_own_frames(self, tiny_run):
         cfg, run = tiny_run
@@ -1107,6 +1162,30 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert "stage 'prepare' failed" in err and f"{empty}.mgc/.bap/.lf0" in err
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("fault", ["sidecar", "partial frame"])
+    def test_bad_ultrasound_fails_prepare_naming_its_file(
+        self, tmp_path, tiny_corpus, capsys, system, fault
+    ):
+        layout = synthetic.CorpusLayout(root=tmp_path / "corpus")
+        shutil.copytree(tiny_corpus.root, layout.root)
+        cfg = config_for(layout, system=system)
+        # a test utterance, whose ultrasound only misalign reads under txt2wav
+        bad = ultra.discover_utterances(cfg.ultrasound_dir)[-1]
+        if fault == "sidecar":
+            path = layout.ultrasound_dir / f"{bad}.param"
+            path.write_text(path.read_text() + "FramesPerSec=60.0\n")
+            message = f"{path}: line 5: FramesPerSec given again, first at line 3"
+        else:
+            path = layout.ultrasound_dir / f"{bad}.ult"
+            path.write_bytes(path.read_bytes()[:-1])
+            message = f"{path}: byte count"
+        cfg_file = tmp_path / "exp.cfg"
+        write_config(cfg, cfg_file)
+        argv = ["prepare", "--config", str(cfg_file), "--output", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: stage 'prepare' failed: {message}")
 
     def test_streams_of_different_lengths_fail_prepare(self, tmp_path, tiny_corpus, capsys):
         layout = synthetic.CorpusLayout(root=tmp_path / "corpus")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import config_for, load_bench_module
-from ultratts import cli
+from ultratts import cli, eigentongues
 from ultratts.config import PATH_FIELDS, ExperimentConfig, read_config, write_config
 
 
@@ -29,11 +29,9 @@ def test_bench_workload_configs_are_valid_and_round_trip(tmp_path):
         assert read_config(tmp_path / f"{name}.cfg") == cfg, name
 
 
-@pytest.fixture(scope="module")
-def traced_run(tiny_corpus, tmp_path_factory):
-    """A traced ``run-all``: its config file, run directory, exit code and tracer."""
-    tmp_path = tmp_path_factory.mktemp("traced")
-    cfg = config_for(tiny_corpus, system="txt+ult2wav", seed=5, max_epochs=2, warmup_epochs=1)
+def traced_run_all(cfg, tmp_path):
+    """``run-all`` of ``cfg`` under the tracer: its config file, run
+    directory, exit code and tracer."""
     cfg_file = tmp_path / "exp.cfg"
     write_config(cfg, cfg_file)
 
@@ -44,6 +42,12 @@ def traced_run(tiny_corpus, tmp_path_factory):
     finally:
         tracer.uninstall()
     return cfg_file, tmp_path / "run", code, tracer
+
+
+@pytest.fixture(scope="module")
+def traced_run(tiny_corpus, tmp_path_factory):
+    cfg = config_for(tiny_corpus, system="txt+ult2wav", seed=5, max_epochs=2, warmup_epochs=1)
+    return traced_run_all(cfg, tmp_path_factory.mktemp("traced"))
 
 
 def test_traced_run_all_fires_every_span_and_counter(traced_run):
@@ -76,3 +80,17 @@ def test_untraced_run_all_writes_the_traced_report(traced_run, tmp_path):
     assert cli.main(["run-all", "--config", str(cfg_file), "--output", str(untraced_dir)]) == 0
     report = Path("evaluate") / "report.csv"
     assert (untraced_dir / report).read_bytes() == (traced_dir / report).read_bytes()
+
+
+def test_traced_scatter_fit_counts_its_spilled_rows(tiny_corpus, tmp_path):
+    # at 8x16 frames (d = 128) the training block's distinct rows reach d, so
+    # the pca stage hands the fit a row source read back from a file
+    cfg = config_for(
+        tiny_corpus, system="ult2wav", resize_rows=8, resize_cols=16, max_epochs=2, warmup_epochs=1
+    )
+    _, run_dir, code, tracer = traced_run_all(cfg, tmp_path)
+    assert code == 0
+    [counters] = [c for name, _, _, _, c in tracer.spans if name == "eigentongues.fit_pca"]
+    assert counters["dim"] == 128 <= counters["rows"]
+    assert counters["input_mb"] == counters["rows"] * 128 * 8 / 1e6
+    assert counters["k"] == eigentongues.load_model(run_dir / "pca" / "model.bin").n_components

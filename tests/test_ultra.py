@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,22 @@ class TestDiscovery:
         (tmp_path / "u1.param").unlink()
         with pytest.raises(MetadataError, match="sidecar"):
             ultra.read_frame_count(tmp_path / "u1.ult")
+
+    @pytest.mark.parametrize("read", [ultra.read_frame_count, ultra.read_utterance])
+    def test_bad_files_are_named(self, tmp_path, read):
+        ult, param = tmp_path / "u1.ult", tmp_path / "u1.param"
+        ult.write_bytes(bytes(3 * 24))
+        param.write_text(ultra.serialize_metadata(small_meta()) + "FramesPerSec=60.0\n")
+        message = f"{param}: line 5: FramesPerSec given again, first at line 3"
+        with pytest.raises(MetadataError, match=f"^{re.escape(message)}$"):
+            read(ult)
+        param.write_text(ultra.serialize_metadata(small_meta()).replace("81.5", "0"))
+        with pytest.raises(MetadataError, match=f"^{re.escape(str(param))}: FramesPerSec must be"):
+            read(ult)
+        param.write_text(ultra.serialize_metadata(small_meta()))
+        ult.write_bytes(bytes(3 * 24 + 5))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(ult))}: byte count 77 "):
+            read(ult)
 
     def test_read_utterance_requires_sidecar(self, tmp_path):
         (tmp_path / "u1.ult").write_bytes(bytes(24))
